@@ -26,6 +26,7 @@ from .model import (
     make_psi,
     normalize_betas,
 )
+from .oracle import grid_steps
 
 _PHI_PARAM_KEYS = {"exponential": {"k"}, "hill": {"k", "m"}}
 _PSI_PARAM_KEYS = {"linear": {"c"}, "power": {"c", "gamma"}}
@@ -286,6 +287,7 @@ def _parse_oracle(doc: dict) -> OracleSettings:
         raise ParameterError("oracle.t_end must be nonnegative and finite")
     if not (settings.dt > 0 and math.isfinite(settings.dt)):
         raise ParameterError("oracle.dt must be positive and finite")
+    grid_steps(settings.t_end, settings.dt)
     if settings.tol <= 0 or settings.k_max < 1:
         raise ParameterError("oracle.tol must be positive and oracle.k_max at least 1")
     if settings.gap_threshold <= 0:

@@ -51,8 +51,4 @@ class ConvergenceError(AgestructError):
 
 
 class EigenvalueError(AgestructError):
-    """QR iteration failed to deflate the full spectrum."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The LAPACK eigenvalue solve did not converge."""

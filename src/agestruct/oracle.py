@@ -270,6 +270,19 @@ class _GenericSweep:
         return new_b + f_vals, new_p + g_vals
 
 
+def grid_steps(t_end: float, dt: float) -> int:
+    """Number of dt steps in the oracle horizon; 0 (a single node) when t_end < dt.
+
+    Raises ParameterError unless dt divides t_end to within 1e-9 * max(1, t_end).
+    """
+    if t_end < dt:
+        return 0
+    n_steps = round(t_end / dt)
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ParameterError(f"oracle dt={dt!r} must divide the horizon t_end={t_end!r} evenly")
+    return n_steps
+
+
 def volterra_solve(
     model: GeneralModel,
     t_end: float,
@@ -291,13 +304,7 @@ def volterra_solve(
         raise ParameterError("horizon must be nonnegative and finite")
     if not (dt > 0 and math.isfinite(dt)) or tol <= 0 or k_max < 1:
         raise ParameterError("dt and tol must be positive, k_max at least 1")
-    if t_end < dt:
-        times = np.zeros(1)
-    else:
-        n_steps = round(t_end / dt)
-        if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-            raise ParameterError("dt must divide the horizon evenly")
-        times = np.linspace(0.0, t_end, n_steps + 1)
+    times = np.linspace(0.0, t_end, grid_steps(t_end, dt) + 1)
 
     sweep = _SeparableSweep(model, times, dt) if model.separable else _GenericSweep(model, times, dt)
     p = np.full(times.size, sweep.seed_population())

@@ -39,18 +39,15 @@ def simpson(y, x) -> float:
         return 0.0
     if m == 1:
         return float(0.5 * (x[1] - x[0]) * (y[0] + y[1]))
-    total = 0.0
-    pairs = m // 2
-    for k in range(pairs):
-        i = 2 * k
-        h0 = x[i + 1] - x[i]
-        h1 = x[i + 2] - x[i + 1]
-        hsum = h0 + h1
-        total += (hsum / 6.0) * (
-            (2.0 - h1 / h0) * y[i]
-            + (hsum * hsum / (h0 * h1)) * y[i + 1]
-            + (2.0 - h0 / h1) * y[i + 2]
-        )
+    h = np.diff(x)
+    end = 2 * (m // 2)
+    h0, h1 = h[0:end:2], h[1:end:2]
+    hsum = h0 + h1
+    total = float(np.sum((hsum / 6.0) * (
+        (2.0 - h1 / h0) * y[0:end:2]
+        + (hsum * hsum / (h0 * h1)) * y[1:end:2]
+        + (2.0 - h0 / h1) * y[2:end + 1:2]
+    )))
     if m % 2 == 1:
         # quadratic through the last three nodes, integrated over the final interval
         h0 = x[m - 1] - x[m - 2]

@@ -1,15 +1,12 @@
 """Linearized stability of equilibria of the moment system.
 
-The Jacobian is assembled from closed-form partial derivatives; eigenvalues
-come from an in-repo balanced Hessenberg reduction followed by shifted QR
-iteration (the matrices here are tiny, so this keeps the core dependency
-free and bit-reproducible). Verdicts compare the spectral abscissa against
-a +-1e-8 margin.
+The Jacobian is assembled from closed-form partial derivatives; its
+eigenvalues come from LAPACK through ``numpy.linalg.eigvals``. Verdicts
+compare the spectral abscissa against a +-1e-8 margin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,161 +50,22 @@ def jacobian_at(state: StateVector, params: ModelParams, feedback: FeedbackSpec)
     return jac
 
 
-# ---------------------------------------------------------------------------
-# eigenvalues: balance + Householder Hessenberg + shifted complex QR
-
-
-def _balance(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    for _ in range(32):
-        converged = True
-        for i in range(n):
-            r = float(np.sum(np.abs(a[i, :]))) - abs(a[i, i])
-            c = float(np.sum(np.abs(a[:, i]))) - abs(a[i, i])
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c >= r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if (c + r) < 0.95 * s:
-                converged = False
-                a[i, :] /= f
-                a[:, i] *= f
-        if converged:
-            break
-    return a
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    h = np.array(a, dtype=float, copy=True)
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        norm_x = float(np.linalg.norm(x))
-        if norm_x <= 1e-300:
-            continue
-        v = x
-        v[0] += math.copysign(norm_x, x[0]) if x[0] != 0.0 else norm_x
-        norm_v = float(np.linalg.norm(v))
-        if norm_v == 0.0:
-            continue
-        v /= norm_v
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v)
-        h[k + 2 :, k] = 0.0
-    return h
-
-
-def _eig2(block: np.ndarray) -> tuple[complex, complex]:
-    a, b = block[0, 0], block[0, 1]
-    c, d = block[1, 0], block[1, 1]
-    mid = 0.5 * (a + d)
-    sq = np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
-    return complex(mid + sq), complex(mid - sq)
-
-
-def _wilkinson_shift(block: np.ndarray) -> complex:
-    l1, l2 = _eig2(block)
-    d = block[1, 1]
-    return l1 if abs(l1 - d) <= abs(l2 - d) else l2
-
-
-def _qr_sweep(h: np.ndarray, lo: int, m: int, shift: complex) -> None:
-    """One shifted QR similarity step on the active block h[lo:m+1, lo:m+1]."""
-    n = h.shape[0]
-    for i in range(lo, m + 1):
-        h[i, i] -= shift
-    rotations = []
-    for j in range(lo, m):
-        a = h[j, j]
-        b = h[j + 1, j]
-        r = math.hypot(abs(a), abs(b))
-        if r == 0.0:
-            c, s = 1.0 + 0.0j, 0.0 + 0.0j
-        else:
-            c, s = a / r, b / r
-        rotations.append((c, s))
-        row_j = h[j, j:n].copy()
-        row_j1 = h[j + 1, j:n].copy()
-        h[j, j:n] = np.conj(c) * row_j + np.conj(s) * row_j1
-        h[j + 1, j:n] = -s * row_j + c * row_j1
-    for idx, j in enumerate(range(lo, m)):
-        c, s = rotations[idx]
-        rows = slice(0, j + 2)
-        col_j = h[rows, j].copy()
-        col_j1 = h[rows, j + 1].copy()
-        h[rows, j] = col_j * c + col_j1 * s
-        h[rows, j + 1] = -col_j * np.conj(s) + col_j1 * np.conj(c)
-    for i in range(lo, m + 1):
-        h[i, i] += shift
-
-
-def eigenvalues(matrix, *, deflation_tol: float = 1e-12, max_sweeps: int | None = None) -> np.ndarray:
+def eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a real square matrix, sorted by (real, imag).
 
-    Shifted QR on the balanced Hessenberg form with relative deflation
-    tolerance; 2x2 trailing blocks are resolved by the quadratic formula.
-    Raises EigenvalueError (carrying the partial spectrum) if the sweep
-    budget is exhausted.
+    LAPACK (``numpy.linalg.eigvals``) does the work. The result is always
+    complex, even when the whole spectrum is real. Raises EigenvalueError
+    when LAPACK fails to converge.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError("eigenvalues expects a square 2-d matrix")
     if not np.all(np.isfinite(a)):
         raise ParameterError("eigenvalues expects finite matrix entries")
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(a[0, 0])])
-    h = _hessenberg(_balance(a)).astype(complex)
-    hnorm = float(np.linalg.norm(h, np.inf)) or 1.0
-    if max_sweeps is None:
-        max_sweeps = 100 * n
-    found: list[complex] = []
-    m = n - 1
-    sweeps = 0
-    while m >= 0:
-        if m == 0:
-            found.append(complex(h[0, 0]))
-            m = -1
-            continue
-        scale = abs(h[m - 1, m - 1]) + abs(h[m, m])
-        if scale == 0.0:
-            scale = hnorm
-        if abs(h[m, m - 1]) <= deflation_tol * scale:
-            found.append(complex(h[m, m]))
-            m -= 1
-            continue
-        lo = m - 1
-        while lo > 0:
-            scale = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if scale == 0.0:
-                scale = hnorm
-            if abs(h[lo, lo - 1]) <= deflation_tol * scale:
-                break
-            lo -= 1
-        if m - lo == 1:
-            l1, l2 = _eig2(h[lo : m + 1, lo : m + 1])
-            found.extend([l1, l2])
-            m = lo - 1
-            continue
-        if sweeps >= max_sweeps:
-            raise EigenvalueError(
-                f"QR iteration exceeded {max_sweeps} sweeps",
-                partial=np.array(found, dtype=complex),
-            )
-        sweeps += 1
-        _qr_sweep(h, lo, m, _wilkinson_shift(h[m - 1 : m + 1, m - 1 : m + 1]))
-    evs = np.array(found, dtype=complex)
+    try:
+        evs = np.linalg.eigvals(a).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise EigenvalueError(f"eigenvalue solve failed: {exc}") from exc
     order = np.lexsort((evs.imag, evs.real))
     return evs[order]
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from . import reduction
 from .errors import BracketDivergenceError, ParameterError
-from .model import FeedbackSpec, ModelParams
-
-_BRACKET_LIMIT = float(2 ** 60)
+from .model import FeedbackSpec, ModelParams, fertility_kernel_integral
 
 
 def net_reproduction(x: float, params: ModelParams, feedback: FeedbackSpec) -> float:
@@ -27,9 +25,7 @@ def net_reproduction(x: float, params: ModelParams, feedback: FeedbackSpec) -> f
     if not (x >= 0) or not math.isfinite(x):
         raise ParameterError("net reproduction is defined for finite x >= 0")
     denom = params.rho + params.mu0 + float(feedback.psi(x))
-    total = sum(
-        b * math.factorial(i) / denom ** (i + 1) for i, b in enumerate(params.betas)
-    )
+    total = fertility_kernel_integral(params.betas, denom)
     return params.r0 * float(feedback.phi(x)) * total
 
 
@@ -57,28 +53,31 @@ def steady_state(
     """Unique positive root of net_reproduction(x) = 1, or None when absent.
 
     Returns None when the zero-crowding reproduction number is at most 1.
-    Otherwise brackets the root by doubling from [0, 1], bisects to width
-    tol, and polishes with at most five Newton steps so the residual
-    |R(x) - 1| lands at or below 1e-12.
+    Otherwise brackets the root by doubling from [0, 1] up to the largest
+    finite power of two, bisects to width tol or until the midpoint rounds
+    onto an endpoint, and polishes with at most five Newton steps so the
+    residual |R(x) - 1| lands at or below 1e-12.
     """
     if net_reproduction(0.0, params, feedback) <= 1.0:
         return None
     lo, hi = 0.0, 1.0
     while net_reproduction(hi, params, feedback) >= 1.0:
-        lo = hi
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
+        if not math.isfinite(2.0 * hi):
             raise BracketDivergenceError(
                 "no sign change while bracketing the reproduction root "
-                "(expansion exceeded 2**60); the feedbacks do not force decay"
+                "(expansion reached the largest float); the feedbacks do not force decay"
             )
+        lo, hi = hi, 2.0 * hi
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        # halving before adding cannot overflow and rounds like 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
+        if mid == lo or mid == hi:
+            break
         if net_reproduction(mid, params, feedback) >= 1.0:
             lo = mid
         else:
             hi = mid
-    x = 0.5 * (lo + hi)
+    x = 0.5 * lo + 0.5 * hi
     for _ in range(5):
         fx = net_reproduction(x, params, feedback) - 1.0
         if abs(fx) <= 1e-14:

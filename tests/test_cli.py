@@ -109,6 +109,32 @@ def test_sweep_branch_table(tmp_path):
         assert float(row[1]) == pytest.approx(expect, abs=1e-10)
 
 
+def package_env():
+    """Environment whose PYTHONPATH puts the imported package first."""
+    env = dict(os.environ)
+    src = str(Path(agestruct.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_sweep_huge_r0_terminates(tmp_path):
+    # roots far beyond where float spacing exceeds the bisection width; a
+    # subprocess with a timeout turns a hang into a failure
+    doc = ref1_doc()
+    doc["sweep"] = {"r0_values": [1e8, 1e300]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "agestruct", "sweep", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, rows = read_csv(out / "sweep.csv")
+    for row, r0 in zip(rows, [1e8, 1e300], strict=True):
+        assert row[2] == "true"
+        assert float(row[1]) == pytest.approx(math.sqrt(r0) - 1.0, rel=1e-12)
+
+
 def test_reconstruct_profiles_and_consistency(tmp_path):
     doc = ref1_doc()
     doc["integrator"] = {"t_end": 2.0, "samples": 201}
@@ -225,6 +251,15 @@ def test_invariant_errors_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, neg, name="neg.json")
     assert run(["steady", "--config", cfg, "--out", str(tmp_path / "o2")]) == 3
 
+    # an oracle step that does not divide the horizon fails at parse time
+    ragged = ref1_doc()
+    ragged["oracle"]["dt"] = 0.03
+    cfg = write_config(tmp_path, ragged, name="ragged.json")
+    capsys.readouterr()
+    assert run(["validate", "--config", cfg, "--out", str(tmp_path / "o3")]) == 3
+    assert "must divide" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
+
 
 def test_runtime_errors_exit_4(tmp_path):
     doc = ref1_doc()
@@ -269,12 +304,9 @@ def test_console_script_version(tmp_path):
     assert agestruct.__version__ == version
 
     # the child imports the package this process imported, from any cwd
-    env = dict(os.environ)
-    src = str(Path(agestruct.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "agestruct", "--version"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"agestruct {version}\n"
