@@ -7,9 +7,16 @@ shares code with the ODE reduction, so agreement between the two is a real
 consistency check and not a tautology.
 
 Models with the separable structure (age-independent excess mortality,
-polynomial-times-exponential fertility profile) take a fast path where each
-sweep costs a handful of discrete convolutions; arbitrary ``mu(a, P)`` /
-``beta(a, P)`` evaluators fall back to a dense O(N^2) sweep.
+polynomial-times-exponential fertility profile) take a fast path: each
+sweep is two FFT convolutions of exp(Z) * B, Z the integrated crowding
+mortality, one with the whole fertility kernel and one with the survival
+kernel. FFT round-off is eps times the largest input, and exp(Z) may reach
+exp(600) under the overflow guard (which stays), so one transform over the
+whole grid would bury the early values. The grid is cut into blocks, each
+rescaled so that its inputs stay within exp(4) of one another, which keeps
+the error near exp(4) * eps of the local size (see
+``_damped_conv_integrals``). Arbitrary ``mu(a, P)`` / ``beta(a, P)``
+evaluators fall back to a dense O(N^2) sweep.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_K_MAX = 200
 #: largest survival exponent the separable fast path will exponentiate
 _EXP_GUARD = 600.0
+#: rise of the log convolution input allowed inside one rescaled FFT block
+_BLOCK_SPAN = 4.0
 
 
 @dataclass(frozen=True)
@@ -148,10 +157,33 @@ class OracleSolution:
     final_update: float
 
 
-def _conv_integrals(kernel: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid values of integral(0..t_m) kernel(t_m - s) g(s) ds for all m."""
-    full = np.convolve(kernel, g)[: kernel.size]
-    return dt * (full - 0.5 * (kernel * g[0] + kernel[0] * g))
+def _damped_conv_integrals(kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid values of integral(0..t_m) k(t_m - s) exp(z(s) - z(t_m)) b(s) ds.
+
+    One output row per kernel row; ``z`` must be nondecreasing and ``b``
+    nonnegative. Blocks [s, e) of targets end where level_m = max_{j<=m}
+    (z_j + log b_j), the log of the largest entry of exp(z) * b so far,
+    crosses a multiple of ``_BLOCK_SPAN``; a growing b needs this as much as
+    a growing z. Each block convolves exp(z_j - z_s) * b_j for j < e, all
+    within exp(_BLOCK_SPAN) of the block's starting level, and scales the
+    outputs back by exp(z_s - z_m) <= 1. Kernels are cut to [:e] and the FFT
+    is at least 2e - 1 - s long, so the circular wrap never lands in [s, e).
+    The exact sums have nonnegative terms, so outputs are clipped at zero.
+    """
+    n = b.size
+    out = np.empty_like(kernels)
+    with np.errstate(divide="ignore"):
+        level = np.maximum.accumulate(z + np.log(b))
+    bins = np.floor(level / _BLOCK_SPAN)
+    starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
+    for s, e in zip(starts, [*starts[1:], n]):
+        nfft = 1 << (2 * e - 2 - s).bit_length()
+        g = np.exp(z[:e] - z[s]) * b[:e]
+        full = np.fft.irfft(np.fft.rfft(kernels[:, :e], nfft) * np.fft.rfft(g, nfft), nfft)[:, s:e]
+        full -= 0.5 * (kernels[:, s:e] * g[0] + kernels[:, :1] * g[s:e])
+        full *= dt * np.exp(z[s] - z[s:e])
+        np.maximum(full, 0.0, out=out[:, s:e])
+    return out
 
 
 def _sigma_grid(p0: InitialDensity, dt: float) -> np.ndarray:
@@ -170,9 +202,9 @@ class _SeparableSweep:
         self.times = times
         self.dt = dt
         n = self.params.n
-        decay = self.params.rho + self.params.mu0
-        self.kernels = [times**i * np.exp(-decay * times) for i in range(n)]
-        self.p_kernel = np.exp(-self.params.mu0 * times)
+        survival = np.exp(-self.params.mu0 * times)
+        # renewal kernel (all fertility terms at once) and survival kernel
+        self.kernels = np.stack((fertility_age_profile(times, self.params) * survival, survival))
         sigma = _sigma_grid(model.initial_density, dt)
         p0_vals = np.asarray(model.initial_density.evaluate(sigma), dtype=float)
         weighted = p0_vals * np.exp(-self.params.rho * sigma)
@@ -188,16 +220,10 @@ class _SeparableSweep:
         if psi_int[-1] + pr.mu0 * self.times[-1] > _EXP_GUARD:
             raise ParameterError("survival exponent overflow on the separable fast path")
         shrink = np.exp(-psi_int)
-        grow = np.exp(psi_int)
         phi_vals = pr.r0 * np.asarray(self.feedback.phi(p), dtype=float)
 
-        g = grow * b
-        renewal = np.zeros_like(b)
-        for beta_i, kernel in zip(pr.betas, self.kernels):
-            renewal += beta_i * _conv_integrals(kernel, g, self.dt)
-        renewal *= phi_vals * shrink
-
-        p_integral = shrink * _conv_integrals(self.p_kernel, grow * b, self.dt)
+        renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt)
+        renewal *= phi_vals
 
         survive0 = np.exp(-pr.mu0 * self.times) * shrink
         poly = np.zeros_like(self.times)
@@ -250,22 +276,32 @@ class _GenericSweep:
             full = births[: m + 1, m] * weights
             new_b[m] = dt * (np.sum(full) - 0.5 * (full[0] + full[m]))
             new_p[m] = dt * (np.sum(weights) - 0.5 * (weights[0] + weights[m]))
+        del decay, births
 
         # survived initial cohort: an individual aged sigma at time zero is
         # aged sigma + v at time v, so its exponent integrates mu along that
-        # shifted diagonal
+        # shifted diagonal. The (sigma x time) grids are the largest arrays of
+        # the sweep, so the exponent, survival and fertility products are
+        # built in place and each input grid is dropped once used.
         ages = self.sigma[:, None] + self.times[None, :]
         mu_shift = _eval_rates(self.model.mortality, ages, p[None, :], "mortality")
-        exps = np.zeros_like(mu_shift)
-        np.cumsum(0.5 * dt * (mu_shift[:, 1:] + mu_shift[:, :-1]), axis=1, out=exps[:, 1:])
-        alive = np.exp(-exps) * self.p0_vals[:, None]
-        beta_shift = _eval_rates(self.model.fertility, ages, p[None, :], "fertility")
+        alive = np.empty_like(mu_shift)
+        alive[:, 0] = 0.0
+        np.add(mu_shift[:, 1:], mu_shift[:, :-1], out=alive[:, 1:])
+        del mu_shift
+        alive[:, 1:] *= 0.5 * dt
+        np.cumsum(alive[:, 1:], axis=1, out=alive[:, 1:])
+        np.negative(alive, out=alive)
+        np.exp(alive, out=alive)
+        alive *= self.p0_vals[:, None]
+        fert_alive = _eval_rates(self.model.fertility, ages, p[None, :], "fertility")
+        del ages
+        fert_alive *= alive
         if self.sigma.size < 2:
             g_vals = np.zeros(n)
             f_vals = np.zeros(n)
         else:
             g_vals = dt * (alive.sum(axis=0) - 0.5 * (alive[0] + alive[-1]))
-            fert_alive = beta_shift * alive
             f_vals = dt * (fert_alive.sum(axis=0) - 0.5 * (fert_alive[0] + fert_alive[-1]))
         return new_b + f_vals, new_p + g_vals
 

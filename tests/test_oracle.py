@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import agestruct as ag
+from agestruct.config import DEFAULTS
 from agestruct.errors import ConvergenceError, HistoryRangeError, ParameterError
 from agestruct.oracle import (
     GeneralModel,
+    _damped_conv_integrals,
     _SeparableSweep,
     cross_validate,
     from_separable,
@@ -162,6 +164,53 @@ def test_converged_point_is_fixed(ref1):
     b_next, p_next = sweep(sol.birth_rates, sol.populations)
     assert float(np.max(np.abs(b_next - sol.birth_rates))) <= 1e-10
     assert float(np.max(np.abs(p_next - sol.populations))) <= 1e-10
+
+
+def _direct_damped_integrals(kernel, z, b, dt):
+    """Trapezoid sums of kernel(t_m - t_j) exp(-(z_m - z_j)) b_j, one node at a time."""
+    want = np.zeros(b.size)
+    for m in range(1, b.size):
+        terms = kernel[m::-1] * np.exp(z[: m + 1] - z[m]) * b[: m + 1]
+        want[m] = dt * (np.sum(terms) - 0.5 * (terms[0] + terms[m]))
+    return want
+
+
+def _separable_kernels(fixture, times, dt):
+    model = from_separable(fixture.params, fixture.feedback, fixture.p0)
+    return _SeparableSweep(model, times, dt).kernels
+
+
+def test_damped_convolution_matches_direct_sum(ref1):
+    # the survival exponent climbs to just under the overflow guard, where a
+    # single FFT of exp(+z) * b would lose everything below exp(590) * eps
+    n, dt = 401, 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    kernels = _separable_kernels(ref1, times, dt)
+    z = 590.0 * (times / times[-1]) ** 1.5
+    b = 1.0 + 0.5 * np.sin(3.0 * times)
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt)):
+        want = _direct_damped_integrals(kernel, z, b, dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def test_damped_convolution_follows_growing_births(ref1):
+    # no survival exponent, but births growing like exp(5 t): each output must
+    # stay accurate relative to the births so far, not to the last, largest
+    # ones (a grid-wide FFT errs by about exp(20) * eps everywhere)
+    n, dt = 401, 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    kernels = _separable_kernels(ref1, times, dt)
+    z = np.zeros(n)
+    b = np.exp(5.0 * times)
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt)):
+        want = _direct_damped_integrals(kernel, z, b, dt)
+        assert np.all(np.abs(got - want) <= 1e-12 * b)
+
+
+def test_long_horizon_cross_validation(ref1):
+    report = cross_validate(ref1.params, ref1.feedback, ref1.p0, 20.0, 5e-3)
+    assert report.oracle.iterations == 47
+    assert report.max_gap <= DEFAULTS["oracle"]["gap_threshold"]
 
 
 # --- convergence control -----------------------------------------------------------
