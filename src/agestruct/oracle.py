@@ -16,7 +16,12 @@ whole grid would bury the early values. The grid is cut into blocks, each
 rescaled so that its inputs stay within exp(4) of one another, which keeps
 the error near exp(4) * eps of the local size (see
 ``_damped_conv_integrals``). Arbitrary ``mu(a, P)`` / ``beta(a, P)``
-evaluators fall back to a dense O(N^2) sweep.
+evaluators fall back to a dense O(N^2) sweep. It calls each evaluator once
+per sweep on an outer grid, ages of shape (1, W) against sizes of shape
+(N, 1), and accepts any result that broadcasts to (N, W). A strided view
+reads that table along characteristics (cohorts), so survival and both
+renewal integrals come from whole-table array passes and two
+matrix-vector products (see ``_GenericSweep``).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from math import comb
 from typing import Callable, Optional, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError, HistoryRangeError, ParameterError
 from .model import (
@@ -63,9 +69,13 @@ class GeneralModel:
     """Age-and-size dependent vital rates plus the starting age profile.
 
     ``mortality`` and ``fertility`` are callables of (age, population size)
-    and should vectorize over numpy arrays; scalar-only callables are
-    wrapped automatically. ``separable`` is an optional structural hint --
-    results are identical either way, only the sweep cost changes.
+    and should vectorize over numpy arrays. The oracle calls each once per
+    sweep with ages of shape (1, W) and sizes of shape (N, 1), and accepts
+    any result that broadcasts to (N, W), such as a scalar or a size-only
+    (N, 1) column. Scalar-only callables, which raise TypeError or
+    ValueError on arrays, are evaluated entry by entry. ``separable`` is an
+    optional structural hint -- results are identical either way, only the
+    sweep cost changes.
     """
 
     mortality: Callable
@@ -98,26 +108,25 @@ def from_separable(params: ModelParams, feedback: FeedbackSpec, p0: InitialDensi
 def _eval_rates(fn: Callable, ages, sizes, what: str) -> np.ndarray:
     """Evaluate rate(age, size) on broadcast-compatible arrays.
 
-    Tries one vectorized call first; falls back to elementwise evaluation
-    for scalar-only callables. Output is validated finite and nonnegative.
+    Tries one vectorized call first and accepts any result that broadcasts
+    to the shape of ``ages`` and ``sizes`` together (a scalar, a size-only or
+    an age-only array); falls back to elementwise evaluation for scalar-only
+    callables. The result is validated finite and nonnegative and returned
+    as a read-only view broadcast to that shape.
     """
     ages = np.asarray(ages, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     shape = np.broadcast_shapes(ages.shape, sizes.shape)
     try:
         out = np.asarray(fn(ages, sizes), dtype=float)
-        if out.shape != shape:
+        if np.broadcast_shapes(out.shape, shape) != shape:
             raise ValueError
     except (TypeError, ValueError):
         out = np.vectorize(fn, otypes=[float])(ages, sizes)
-    if not np.all(np.isfinite(out)) or np.any(out < 0):
+    # min and max propagate NaN, so the two reductions check every entry
+    if not (out.min() >= 0.0 and out.max() < math.inf):
         raise ParameterError(f"{what} evaluator produced negative or non-finite values")
-    return out
-
-
-def _eval_grid(fn: Callable, a_nodes: np.ndarray, p_nodes: np.ndarray, what: str) -> np.ndarray:
-    """Evaluate rate(age, size) on the outer grid a_nodes x p_nodes."""
-    return _eval_rates(fn, a_nodes[:, None], p_nodes[None, :], what)
+    return np.broadcast_to(out, shape)
 
 
 def survival_factor(a, t, x, times, populations, model: GeneralModel) -> float:
@@ -237,73 +246,96 @@ class _SeparableSweep:
         return renewal + f_vals, p_integral + g_vals
 
 
+def _characteristic_rows(table: np.ndarray) -> np.ndarray:
+    """Rows 1.. of a C-contiguous (N, W) rate table, skewed onto characteristics.
+
+    ``out[m - 1, k] = table[m, m + k - (N - 1)]``: column k follows the
+    characteristic whose age index is l = m + k - (N - 1) at node m. Entries
+    with l < 0 (cohorts not born by node m) land on the old-age end of the
+    row above, beyond any age that row's characteristics reach, so they are
+    finite and never weighted; no entry is read twice.
+    """
+    n, w = table.shape
+    flat = table.ravel()
+    step = flat.itemsize
+    return as_strided(flat[w - n + 2 :], shape=(n - 1, w), strides=((w + 1) * step, step), writeable=False)
+
+
 class _GenericSweep:
-    """One fixed-point sweep with arbitrary rate evaluators (dense O(N^2))."""
+    """One fixed-point sweep with arbitrary rate evaluators (dense O(N^2)).
+
+    Everyone alive on the grid lies on a characteristic: the cohort born at
+    node d, aged (m - d) dt at node m, or the initial cohort aged sigma_i =
+    i dt, aged (m + i) dt at node m. Characteristic k = N - 1 - d or
+    N - 1 + i (the cohort born at t = 0 and the newborn initial cohort share
+    k = N - 1) has age index l = m + k - (N - 1) at node m, so every age met
+    is a_l = l dt with l < W = N - 1 + N_sigma. Each evaluator is called once
+    per sweep on the outer grid of ages (1, W) against sizes P(t_m) (N, 1),
+    and ``_characteristic_rows`` skews that table to one row per target node
+    and one column per characteristic. Survival exponents build up row by row
+    with the trapezoid step, each cohort starting at 0 on its birth node.
+    B and P at every node are then two matrix-vector products with one
+    trapezoid weight vector (b reversed, then p0) less the half weight of
+    the age-0 end.
+    """
 
     def __init__(self, model: GeneralModel, times: np.ndarray, dt: float):
         self.model = model
-        self.times = times
+        self.n = times.size
         self.dt = dt
-        self.sigma = _sigma_grid(model.initial_density, dt)
-        self.p0_vals = np.asarray(model.initial_density.evaluate(self.sigma), dtype=float)
-        self.mass0 = trapezoid(self.p0_vals, dt)
+        sigma = _sigma_grid(model.initial_density, dt)
+        p0_vals = np.asarray(model.initial_density.evaluate(sigma), dtype=float)
+        self.mass0 = trapezoid(p0_vals, dt)
+        self.ages = (np.arange(self.n - 1 + sigma.size) * dt)[None, :]
+        # trapezoid weights of the initial cohorts; a one-node sigma grid has none
+        self.p0_weights = np.zeros(sigma.size)
+        if sigma.size > 1:
+            self.p0_weights[:] = dt * p0_vals
+            self.p0_weights[[0, -1]] *= 0.5
 
     def seed_population(self) -> float:
         return self.mass0
 
-    def _survival_exponents(self, p: np.ndarray) -> np.ndarray:
-        """exponents[j, m] = integral(0..j*dt) mu(w, P(t_{m-j} + w)) dw."""
-        n = self.times.size
-        rates = _eval_grid(self.model.mortality, self.times, p, "mortality")
-        expo = np.zeros((n, n))
-        for d in range(n):
-            idx = np.arange(n - d)
-            diag = rates[idx, d + idx]
-            expo[idx, d + idx] = self.dt * (np.cumsum(diag) - 0.5 * (diag[0] + diag))
-        return expo
+    def _table(self, fn: Callable, p: np.ndarray, what: str) -> np.ndarray:
+        """rate(a_l, P(t_m)) as a C-contiguous (N, W) array."""
+        return np.ascontiguousarray(_eval_rates(fn, self.ages, p[:, None], what))
 
     def __call__(self, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.times.size
-        dt = self.dt
-        decay = np.exp(-self._survival_exponents(p))
-        births = _eval_grid(self.model.fertility, self.times, p, "fertility")
-
-        new_b = np.zeros(n)
-        new_p = np.zeros(n)
+        n, dt = self.n, self.dt
+        mu = self._table(self.model.mortality, p, "mortality")
+        w = mu.shape[1]
+        # expo[m, k] accumulates mu[m - 1] + mu[m] along characteristic k;
+        # cohorts not yet born hold +inf, so their survival comes out as 0
+        expo = np.empty_like(mu)
+        expo[0, : n - 1] = np.inf
+        expo[0, n - 1 :] = 0.0
+        skew = _characteristic_rows(mu)
+        # the skew's row 0: at t = 0 only the initial cohorts (k >= N - 1) exist
+        first = np.zeros(w)
+        first[n - 1 :] = mu[0, : w - n + 1]
+        np.add(skew[:1], first, out=expo[1:2])
+        np.add(skew[1:], skew[:-1], out=expo[2:])
+        del mu, skew
         for m in range(1, n):
-            b_rev = b[m::-1]
-            weights = decay[: m + 1, m] * b_rev
-            full = births[: m + 1, m] * weights
-            new_b[m] = dt * (np.sum(full) - 0.5 * (full[0] + full[m]))
-            new_p[m] = dt * (np.sum(weights) - 0.5 * (weights[0] + weights[m]))
-        del decay, births
+            expo[m] += expo[m - 1]
+            expo[m, n - 1 - m] = 0.0
+        expo *= -0.5 * dt
+        alive = np.exp(expo, out=expo)
 
-        # survived initial cohort: an individual aged sigma at time zero is
-        # aged sigma + v at time v, so its exponent integrates mu along that
-        # shifted diagonal. The (sigma x time) grids are the largest arrays of
-        # the sweep, so the exponent, survival and fertility products are
-        # built in place and each input grid is dropped once used.
-        ages = self.sigma[:, None] + self.times[None, :]
-        mu_shift = _eval_rates(self.model.mortality, ages, p[None, :], "mortality")
-        alive = np.empty_like(mu_shift)
-        alive[:, 0] = 0.0
-        np.add(mu_shift[:, 1:], mu_shift[:, :-1], out=alive[:, 1:])
-        del mu_shift
-        alive[:, 1:] *= 0.5 * dt
-        np.cumsum(alive[:, 1:], axis=1, out=alive[:, 1:])
-        np.negative(alive, out=alive)
-        np.exp(alive, out=alive)
-        alive *= self.p0_vals[:, None]
-        fert_alive = _eval_rates(self.model.fertility, ages, p[None, :], "fertility")
-        del ages
-        fert_alive *= alive
-        if self.sigma.size < 2:
-            g_vals = np.zeros(n)
-            f_vals = np.zeros(n)
-        else:
-            g_vals = dt * (alive.sum(axis=0) - 0.5 * (alive[0] + alive[-1]))
-            f_vals = dt * (fert_alive.sum(axis=0) - 0.5 * (fert_alive[0] + fert_alive[-1]))
-        return new_b + f_vals, new_p + g_vals
+        # trapezoid weights: b at each cohort's birth node, with the t = 0
+        # end halved, then the initial cohorts; the newborn end (age 0,
+        # survival 1) is halved after the products
+        weights = np.zeros(w)
+        weights[n - 1 :] = self.p0_weights
+        weights[:n] += dt * b[::-1]
+        weights[n - 1] -= 0.5 * dt * b[0]
+        new_p = alive @ weights - 0.5 * dt * b
+
+        beta = self._table(self.model.fertility, p, "fertility")
+        alive[1:] *= _characteristic_rows(beta)
+        alive[0, n - 1 :] *= beta[0, : w - n + 1]  # row 0, as for mu
+        new_b = alive @ weights - 0.5 * dt * b * beta[:, 0]
+        return new_b, new_p
 
 
 def grid_steps(t_end: float, dt: float) -> int:

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 import agestruct as ag
+from agestruct import oracle
 from agestruct.config import DEFAULTS
 from agestruct.errors import ConvergenceError, HistoryRangeError, ParameterError
 from agestruct.oracle import (
     GeneralModel,
     _damped_conv_integrals,
+    _eval_rates,
+    _GenericSweep,
     _SeparableSweep,
+    _sigma_grid,
     cross_validate,
     from_separable,
     survival_factor,
@@ -211,6 +215,178 @@ def test_long_horizon_cross_validation(ref1):
     report = cross_validate(ref1.params, ref1.feedback, ref1.p0, 20.0, 5e-3)
     assert report.oracle.iterations == 47
     assert report.max_gap <= DEFAULTS["oracle"]["gap_threshold"]
+
+
+class _DirectGenericSweep:
+    """Reference generic sweep: per-diagonal exponents, one target at a time.
+
+    The dense layout the characteristic-major sweep replaced: mortality and
+    fertility on the (age x time) grid, survival exponents summed along each
+    diagonal, one trapezoid sum per target node, and the initial cohorts on
+    their own (sigma x time) grid of ages sigma_i + t_m.
+    """
+
+    def __init__(self, model, times, dt):
+        self.model = model
+        self.times = times
+        self.dt = dt
+        self.sigma = _sigma_grid(model.initial_density, dt)
+        self.p0_vals = np.asarray(model.initial_density.evaluate(self.sigma), dtype=float)
+        self.mass0 = trapezoid(self.p0_vals, dt)
+
+    def seed_population(self):
+        return self.mass0
+
+    def __call__(self, b, p):
+        model, times, dt = self.model, self.times, self.dt
+        n = times.size
+        rates = _eval_rates(model.mortality, times[:, None], p[None, :], "mortality")
+        expo = np.zeros((n, n))  # expo[j, m]: cohort born at t_{m-j}, aged j dt at t_m
+        for d in range(n):
+            idx = np.arange(n - d)
+            diag = rates[idx, d + idx]
+            expo[idx, d + idx] = dt * (np.cumsum(diag) - 0.5 * (diag[0] + diag))
+        decay = np.exp(-expo)
+        births = _eval_rates(model.fertility, times[:, None], p[None, :], "fertility")
+        new_b = np.zeros(n)
+        new_p = np.zeros(n)
+        for m in range(1, n):
+            weights = decay[: m + 1, m] * b[m::-1]
+            full = births[: m + 1, m] * weights
+            new_b[m] = dt * (np.sum(full) - 0.5 * (full[0] + full[m]))
+            new_p[m] = dt * (np.sum(weights) - 0.5 * (weights[0] + weights[m]))
+
+        ages = self.sigma[:, None] + times[None, :]
+        mu_shift = _eval_rates(model.mortality, ages, p[None, :], "mortality")
+        expo0 = np.zeros(mu_shift.shape)
+        expo0[:, 1:] = np.cumsum(0.5 * dt * (mu_shift[:, 1:] + mu_shift[:, :-1]), axis=1)
+        alive = np.exp(-expo0) * self.p0_vals[:, None]
+        fert_alive = _eval_rates(model.fertility, ages, p[None, :], "fertility") * alive
+        if self.sigma.size < 2:
+            return new_b, new_p
+        g_vals = dt * (alive.sum(axis=0) - 0.5 * (alive[0] + alive[-1]))
+        f_vals = dt * (fert_alive.sum(axis=0) - 0.5 * (fert_alive[0] + fert_alive[-1]))
+        return new_b + f_vals, new_p + g_vals
+
+
+def _crowded_model(p0):
+    # age and size enter mortality and fertility together, so no separable form
+    return GeneralModel(
+        mortality=lambda a, p: 0.3 + 0.2 * a * p / (1.0 + p),
+        fertility=lambda a, p: 1.2 * a * np.exp(-a) / (1.0 + a * p),
+        initial_density=p0,
+    )
+
+
+def _scalar_only_model():
+    # math.exp rejects arrays, so both sweeps evaluate entry by entry
+    return GeneralModel(
+        mortality=lambda a, p: 0.3 + 0.2 * math.exp(-a * p),
+        fertility=lambda a, p: 1.2 * a * math.exp(-a) / (1.0 + p),
+        initial_density=ag.TabulatedDensity(ages=(0.0, 0.4, 1.0), values=(1.0, 0.6, 0.0)),
+    )
+
+
+_TABLE_P0 = ag.TabulatedDensity(ages=(0.0, 1.0, 2.5, 4.0), values=(1.0, 0.8, 0.3, 0.0))
+
+GENERIC_CASES = {
+    "non-separable": (_crowded_model(_TABLE_P0), 2.0, 0.02),
+    "scalar-only": (_scalar_only_model(), 0.5, 0.1),
+    "one-node": (_crowded_model(_TABLE_P0), 0.01, 0.05),
+    "one-node-sigma": (_crowded_model(ag.ExponentialDensity(0.0, 1.0)), 1.0, 0.05),
+}
+
+
+def _assert_close_to(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", list(GENERIC_CASES))
+def test_generic_sweep_matches_direct_reference(case, monkeypatch):
+    model, t_end, dt = GENERIC_CASES[case]
+    times = np.linspace(0.0, t_end, oracle.grid_steps(t_end, dt) + 1)
+    b = 1.0 + 0.5 * np.sin(3.0 * times)
+    p = 1.0 + 0.3 * np.cos(2.0 * times)
+    for got, want in zip(_GenericSweep(model, times, dt)(b, p), _DirectGenericSweep(model, times, dt)(b, p)):
+        _assert_close_to(got, want)
+
+    sol = volterra_solve(model, t_end, dt)
+    monkeypatch.setattr(oracle, "_GenericSweep", _DirectGenericSweep)
+    ref = volterra_solve(model, t_end, dt)
+    assert sol.iterations == ref.iterations
+    _assert_close_to(sol.birth_rates, ref.birth_rates)
+    _assert_close_to(sol.populations, ref.populations)
+
+
+def test_broadcast_rates_need_one_call_per_sweep():
+    # a size-only mortality and an age-only fertility are broadcast to the
+    # grid, not evaluated entry by entry, and give the padded twin's numbers
+    calls = []
+
+    def mortality(a, p):
+        calls.append(np.shape(p))
+        return 0.5 + 0.1 * p
+
+    p0 = ag.ExponentialDensity(1.0, 1.5)
+    model = GeneralModel(mortality, lambda a, p: 0.6 * np.exp(-a), p0)
+    twin = GeneralModel(
+        lambda a, p: 0.5 + 0.1 * p + 0 * a, lambda a, p: 0.6 * np.exp(-a) + 0 * p, p0
+    )
+    sol = volterra_solve(model, 2.0, 0.02)
+    ref = volterra_solve(twin, 2.0, 0.02)
+    assert len(calls) == sol.iterations + 1
+    assert sol.iterations == ref.iterations
+    np.testing.assert_array_equal(sol.birth_rates, ref.birth_rates)
+    np.testing.assert_array_equal(sol.populations, ref.populations)
+
+
+def test_broadcast_rates_are_validated():
+    times = np.linspace(0.0, 1.0, 11)
+    model = GeneralModel(lambda a, p: 1.0 - p, lambda a, p: 0.0 * a, ag.ExponentialDensity(1.0, 1.0))
+    with pytest.raises(ParameterError, match="mortality"):
+        _GenericSweep(model, times, 0.1)(np.ones(11), np.full(11, 2.0))
+
+
+def test_generic_and_separable_paths_agree_on_random_models():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    positive = st.floats(min_value=0.2, max_value=3.0)
+
+    @hypothesis.given(
+        n=st.integers(min_value=1, max_value=2),
+        raw_betas=st.lists(positive, min_size=2, max_size=2),
+        rho=positive,
+        mu0=positive,
+        r0=st.floats(min_value=0.5, max_value=8.0),
+        k=positive,
+        hill_m=st.floats(min_value=1.0, max_value=3.0),
+        c=positive,
+        coefficient=positive,
+        decay=st.floats(min_value=0.5, max_value=3.0),
+    )
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    def check(n, raw_betas, rho, mu0, r0, k, hill_m, c, coefficient, decay):
+        params = ag.ModelParams(
+            n=n, betas=ag.normalize_betas(raw_betas[:n], rho, mu0), rho=rho, mu0=mu0, r0=r0,
+            normalized=True,
+        )
+        feedback = ag.FeedbackSpec(
+            phi_family=ag.make_phi("hill", k=k, m=hill_m),
+            psi_family=ag.make_psi("linear", c=c),
+        )
+        fast_model = from_separable(params, feedback, ag.ExponentialDensity(coefficient, decay))
+        slow_model = GeneralModel(
+            mortality=fast_model.mortality,
+            fertility=fast_model.fertility,
+            initial_density=fast_model.initial_density,
+        )
+        fast = volterra_solve(fast_model, 1.0, 0.05)
+        slow = volterra_solve(slow_model, 1.0, 0.05)
+        assert np.max(np.abs(fast.birth_rates - slow.birth_rates)) <= 1e-9
+        assert np.max(np.abs(fast.populations - slow.populations)) <= 1e-9
+
+    check()
 
 
 # --- convergence control -----------------------------------------------------------
