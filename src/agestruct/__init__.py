@@ -17,7 +17,6 @@ from .errors import (
     ConvergenceError,
     EigenvalueError,
     FitSingularError,
-    HistoryRangeError,
     NegativityError,
     ParameterError,
     StepSizeError,
@@ -43,7 +42,6 @@ from .oracle import (
     OracleSolution,
     cross_validate,
     from_separable,
-    survival_factor,
     volterra_solve,
 )
 from .reconstruct import (
@@ -89,7 +87,6 @@ __all__ = [
     "FeedbackSpec",
     "FitSingularError",
     "GeneralModel",
-    "HistoryRangeError",
     "ModelParams",
     "NegativityError",
     "OracleSolution",
@@ -126,7 +123,6 @@ __all__ = [
     "reproduction_derivative",
     "rhs",
     "steady_state",
-    "survival_factor",
     "trivial_equilibrium",
     "volterra_solve",
 ]

@@ -37,10 +37,6 @@ class TrajectoryRangeError(AgestructError):
     """A query time lies outside the computed trajectory."""
 
 
-class HistoryRangeError(AgestructError):
-    """A survival-factor query needs population history outside the supplied grid."""
-
-
 class ConvergenceError(AgestructError):
     """Fixed-point iteration hit its sweep budget before reaching tolerance."""
 

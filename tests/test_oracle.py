@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 import agestruct as ag
 from agestruct import oracle
 from agestruct.config import DEFAULTS
-from agestruct.errors import ConvergenceError, HistoryRangeError, ParameterError
+from agestruct.errors import ConvergenceError, ParameterError
 from agestruct.oracle import (
     GeneralModel,
     _damped_conv_integrals,
@@ -18,50 +19,11 @@ from agestruct.oracle import (
     _sigma_grid,
     cross_validate,
     from_separable,
-    survival_factor,
     volterra_solve,
 )
 from agestruct.quadrature import trapezoid
 
 from conftest import make_linear
-
-
-# --- survival factor -------------------------------------------------------------
-
-
-def test_survival_factor_constant_mortality():
-    model = GeneralModel(
-        mortality=lambda a, p: 1.0, fertility=lambda a, p: 0.0,
-        initial_density=ag.ExponentialDensity(1.0, 1.0),
-    )
-    times = np.linspace(0.0, 2.0, 21)
-    pops = np.ones_like(times)
-    np.testing.assert_allclose(survival_factor(5.0, 2.0, 1.0, times, pops, model),
-                               math.exp(-1.0), rtol=1e-12)
-    assert survival_factor(5.0, 2.0, 0.0, times, pops, model) == 1.0
-
-
-def test_survival_factor_separable_history(ref1):
-    # stationary history: mu = mu0 + psi(1) = 1.5 throughout
-    model = from_separable(ref1.params, ref1.feedback, ref1.p0)
-    times = np.linspace(0.0, 2.0, 11)
-    pops = np.ones_like(times)
-    np.testing.assert_allclose(survival_factor(3.0, 2.0, 1.0, times, pops, model),
-                               math.exp(-1.5), rtol=1e-10)
-
-
-def test_survival_factor_domain_checks(ref1):
-    model = from_separable(ref1.params, ref1.feedback, ref1.p0)
-    times = np.linspace(0.0, 2.0, 11)
-    pops = np.ones_like(times)
-    with pytest.raises(ParameterError):
-        survival_factor(0.5, 2.0, 1.0, times, pops, model)  # x > a
-    with pytest.raises(ParameterError):
-        survival_factor(3.0, 2.0, -0.1, times, pops, model)
-    with pytest.raises(HistoryRangeError):
-        survival_factor(5.0, 4.0, 1.0, times, pops, model)  # t beyond history
-    with pytest.raises(HistoryRangeError):
-        survival_factor(5.0, 2.0, 1.5, times[5:], pops[5:], model)  # window starts early
 
 
 # --- grid handling and degenerate inputs -----------------------------------------
@@ -144,8 +106,9 @@ def test_linear_mode_closed_form_growth():
 
 
 def test_fast_and_generic_paths_agree(ref2):
-    # the structured convolution path and the dense quadratic path must be
-    # two encodings of the same discrete scheme, not merely close
+    # the structured convolution path (one window, the whole grid) and the
+    # dense windowed path must be two encodings of the same discrete scheme,
+    # not merely close
     p0 = ag.ExponentialDensity(coefficient=1.2, decay=1.1)
     fast_model = from_separable(ref2.params, ref2.feedback, p0)
     slow_model = GeneralModel(
@@ -155,7 +118,8 @@ def test_fast_and_generic_paths_agree(ref2):
     )
     fast = volterra_solve(fast_model, 2.0, 0.01)
     slow = volterra_solve(slow_model, 2.0, 0.01)
-    assert fast.iterations == slow.iterations
+    assert (fast.windows, fast.sweeps) == (1, fast.iterations)
+    assert slow.windows > 1
     np.testing.assert_allclose(fast.birth_rates, slow.birth_rates, atol=1e-10)
     np.testing.assert_allclose(fast.populations, slow.populations, atol=1e-10)
 
@@ -301,21 +265,116 @@ def _assert_close_to(got, want):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _windowed_pass(sweep, b, p):
+    """One sweep of every window in turn, all from the same iterates."""
+    parts = []
+    for s, e in sweep.windows():
+        parts.append([x[s:e] for x in sweep(b, p, s, e)])
+        sweep.commit()
+    return [np.concatenate(values) for values in zip(*parts)]
+
+
 @pytest.mark.parametrize("case", list(GENERIC_CASES))
-def test_generic_sweep_matches_direct_reference(case, monkeypatch):
+def test_generic_sweep_matches_direct_reference(case):
     model, t_end, dt = GENERIC_CASES[case]
     times = np.linspace(0.0, t_end, oracle.grid_steps(t_end, dt) + 1)
     b = 1.0 + 0.5 * np.sin(3.0 * times)
     p = 1.0 + 0.3 * np.cos(2.0 * times)
-    for got, want in zip(_GenericSweep(model, times, dt)(b, p), _DirectGenericSweep(model, times, dt)(b, p)):
-        _assert_close_to(got, want)
+    want = _DirectGenericSweep(model, times, dt)(b, p)
+    # the whole grid at once, and window by window with the carried
+    # exponents: with the iterates held fixed both are one global sweep
+    for got in (_GenericSweep(model, times, dt)(b, p), _windowed_pass(_GenericSweep(model, times, dt), b, p)):
+        for got_x, want_x in zip(got, want):
+            _assert_close_to(got_x, want_x)
 
+    # the windowed solve lands on a fixed point of the reference sweep
     sol = volterra_solve(model, t_end, dt)
-    monkeypatch.setattr(oracle, "_GenericSweep", _DirectGenericSweep)
-    ref = volterra_solve(model, t_end, dt)
-    assert sol.iterations == ref.iterations
-    _assert_close_to(sol.birth_rates, ref.birth_rates)
-    _assert_close_to(sol.populations, ref.populations)
+    residual = _DirectGenericSweep(model, sol.times, dt)(sol.birth_rates, sol.populations)
+    assert np.max(np.abs(residual[0] - sol.birth_rates)) <= 1e-10
+    assert np.max(np.abs(residual[1] - sol.populations)) <= 1e-10
+
+
+def _tight_direct_solution(model, t_end, dt):
+    """Global Picard over the reference sweep, run to a 1e-13 update."""
+    times = np.linspace(0.0, t_end, oracle.grid_steps(t_end, dt) + 1)
+    sweep = _DirectGenericSweep(model, times, dt)
+    b, p = sweep(np.zeros(times.size), np.full(times.size, sweep.mass0))
+    for _ in range(oracle.DEFAULT_K_MAX):
+        b_next, p_next = sweep(b, p)
+        update = max(np.max(np.abs(b_next - b)), np.max(np.abs(p_next - p)))
+        b, p = b_next, p_next
+        if update <= 1e-13:
+            return b, p
+    raise AssertionError(f"reference Picard stalled at update {update!r}")
+
+
+def _generic_twin(fixture):
+    # the separable model's evaluators without the separable hint
+    model = from_separable(fixture.params, fixture.feedback, fixture.p0)
+    return GeneralModel(model.mortality, model.fertility, model.initial_density)
+
+
+@pytest.mark.parametrize("case", [*GENERIC_CASES, "ref1", "ref2"])
+def test_windowed_generic_matches_tight_reference(case, request):
+    if case in GENERIC_CASES:
+        model, t_end, dt = GENERIC_CASES[case]
+    else:
+        # 13 windows: a stop rule that leaves each window at tol errs by 4-5e-11
+        model, t_end, dt = _generic_twin(request.getfixturevalue(case)), 4.0, 0.02
+    sol = volterra_solve(model, t_end, dt)
+    for got, want in zip((sol.birth_rates, sol.populations), _tight_direct_solution(model, t_end, dt)):
+        assert np.all(np.abs(got - want) <= 2e-11 * np.maximum(1.0, np.abs(want)))
+
+
+def test_generic_windows_evaluate_only_the_ages_they_read():
+    # a window [s, e) reads its rows and row s - 1, and only the ages of the
+    # cohorts born by e - 1 and of the initial cohorts; each evaluator is
+    # called once per sweep of the window, seeding sweep included
+    calls = {"mortality": [], "fertility": []}
+
+    def recording(name, fn):
+        def rate(a, p):
+            calls[name].append((np.shape(a), np.shape(p)))
+            return fn(a, p)
+        return rate
+
+    base = _crowded_model(_TABLE_P0)
+    model = GeneralModel(
+        recording("mortality", base.mortality), recording("fertility", base.fertility), _TABLE_P0
+    )
+    t_end, dt = 2.0, 0.02
+    sol = volterra_solve(model, t_end, dt)
+    times = np.linspace(0.0, t_end, oracle.grid_steps(t_end, dt) + 1)
+    sweep = _GenericSweep(model, times, dt)
+    windows = sweep.windows()
+    assert sol.windows == len(windows) > 1
+    want = [((1, e - 1 + sweep.n_sigma), (e - max(s - 1, 0), 1)) for s, e in windows]
+    for shapes in calls.values():
+        runs = [(shape, len(list(group))) for shape, group in itertools.groupby(shapes)]
+        assert [shape for shape, _ in runs] == want
+        assert sum(count for _, count in runs) == sol.sweeps + sol.windows
+        assert max(count for _, count in runs) == sol.iterations + 1
+
+
+def test_windowed_log_and_stall_name_the_window():
+    buf = io.StringIO()
+    sol = volterra_solve(_crowded_model(_TABLE_P0), 2.0, 0.02, log=buf)
+    lines = [line.split(",") for line in buf.getvalue().splitlines()]
+    assert len(lines) == sol.sweeps
+    assert [int(w) for w, k, _ in lines if k == "1"] == list(range(1, sol.windows + 1))
+    last = {int(w): float(update) for w, _, update in lines}  # each window's last update
+    assert max(last.values()) == pytest.approx(sol.final_update, rel=1e-6)
+    assert sol.final_update <= 1e-10
+
+    # births start once the initial cohorts pass age 2.4, in the window
+    # from t = 1.28; every window before it is exact after its seeding sweep
+    model = GeneralModel(
+        mortality=lambda a, p: 0.5,
+        fertility=lambda a, p: 40.0 * np.maximum(a - 2.4, 0.0) / (1.0 + p),
+        initial_density=ag.TabulatedDensity(ages=(0.0, 1.0), values=(1.0, 1.0)),
+    )
+    with pytest.raises(ConvergenceError, match=r"window from t=1\.28$"):
+        volterra_solve(model, 3.0, 0.01, k_max=1)
 
 
 def test_broadcast_rates_need_one_call_per_sweep():
@@ -334,7 +393,7 @@ def test_broadcast_rates_need_one_call_per_sweep():
     )
     sol = volterra_solve(model, 2.0, 0.02)
     ref = volterra_solve(twin, 2.0, 0.02)
-    assert len(calls) == sol.iterations + 1
+    assert len(calls) == sol.sweeps + sol.windows
     assert sol.iterations == ref.iterations
     np.testing.assert_array_equal(sol.birth_rates, ref.birth_rates)
     np.testing.assert_array_equal(sol.populations, ref.populations)
