@@ -16,22 +16,18 @@ from .errors import (
     ConfigSchemaError,
     ConvergenceError,
     EigenvalueError,
-    FitSingularError,
     NegativityError,
     ParameterError,
     StepSizeError,
     TrajectoryRangeError,
 )
 from .model import (
-    AssumptionReport,
     ExponentialDensity,
     FeedbackSpec,
     ModelParams,
     TabulatedDensity,
-    check_assumptions,
     density_moments,
     fertility_age_profile,
-    fit_fertility_profile,
     make_phi,
     make_psi,
     normalize_betas,
@@ -74,7 +70,6 @@ from .steady import (
 __all__ = [
     "__version__",
     "AgestructError",
-    "AssumptionReport",
     "BracketDivergenceError",
     "ConfigSchemaError",
     "ConsistencyReport",
@@ -85,7 +80,6 @@ __all__ = [
     "EquilibriumReport",
     "ExponentialDensity",
     "FeedbackSpec",
-    "FitSingularError",
     "GeneralModel",
     "ModelParams",
     "NegativityError",
@@ -101,7 +95,6 @@ __all__ = [
     "bifurcation_sweep",
     "birth_rate",
     "characteristic_jump",
-    "check_assumptions",
     "classify",
     "classify_trivial",
     "consistency_check",
@@ -111,7 +104,6 @@ __all__ = [
     "eigenvalues",
     "equilibrium",
     "fertility_age_profile",
-    "fit_fertility_profile",
     "from_separable",
     "integrate",
     "jacobian_at",

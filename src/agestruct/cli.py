@@ -12,6 +12,7 @@ schema error; 3 config invariant violation; 4 runtime solver error.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__, reconstruct, stability, steady
 from .config import RunConfig, load_config
 from .csvio import (
+    atomic_open,
     density_filename,
     write_density_csv,
     write_oracle_csv,
@@ -66,16 +68,24 @@ def _load_manifest(outdir: Path) -> dict:
 
 
 def _register(outdir: Path, command: str, files, elapsed: float) -> None:
-    manifest = _load_manifest(outdir)
-    for name in files:
-        if name not in manifest["files"]:
-            manifest["files"].append(name)
-    manifest["timings"][command] = elapsed
-    _write_json(outdir / MANIFEST_NAME, manifest)
+    # an exclusive lock on the directory itself serializes concurrent
+    # read-modify-writes without leaving a lock file among the outputs
+    fd = os.open(outdir, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        manifest = _load_manifest(outdir)
+        for name in files:
+            if name not in manifest["files"]:
+                manifest["files"].append(name)
+        manifest["timings"][command] = elapsed
+        _write_json(outdir / MANIFEST_NAME, manifest)
+    finally:
+        os.close(fd)
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _json_complex_list(values) -> list:

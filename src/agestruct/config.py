@@ -11,25 +11,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
 from .errors import ConfigSchemaError, ParameterError
 from .model import (
+    _PHI_FAMILIES,
+    _PSI_FAMILIES,
     ExponentialDensity,
     FeedbackSpec,
     InitialDensity,
     ModelParams,
     TabulatedDensity,
-    make_phi,
-    make_psi,
     normalize_betas,
 )
 from .oracle import grid_steps
-
-_PHI_PARAM_KEYS = {"exponential": {"k"}, "hill": {"k", "m"}}
-_PSI_PARAM_KEYS = {"linear": {"c"}, "power": {"c", "gamma"}}
 
 DEFAULTS = {
     "integrator": {"method": "rk45", "t_end": 50.0, "rtol": 1e-8, "atol": 1e-10, "samples": 1001},
@@ -164,6 +161,25 @@ def _parse_model(doc: dict) -> ModelParams:
     return ModelParams(n=n, betas=tuple(betas), rho=rho, mu0=mu0, r0=r0)
 
 
+def _parse_family(section: dict, name: str, families: dict):
+    """One feedback family; its allowed and required keys are its dataclass fields."""
+    path = f"feedback.{name}"
+    if name not in section:
+        raise ConfigSchemaError(f"{path}: required")
+    doc = _require_mapping(section[name], path)
+    family = _string(doc, path, "family", required=True)
+    if family not in families:
+        raise ConfigSchemaError(f"{path}.family: expected one of {sorted(families)}")
+    members = fields(families[family])
+    _reject_unknown(doc, path, {f.name for f in members} | {"family"})
+    params = {}
+    for f in members:
+        value = _number(doc, path, f.name, required=f.default is MISSING)
+        if value is not None:
+            params[f.name] = value
+    return families[family](**params)
+
+
 def _parse_feedback(doc: dict) -> FeedbackSpec:
     if "feedback" not in doc:
         raise ConfigSchemaError("feedback: required section")
@@ -173,30 +189,9 @@ def _parse_feedback(doc: dict) -> FeedbackSpec:
         if "phi" in section or "psi" in section:
             raise ConfigSchemaError("feedback: phi/psi must be omitted in linear_mode")
         return FeedbackSpec.linear()
-    for name in ("phi", "psi"):
-        if name not in section:
-            raise ConfigSchemaError(f"feedback.{name}: required")
-    phi_doc = _require_mapping(section["phi"], "feedback.phi")
-    psi_doc = _require_mapping(section["psi"], "feedback.psi")
-    phi_family = _string(phi_doc, "feedback.phi", "family", required=True)
-    if phi_family not in _PHI_PARAM_KEYS:
-        raise ConfigSchemaError(f"feedback.phi.family: expected one of {sorted(_PHI_PARAM_KEYS)}")
-    psi_family = _string(psi_doc, "feedback.psi", "family", required=True)
-    if psi_family not in _PSI_PARAM_KEYS:
-        raise ConfigSchemaError(f"feedback.psi.family: expected one of {sorted(_PSI_PARAM_KEYS)}")
-    _reject_unknown(phi_doc, "feedback.phi", _PHI_PARAM_KEYS[phi_family] | {"family"})
-    _reject_unknown(psi_doc, "feedback.psi", _PSI_PARAM_KEYS[psi_family] | {"family"})
-    phi_params = {"k": _number(phi_doc, "feedback.phi", "k", required=True)}
-    if phi_family == "hill":
-        m = _number(phi_doc, "feedback.phi", "m")
-        if m is not None:
-            phi_params["m"] = m
-    psi_params = {"c": _number(psi_doc, "feedback.psi", "c", required=True)}
-    if psi_family == "power":
-        psi_params["gamma"] = _number(psi_doc, "feedback.psi", "gamma", required=True)
     return FeedbackSpec(
-        phi_family=make_phi(phi_family, **phi_params),
-        psi_family=make_psi(psi_family, **psi_params),
+        phi_family=_parse_family(section, "phi", _PHI_FAMILIES),
+        psi_family=_parse_family(section, "psi", _PSI_FAMILIES),
     )
 
 
@@ -381,18 +376,16 @@ def parse_config(doc: Any) -> RunConfig:
 
 
 def _echo_feedback(feedback: FeedbackSpec) -> dict:
-    if feedback.linear_mode:
+    if feedback == FeedbackSpec.linear():
         return {"linear_mode": True}
-    phi = feedback.phi_family
-    psi = feedback.psi_family
-    phi_doc = {"family": type(phi).__name__.replace("Phi", "").lower()}
-    psi_doc = {"family": type(psi).__name__.replace("Psi", "").lower()}
-    for name in ("k", "m", "c", "gamma"):
-        if hasattr(phi, name):
-            phi_doc[name] = getattr(phi, name)
-        if hasattr(psi, name):
-            psi_doc[name] = getattr(psi, name)
-    return {"linear_mode": False, "phi": phi_doc, "psi": psi_doc}
+    doc = {"linear_mode": False}
+    for name, family, families in (
+        ("phi", feedback.phi_family, _PHI_FAMILIES),
+        ("psi", feedback.psi_family, _PSI_FAMILIES),
+    ):
+        label = next(key for key, cls in families.items() if type(family) is cls)
+        doc[name] = {"family": label, **asdict(family)}
+    return doc
 
 
 def load_config(path) -> RunConfig:

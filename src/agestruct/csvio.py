@@ -2,11 +2,15 @@
 
 All numeric cells use Python's shortest round-trip float repr so files are
 byte-identical across runs and reload to the exact binary values. Writers
-return the path they wrote so callers can collect a manifest.
+return the path they wrote so callers can collect a manifest. Every file is
+written to a hidden sibling first and moved into place, so a reader never
+sees it half-written.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
@@ -21,9 +25,23 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def atomic_open(path):
+    """Text handle on ``.<name>.<pid>.tmp`` that replaces ``path`` when the block succeeds."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def _write_lines(path, header: str, rows: Iterable[str]) -> Path:
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")

@@ -17,10 +17,6 @@ class ConfigSchemaError(AgestructError, ValueError):
     """A configuration document is malformed, mistyped, or carries unknown keys."""
 
 
-class FitSingularError(AgestructError):
-    """The least-squares design matrix is rank deficient."""
-
-
 class BracketDivergenceError(AgestructError):
     """Root bracketing expanded past its safety bound without a sign change."""
 

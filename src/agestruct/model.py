@@ -1,4 +1,4 @@
-"""Model parameters, crowding feedbacks, initial age densities, and fits.
+"""Model parameters, crowding feedbacks, and initial age densities.
 
 Fertility is a polynomial-times-exponential age profile
 ``sum_i beta_i * a**i * exp(-rho * a)`` scaled by ``r0`` and damped by a
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import FitSingularError, ParameterError
+from .errors import ParameterError
 from .quadrature import simpson
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,52 +117,52 @@ class PowerPsi:
 
 
 @dataclass(frozen=True)
-class FeedbackSpec:
-    """Pair of crowding feedbacks, or the degenerate linear mode.
+class _ZeroPsi:
+    """No crowding mortality: psi == 0, with derivative 0."""
 
-    In linear mode the damping is identically 1 and the crowding mortality
-    identically 0 (with zero derivatives); this turns the model into a linear
-    one and is meant for closed-form integrator checks, not production runs.
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return _scalar_or_array(x, np.zeros_like(x))
+
+    derivative = __call__
+
+
+@dataclass(frozen=True)
+class _UnitPhi:
+    """No fertility damping: phi == 1, with derivative 0."""
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return _scalar_or_array(x, np.ones_like(x))
+
+    derivative = _ZeroPsi.__call__
+
+
+@dataclass(frozen=True)
+class FeedbackSpec:
+    """A fertility damping phi and a crowding mortality psi.
+
+    ``FeedbackSpec.linear()`` switches both off, which makes the model linear;
+    it is meant for closed-form integrator checks, not production runs.
     """
 
-    phi_family: object | None = None
-    psi_family: object | None = None
-    linear_mode: bool = False
-
-    def __post_init__(self):
-        if self.linear_mode:
-            if self.phi_family is not None or self.psi_family is not None:
-                raise ParameterError("linear_mode excludes phi/psi families")
-        else:
-            if self.phi_family is None or self.psi_family is None:
-                raise ParameterError("feedback requires both phi and psi families")
+    phi_family: object
+    psi_family: object
 
     @classmethod
     def linear(cls) -> "FeedbackSpec":
-        return cls(linear_mode=True)
+        return cls(phi_family=_UnitPhi(), psi_family=_ZeroPsi())
 
     def phi(self, x):
-        if self.linear_mode:
-            x = np.asarray(x, dtype=float)
-            return _scalar_or_array(x, np.ones_like(x))
         return self.phi_family(x)
 
     def phi_prime(self, x):
-        if self.linear_mode:
-            x = np.asarray(x, dtype=float)
-            return _scalar_or_array(x, np.zeros_like(x))
         return self.phi_family.derivative(x)
 
     def psi(self, x):
-        if self.linear_mode:
-            x = np.asarray(x, dtype=float)
-            return _scalar_or_array(x, np.zeros_like(x))
         return self.psi_family(x)
 
     def psi_prime(self, x):
-        if self.linear_mode:
-            x = np.asarray(x, dtype=float)
-            return _scalar_or_array(x, np.zeros_like(x))
         return self.psi_family.derivative(x)
 
 
@@ -172,20 +172,16 @@ _PSI_FAMILIES = {"linear": LinearPsi, "power": PowerPsi}
 
 def make_phi(family: str, **params):
     """Build a fertility-damping family by name ('exponential' or 'hill')."""
-    try:
-        cls = _PHI_FAMILIES[family]
-    except KeyError:
-        raise ParameterError(f"unknown phi family {family!r}") from None
-    return cls(**params)
+    if family not in _PHI_FAMILIES:
+        raise ParameterError(f"unknown phi family {family!r}")
+    return _PHI_FAMILIES[family](**params)
 
 
 def make_psi(family: str, **params):
     """Build a crowding-mortality family by name ('linear' or 'power')."""
-    try:
-        cls = _PSI_FAMILIES[family]
-    except KeyError:
-        raise ParameterError(f"unknown psi family {family!r}") from None
-    return cls(**params)
+    if family not in _PSI_FAMILIES:
+        raise ParameterError(f"unknown psi family {family!r}")
+    return _PSI_FAMILIES[family](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -277,77 +273,6 @@ def _profile_values(a: np.ndarray, betas: Sequence[float], rho: float) -> np.nda
     for b in reversed(betas):
         acc = acc * a + b
     return acc * np.exp(-rho * a)
-
-
-# ---------------------------------------------------------------------------
-# qualitative assumption checks
-
-
-@dataclass(frozen=True)
-class ClauseResult:
-    clause: str
-    passed: bool
-    violating_point: float | None = None
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    clauses: tuple[ClauseResult, ...]
-    exempt: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-
-def _first_violation(grid: np.ndarray, ok: np.ndarray) -> float | None:
-    idx = np.flatnonzero(~ok)
-    return float(grid[idx[0]]) if idx.size else None
-
-
-def check_assumptions(
-    feedback: FeedbackSpec,
-    grid,
-    *,
-    big_x: float = 1e8,
-    phi_inf_tol: float = 1e-4,
-    psi_inf_floor: float = 1e4,
-) -> AssumptionReport:
-    """Check the qualitative feedback requirements on a sample grid.
-
-    phi must be nonnegative and strictly decreasing with phi(0) = 1 and a
-    vanishing limit; psi must be nonnegative and strictly increasing with
-    psi(0) = 0 and an unbounded limit. The limits are probed at ``big_x``.
-    Linear mode is exempt and reports an empty, passing result.
-    """
-    if feedback.linear_mode:
-        return AssumptionReport(clauses=(), exempt=True)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ParameterError("assumption grid must be a nonempty 1-d array")
-    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-        raise ParameterError("assumption grid must be nonnegative and strictly increasing")
-
-    phi_v = np.asarray(feedback.phi(grid), dtype=float)
-    phi_d = np.asarray(feedback.phi_prime(grid), dtype=float)
-    psi_v = np.asarray(feedback.psi(grid), dtype=float)
-    psi_d = np.asarray(feedback.psi_prime(grid), dtype=float)
-
-    clauses = (
-        ClauseResult("phi >= 0", bool(np.all(phi_v >= 0)), _first_violation(grid, phi_v >= 0)),
-        ClauseResult("phi' < 0", bool(np.all(phi_d < 0)), _first_violation(grid, phi_d < 0)),
-        ClauseResult("phi(0) = 1", abs(float(feedback.phi(0.0)) - 1.0) <= 1e-12, 0.0),
-        ClauseResult(
-            "phi(inf) = 0", float(feedback.phi(big_x)) < phi_inf_tol, float(big_x)
-        ),
-        ClauseResult("psi >= 0", bool(np.all(psi_v >= 0)), _first_violation(grid, psi_v >= 0)),
-        ClauseResult("psi' > 0", bool(np.all(psi_d > 0)), _first_violation(grid, psi_d > 0)),
-        ClauseResult("psi(0) = 0", abs(float(feedback.psi(0.0))) <= 1e-12, 0.0),
-        ClauseResult(
-            "psi(inf) = inf", float(feedback.psi(big_x)) > psi_inf_floor, float(big_x)
-        ),
-    )
-    return AssumptionReport(clauses=clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -465,39 +390,3 @@ def density_moments(p0: InitialDensity, rho: float, n: int) -> "StateVector":
         moments=tuple(p0.weighted_moment(i, rho) for i in range(1, n + 1)),
     )
 
-
-# ---------------------------------------------------------------------------
-# profile fitting
-
-
-@dataclass(frozen=True)
-class FertilityFit:
-    betas: tuple[float, ...]
-    residual_norm: float
-
-
-def fit_fertility_profile(ages, values, n: int, rho: float) -> FertilityFit:
-    """Least-squares coefficients of the age profile on tabulated fertility data.
-
-    Solves the normal equations for the design matrix with columns
-    a**i * exp(-rho*a), i = 0..n-1. Raises FitSingularError when the design
-    is rank deficient (for example fewer than n distinct ages).
-    """
-    ages = np.asarray(ages, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ages.ndim != 1 or values.shape != ages.shape:
-        raise ParameterError("fit expects matching 1-d age/value arrays")
-    if np.any(ages < 0):
-        raise ParameterError("fit ages must be nonnegative")
-    if n < 1 or not (rho > 0):
-        raise ParameterError("fit requires n >= 1 and rho > 0")
-
-    design = ages[:, None] ** np.arange(n)[None, :] * np.exp(-rho * ages)[:, None]
-    gram = design.T @ design
-    rhs_vec = design.T @ values
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise FitSingularError(f"rank-deficient design matrix (cond ~ {cond:.3e})")
-    coef = np.linalg.solve(gram, rhs_vec)
-    residual = float(np.linalg.norm(design @ coef - values))
-    return FertilityFit(betas=tuple(float(c) for c in coef), residual_norm=residual)

@@ -30,21 +30,19 @@ def net_reproduction(x: float, params: ModelParams, feedback: FeedbackSpec) -> f
 
 
 def reproduction_derivative(x: float, params: ModelParams, feedback: FeedbackSpec) -> float:
-    """Closed-form derivative of the net reproduction number; negative for x >= 0."""
-    if feedback.linear_mode:
-        raise ParameterError("reproduction number is constant in linear mode")
+    """Closed-form derivative of the net reproduction number; negative for x >= 0
+    unless both feedbacks are off. R = r0 * phi * K(betas, d) with d = rho + mu0 + psi,
+    and -dK/dd = sum_i beta_i * (i+1)! / d**(i+2) = K((0, *betas), d)."""
     x = float(x)
     if not (x >= 0) or not math.isfinite(x):
         raise ParameterError("reproduction derivative is defined for finite x >= 0")
-    phi = float(feedback.phi(x))
-    dphi = float(feedback.phi_prime(x))
-    dpsi = float(feedback.psi_prime(x))
     denom = params.rho + params.mu0 + float(feedback.psi(x))
-    total = 0.0
-    for i, b in enumerate(params.betas):
-        num = params.r0 * dphi * denom - (i + 1) * params.r0 * phi * dpsi
-        total += b * math.factorial(i) * num / denom ** (i + 2)
-    return total
+    kernel = fertility_kernel_integral(params.betas, denom)
+    kernel_slope = fertility_kernel_integral((0.0, *params.betas), denom)
+    return params.r0 * (
+        float(feedback.phi_prime(x)) * kernel
+        - float(feedback.phi(x)) * float(feedback.psi_prime(x)) * kernel_slope
+    )
 
 
 def steady_state(

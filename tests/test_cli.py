@@ -275,6 +275,139 @@ def test_runtime_errors_exit_4(tmp_path):
     assert run(["report", "--config", cfg2, "--out", str(out)]) == 4
 
 
+def _feedback_doc(feedback):
+    doc = ref1_doc()
+    doc["feedback"] = feedback
+    return doc
+
+
+HILL = {"family": "hill", "k": 1.0}
+LINEAR = {"family": "linear", "c": 1.0}
+
+
+@pytest.mark.parametrize(
+    "feedback, code, message",
+    [
+        ({"phi": {"family": "hill"}, "psi": LINEAR}, 2, "config error: feedback.phi.k: required"),
+        (
+            {"phi": HILL, "psi": {"family": "power", "c": 1.0}},
+            2,
+            "config error: feedback.psi.gamma: required",
+        ),
+        (
+            {"phi": {"family": "exponential", "k": 1.0, "m": 2.0}, "psi": LINEAR},
+            2,
+            "config error: feedback.phi.m: unknown key",
+        ),
+        ({"phi": HILL, "psi": LINEAR, "chi": 1.0}, 2, "config error: feedback.chi: unknown key"),
+        # the families behind linear_mode cannot be named directly
+        (
+            {"phi": {"family": "unit"}, "psi": LINEAR},
+            2,
+            "config error: feedback.phi.family: expected one of ['exponential', 'hill']",
+        ),
+        (
+            {"phi": HILL, "psi": {"family": "zero"}},
+            2,
+            "config error: feedback.psi.family: expected one of ['linear', 'power']",
+        ),
+        (
+            {"phi": {"family": "hill", "k": "1"}, "psi": LINEAR},
+            2,
+            "config error: feedback.phi.k: expected a number",
+        ),
+        (
+            {"linear_mode": True, "phi": HILL},
+            2,
+            "config error: feedback: phi/psi must be omitted in linear_mode",
+        ),
+        (
+            {"linear_mode": True, "psi": LINEAR},
+            2,
+            "config error: feedback: phi/psi must be omitted in linear_mode",
+        ),
+        (
+            {"phi": {"family": "hill", "k": 1.0, "m": 0.5}, "psi": LINEAR},
+            3,
+            "invalid configuration value: phi hill family: m must be >= 1",
+        ),
+    ],
+)
+def test_feedback_schema_errors(tmp_path, capsys, feedback, code, message):
+    cfg = write_config(tmp_path, _feedback_doc(feedback))
+    assert run(["steady", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_feedback_config_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from agestruct.config import parse_config
+
+    positive = st.floats(min_value=1e-3, max_value=1e3)
+    exponent = st.floats(min_value=1.0, max_value=5.0)
+    phis = st.one_of(
+        st.builds(lambda k: {"family": "exponential", "k": k}, positive),
+        st.builds(lambda k: {"family": "hill", "k": k}, positive),
+        st.builds(lambda k, m: {"family": "hill", "k": k, "m": m}, positive, exponent),
+    )
+    psis = st.one_of(
+        st.builds(lambda c: {"family": "linear", "c": c}, positive),
+        st.builds(lambda c, g: {"family": "power", "c": c, "gamma": g}, positive, exponent),
+    )
+    feedbacks = st.one_of(
+        st.just({"linear_mode": True}),
+        st.builds(lambda phi, psi: {"phi": phi, "psi": psi}, phis, psis),
+    )
+
+    @hypothesis.given(feedback=feedbacks)
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def check(feedback):
+        cfg = parse_config(_feedback_doc(feedback))
+        echo = cfg.resolved["feedback"]
+        if "linear_mode" in feedback:
+            assert echo == feedback
+            assert cfg.feedback == agestruct.FeedbackSpec.linear()
+        else:
+            phi = dict(feedback["phi"])
+            if phi["family"] == "hill":
+                phi.setdefault("m", 1.0)  # the documented default is echoed
+            assert echo == {"linear_mode": False, "phi": phi, "psi": feedback["psi"]}
+        assert parse_config(_feedback_doc(echo)).feedback == cfg.feedback
+
+    check()
+
+
+_REGISTER_MANY = """
+import sys
+from pathlib import Path
+from agestruct.cli import _register
+
+outdir, tag = Path(sys.argv[1]), sys.argv[2]
+for i in range(200):
+    _register(outdir, "cmd-" + tag, [f"{tag}-{i}.csv"], 0.0)
+"""
+
+
+def test_concurrent_register_keeps_every_entry(tmp_path):
+    # two processes that register into one directory must not lose entries
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _REGISTER_MANY, str(tmp_path), tag],
+            env=package_env(), stderr=subprocess.PIPE, text=True,
+        )
+        for tag in ("a", "b")
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    expected = {f"{tag}-{i}.csv" for tag in ("a", "b") for i in range(200)}
+    assert len(manifest["files"]) == 400 and set(manifest["files"]) == expected
+    assert set(manifest["timings"]) == {"cmd-a", "cmd-b"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
 def pyproject_table(name):
     """The ``key = "value"`` lines of one table of ``pyproject.toml``.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import agestruct as ag
-from agestruct.errors import FitSingularError, ParameterError
+from agestruct.errors import ParameterError
 from agestruct.model import fertility_kernel_integral
 
 
@@ -53,20 +53,10 @@ def test_family_validation_rejects(factory):
 def test_linear_mode_switches_feedback_off():
     fb = ag.FeedbackSpec.linear()
     x = np.linspace(0, 5, 7)
-    assert fb.linear_mode
     np.testing.assert_array_equal(fb.phi(x), np.ones_like(x))
     np.testing.assert_array_equal(fb.psi(x), np.zeros_like(x))
     np.testing.assert_array_equal(fb.phi_prime(x), np.zeros_like(x))
     np.testing.assert_array_equal(fb.psi_prime(x), np.zeros_like(x))
-
-
-def test_check_assumptions_pass_and_exempt(ref1):
-    report = ag.check_assumptions(ref1.feedback, np.linspace(0, 50, 200))
-    assert not report.exempt
-    assert report.passed
-    assert len(report.clauses) == 8
-    exempt = ag.check_assumptions(ag.FeedbackSpec.linear(), np.linspace(0, 50, 200))
-    assert exempt.exempt and exempt.passed
 
 
 # --- normalization and parameters -------------------------------------------
@@ -149,22 +139,3 @@ def test_density_moments_matches_equilibrium_start(ref1):
     assert math.isclose(state.p, 1.0, rel_tol=1e-14)
     assert math.isclose(state.moments[0], 0.75, rel_tol=1e-14)
 
-
-# --- fertility profile fitting ----------------------------------------------
-
-
-def test_fit_fertility_profile_recovers_coefficients(rng):
-    betas = (0.4, 1.1, 0.3)
-    params = ag.ModelParams(n=3, betas=betas, rho=0.8, mu0=0.5, r0=1.0)
-    ages = np.linspace(0.0, 12.0, 80)
-    values = ag.fertility_age_profile(ages, params)
-    fit = ag.fit_fertility_profile(ages, values, n=3, rho=0.8)
-    np.testing.assert_allclose(fit.betas, betas, rtol=1e-9)
-    assert fit.residual_norm < 1e-10
-
-
-def test_fit_fertility_profile_singular_grid():
-    ages = np.full(10, 2.0)  # rank-one design
-    values = np.ones(10)
-    with pytest.raises(FitSingularError):
-        ag.fit_fertility_profile(ages, values, n=3, rho=0.5)

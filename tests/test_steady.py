@@ -39,8 +39,58 @@ def test_reproduction_derivative_matches_central_difference(ref2, rng):
 
 
 def test_reproduction_derivative_rejects_linear_mode(linear_fixture):
-    with pytest.raises(ParameterError):
-        ag.reproduction_derivative(1.0, linear_fixture.params, linear_fixture.feedback)
+    # with both feedbacks off R is constant, so its derivative is exactly zero
+    for x in (0.0, 1.0, 1e6):
+        assert ag.reproduction_derivative(x, linear_fixture.params, linear_fixture.feedback) == 0.0
+
+
+def test_equilibrium_laws_on_random_models():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    positive = st.floats(min_value=0.2, max_value=3.0)
+    exponent = st.floats(min_value=1.0, max_value=3.0)
+    phis = st.one_of(
+        st.builds(lambda k: ag.make_phi("exponential", k=k), positive),
+        st.builds(lambda k, m: ag.make_phi("hill", k=k, m=m), positive, exponent),
+    )
+    psis = st.one_of(
+        st.builds(lambda c: ag.make_psi("linear", c=c), positive),
+        st.builds(lambda c, g: ag.make_psi("power", c=c, gamma=g), positive, exponent),
+    )
+
+    @hypothesis.given(
+        n=st.integers(min_value=1, max_value=3),
+        raw_betas=st.lists(positive, min_size=3, max_size=3),
+        rho=positive,
+        mu0=positive,
+        r0=st.floats(min_value=1.1, max_value=50.0),
+        phi=phis,
+        psi=psis,
+        x=st.floats(min_value=0.05, max_value=5.0),
+    )
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def check(n, raw_betas, rho, mu0, r0, phi, psi, x):
+        params = ag.ModelParams(
+            n=n, betas=ag.normalize_betas(raw_betas[:n], rho, mu0), rho=rho, mu0=mu0, r0=r0,
+            normalized=True,
+        )
+        feedback = ag.FeedbackSpec(phi_family=phi, psi_family=psi)
+        eq = ag.equilibrium(params, feedback)
+        assert eq.exists
+        assert eq.residual_inf_norm <= 1e-10
+        assert abs(ag.net_reproduction(eq.p_star, params, feedback) - 1.0) <= 1e-12
+
+        h = 1e-5 * max(1.0, x)
+        fd = (
+            ag.net_reproduction(x + h, params, feedback)
+            - ag.net_reproduction(x - h, params, feedback)
+        ) / (2 * h)
+        got = ag.reproduction_derivative(x, params, feedback)
+        assert got < 0
+        assert math.isclose(got, fd, rel_tol=1e-6, abs_tol=1e-10 * r0)
+
+    check()
 
 
 @pytest.mark.parametrize("r0", [1.21, 1.0001, 4.0, 9.0, 144.0])
