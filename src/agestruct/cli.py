@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, reconstruct, stability, steady
 from .config import RunConfig, load_config
 from .csvio import (
@@ -34,6 +32,7 @@ from .csvio import (
 from .errors import AgestructError, ConfigSchemaError, ParameterError
 from .model import density_moments
 from .oracle import cross_validate
+from .quadrature import uniform_grid
 from .reduction import Trajectory, integrate
 
 MANIFEST_NAME = "manifest.json"
@@ -55,16 +54,22 @@ def _outdir(args, cfg: RunConfig) -> Path:
 
 
 def _load_manifest(outdir: Path) -> dict:
+    """The manifest, empty when absent; a damaged one is an error, never overwritten."""
     path = outdir / MANIFEST_NAME
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(doc, dict) and isinstance(doc.get("files"), list):
-                doc.setdefault("timings", {})
-                return doc
-        except json.JSONDecodeError:
-            pass
-    return {"files": [], "timings": {}}
+    if not path.exists():
+        return {"files": [], "timings": {}}
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise AgestructError(f"{path}: damaged manifest ({exc})") from exc
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("files"), list)
+        and all(isinstance(name, str) for name in doc["files"])
+        and isinstance(doc.setdefault("timings", {}), dict)
+    ):
+        raise AgestructError(f"{path}: damaged manifest (expected a list of files and a timings object)")
+    return doc
 
 
 def _register(outdir: Path, command: str, files, elapsed: float) -> None:
@@ -174,8 +179,7 @@ def _cmd_reconstruct(args, cfg: RunConfig, outdir: Path) -> int:
     traj = _run_trajectory(cfg)
     settings = cfg.reconstruction
     if settings.age_max is not None:
-        n_steps = int(np.ceil(settings.age_max / settings.age_step - 1e-9))
-        grid = np.linspace(0.0, n_steps * settings.age_step, n_steps + 1)
+        grid = uniform_grid(settings.age_max, settings.age_step)
     else:
         grid = reconstruct.default_age_grid(traj, p0, settings.age_step)
     files = []

@@ -3,15 +3,20 @@
 One UTF-8 JSON document drives every subcommand. The schema is strict:
 unknown keys anywhere are rejected with the offending path, and wrong
 types are schema errors (exit code 2), while well-typed values that break
-a model invariant surface as parameter errors (exit code 3). Defaults are
-filled here so downstream code sees a fully resolved configuration.
+a model invariant, non-finite numbers among them, surface as parameter
+errors (exit code 3). Defaults are filled here so downstream code sees a
+fully resolved configuration.
+
+Each settings section, feedback family and initial density is declared
+once, by its dataclass: field names are the allowed keys, annotations
+their types, and defaults the defaults (a field without one is required).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -26,12 +31,18 @@ from .model import (
     TabulatedDensity,
     normalize_betas,
 )
-from .oracle import grid_steps
+from .oracle import DEFAULT_K_MAX, grid_steps
 
-DEFAULTS = {
-    "integrator": {"method": "rk45", "t_end": 50.0, "rtol": 1e-8, "atol": 1e-10, "samples": 1001},
-    "reconstruction": {"age_step": 0.01},
-    "oracle": {"t_end": 5.0, "dt": 0.002, "tol": 1e-10, "k_max": 200, "gap_threshold": 5e-3},
+_INITIAL_KINDS = {"exponential": ExponentialDensity, "tabulated": TabulatedDensity}
+
+
+# the check behind each value type and the message when it fails
+_TYPES = {
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (lambda v: isinstance(v, list) and len(v) > 0, "a nonempty array of numbers"),
 }
 
 
@@ -47,87 +58,77 @@ def _reject_unknown(obj: dict, path: str, allowed: set) -> None:
             raise ConfigSchemaError(f"{path}.{key}: unknown key")
 
 
-def _number(obj: dict, path: str, key: str, default=None, required: bool = False) -> Optional[float]:
-    if key not in obj:
-        if required:
-            raise ConfigSchemaError(f"{path}.{key}: required")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigSchemaError(f"{path}.{key}: expected a number")
-    return float(value)
-
-
-def _integer(obj: dict, path: str, key: str, default=None, required: bool = False) -> Optional[int]:
-    if key not in obj:
-        if required:
-            raise ConfigSchemaError(f"{path}.{key}: required")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigSchemaError(f"{path}.{key}: expected an integer")
+def _value(value, where: str, kind: str):
+    """value checked as kind: 'float', 'int', 'bool', 'str' or a 'tuple' of floats."""
+    accepts, expected = _TYPES[kind]
+    if not accepts(value):
+        raise ConfigSchemaError(f"{where}: expected {expected}")
+    if kind == "tuple":
+        return tuple(_value(item, f"{where}[{i}]", "float") for i, item in enumerate(value))
+    if kind == "float":
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ParameterError(f"{where}: must be finite")
     return value
 
 
-def _boolean(obj: dict, path: str, key: str, default: bool = False) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigSchemaError(f"{path}.{key}: expected true or false")
-    return value
+def _read(obj: dict, path: str, key: str, kind: str, default=None, required: bool = False):
+    """obj[key] checked as kind; default when it is absent, unless it is required."""
+    if key in obj:
+        return _value(obj[key], f"{path}.{key}", kind)
+    if required:
+        raise ConfigSchemaError(f"{path}.{key}: required")
+    return default
 
 
-def _string(obj: dict, path: str, key: str, default=None, required: bool = False) -> Optional[str]:
-    if key not in obj:
-        if required:
-            raise ConfigSchemaError(f"{path}.{key}: required")
-        return default
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ConfigSchemaError(f"{path}.{key}: expected a string")
-    return value
+def _build(section: dict, path: str, cls, tag: Optional[str] = None):
+    """Dataclass cls built from a section whose keys are its fields (and the tag)."""
+    members = fields(cls)
+    _reject_unknown(section, path, {f.name for f in members} | {tag})
+    values = {}
+    for f in members:
+        # 'Optional[float]' reads as 'float'; an array reads as a tuple of numbers
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        kind = "tuple" if kind == "np.ndarray" else kind
+        values[f.name] = _read(section, path, f.name, kind, f.default, f.default is MISSING)
+    return cls(**values)
 
 
-def _number_list(obj: dict, path: str, key: str, required: bool = False) -> Optional[list]:
-    if key not in obj:
-        if required:
-            raise ConfigSchemaError(f"{path}.{key}: required")
-        return None
-    value = obj[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigSchemaError(f"{path}.{key}: expected a nonempty array of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigSchemaError(f"{path}.{key}[{i}]: expected a number")
-        out.append(float(item))
-    return out
+def _section(doc: dict, name: str, required: bool = False) -> dict:
+    """A top-level section; an absent optional one reads as empty."""
+    if required and name not in doc:
+        raise ConfigSchemaError(f"{name}: required section")
+    return _require_mapping(doc.get(name, {}), name)
 
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    method: str
-    t_end: float
-    rtol: float
-    atol: float
-    samples: int
+    method: str = "rk45"
+    t_end: float = 50.0
+    rtol: float = 1e-8
+    atol: float = 1e-10
+    samples: int = 1001
     h: Optional[float] = None
     max_step: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ReconstructionSettings:
-    times: Optional[tuple]
-    age_step: float
-    age_max: Optional[float]
+    times: Optional[tuple] = None  # resolved to (integrator.t_end,) when absent
+    age_step: float = 0.01
+    age_max: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class OracleSettings:
-    t_end: float
-    dt: float
-    tol: float
-    k_max: int
-    gap_threshold: float
+    t_end: float = 5.0
+    dt: float = 0.002
+    tol: float = 1e-10
+    k_max: int = DEFAULT_K_MAX
+    gap_threshold: float = 5e-3
 
 
 @dataclass(frozen=True)
@@ -146,141 +147,80 @@ class RunConfig:
 
 
 def _parse_model(doc: dict) -> ModelParams:
-    section = _require_mapping(doc.get("model"), "model") if "model" in doc else None
-    if section is None:
-        raise ConfigSchemaError("model: required section")
+    section = _section(doc, "model", required=True)
     _reject_unknown(section, "model", {"n", "betas", "rho", "mu0", "r0", "normalize_betas"})
-    n = _integer(section, "model", "n", required=True)
-    betas = _number_list(section, "model", "betas", required=True)
-    rho = _number(section, "model", "rho", required=True)
-    mu0 = _number(section, "model", "mu0", required=True)
-    r0 = _number(section, "model", "r0", required=True)
-    if _boolean(section, "model", "normalize_betas", False):
+    n = _read(section, "model", "n", "int", required=True)
+    betas = _read(section, "model", "betas", "tuple", required=True)
+    rho, mu0, r0 = (_read(section, "model", key, "float", required=True) for key in ("rho", "mu0", "r0"))
+    normalized = _read(section, "model", "normalize_betas", "bool", False)
+    if normalized:
         betas = normalize_betas(betas, rho, mu0)
-        return ModelParams(n=n, betas=tuple(betas), rho=rho, mu0=mu0, r0=r0, normalized=True)
-    return ModelParams(n=n, betas=tuple(betas), rho=rho, mu0=mu0, r0=r0)
+    return ModelParams(n=n, betas=betas, rho=rho, mu0=mu0, r0=r0, normalized=normalized)
 
 
-def _parse_family(section: dict, name: str, families: dict):
-    """One feedback family; its allowed and required keys are its dataclass fields."""
-    path = f"feedback.{name}"
-    if name not in section:
-        raise ConfigSchemaError(f"{path}: required")
-    doc = _require_mapping(section[name], path)
-    family = _string(doc, path, "family", required=True)
-    if family not in families:
-        raise ConfigSchemaError(f"{path}.family: expected one of {sorted(families)}")
-    members = fields(families[family])
-    _reject_unknown(doc, path, {f.name for f in members} | {"family"})
-    params = {}
-    for f in members:
-        value = _number(doc, path, f.name, required=f.default is MISSING)
-        if value is not None:
-            params[f.name] = value
-    return families[family](**params)
+def _parse_family(obj, path: str, families: dict, tag: str = "family"):
+    """One of several dataclasses, named by the tag key and read from its fields."""
+    section = _require_mapping(obj, path)
+    name = _read(section, path, tag, "str", required=True)
+    if name not in families:
+        raise ConfigSchemaError(f"{path}.{tag}: expected one of {sorted(families)}")
+    return _build(section, path, families[name], tag)
 
 
 def _parse_feedback(doc: dict) -> FeedbackSpec:
-    if "feedback" not in doc:
-        raise ConfigSchemaError("feedback: required section")
-    section = _require_mapping(doc["feedback"], "feedback")
+    section = _section(doc, "feedback", required=True)
     _reject_unknown(section, "feedback", {"linear_mode", "phi", "psi"})
-    if _boolean(section, "feedback", "linear_mode", False):
+    if _read(section, "feedback", "linear_mode", "bool", False):
         if "phi" in section or "psi" in section:
             raise ConfigSchemaError("feedback: phi/psi must be omitted in linear_mode")
         return FeedbackSpec.linear()
-    return FeedbackSpec(
-        phi_family=_parse_family(section, "phi", _PHI_FAMILIES),
-        psi_family=_parse_family(section, "psi", _PSI_FAMILIES),
-    )
-
-
-def _parse_initial(doc: dict) -> Optional[InitialDensity]:
-    if "initial_density" not in doc:
-        return None
-    section = _require_mapping(doc["initial_density"], "initial_density")
-    kind = _string(section, "initial_density", "kind", required=True)
-    if kind == "exponential":
-        _reject_unknown(section, "initial_density", {"kind", "coefficient", "decay"})
-        return ExponentialDensity(
-            coefficient=_number(section, "initial_density", "coefficient", required=True),
-            decay=_number(section, "initial_density", "decay", required=True),
-        )
-    if kind == "tabulated":
-        _reject_unknown(section, "initial_density", {"kind", "ages", "values"})
-        return TabulatedDensity(
-            ages=_number_list(section, "initial_density", "ages", required=True),
-            values=_number_list(section, "initial_density", "values", required=True),
-        )
-    raise ConfigSchemaError("initial_density.kind: expected 'exponential' or 'tabulated'")
+    parsed = {}
+    for name, families in (("phi", _PHI_FAMILIES), ("psi", _PSI_FAMILIES)):
+        if name not in section:
+            raise ConfigSchemaError(f"feedback.{name}: required")
+        parsed[name] = _parse_family(section[name], f"feedback.{name}", families)
+    return FeedbackSpec(phi_family=parsed["phi"], psi_family=parsed["psi"])
 
 
 def _parse_integrator(doc: dict) -> IntegratorSettings:
-    section = _require_mapping(doc.get("integrator", {}), "integrator")
-    _reject_unknown(
-        section, "integrator", {"method", "t_end", "rtol", "atol", "h", "max_step", "samples"}
-    )
-    base = DEFAULTS["integrator"]
-    method = _string(section, "integrator", "method", base["method"])
-    if method not in ("rk4", "rk45"):
+    it = _build(_section(doc, "integrator"), "integrator", IntegratorSettings)
+    if it.method not in ("rk4", "rk45"):
         raise ConfigSchemaError("integrator.method: expected 'rk4' or 'rk45'")
-    t_end = _number(section, "integrator", "t_end", base["t_end"])
-    rtol = _number(section, "integrator", "rtol", base["rtol"])
-    atol = _number(section, "integrator", "atol", base["atol"])
-    samples = _integer(section, "integrator", "samples", base["samples"])
-    h = _number(section, "integrator", "h")
-    max_step = _number(section, "integrator", "max_step")
-    if method == "rk4" and h is None:
+    if it.method == "rk4" and it.h is None:
         raise ConfigSchemaError("integrator.h: required for method 'rk4'")
-    if method == "rk45" and h is not None:
+    if it.method == "rk45" and it.h is not None:
         raise ConfigSchemaError("integrator.h: only applies to method 'rk4'")
-    if not (t_end > 0 and math.isfinite(t_end)):
+    # every number is finite by now
+    if not it.t_end > 0:
         raise ParameterError("integrator.t_end must be positive and finite")
-    if samples < 2:
+    if it.samples < 2:
         raise ParameterError("integrator.samples must be at least 2")
-    if rtol <= 0 or atol < 0:
+    if it.rtol <= 0 or it.atol < 0:
         raise ParameterError("integrator.rtol must be positive and integrator.atol nonnegative")
-    if h is not None and not (h > 0 and math.isfinite(h)):
+    if it.h is not None and not it.h > 0:
         raise ParameterError("integrator.h must be positive and finite")
-    if max_step is not None and not (max_step > 0 and math.isfinite(max_step)):
+    if it.max_step is not None and not it.max_step > 0:
         raise ParameterError("integrator.max_step must be positive and finite")
-    return IntegratorSettings(
-        method=method, t_end=t_end, rtol=rtol, atol=atol, samples=samples, h=h, max_step=max_step
-    )
+    return it
 
 
 def _parse_reconstruction(doc: dict, t_end: float) -> ReconstructionSettings:
-    section = _require_mapping(doc.get("reconstruction", {}), "reconstruction")
-    _reject_unknown(section, "reconstruction", {"times", "age_step", "age_max"})
-    times = _number_list(section, "reconstruction", "times")
-    if times is not None:
-        for i, t in enumerate(times):
-            if t < 0 or not math.isfinite(t):
-                raise ParameterError(f"reconstruction.times[{i}] must be finite and nonnegative")
-    age_step = _number(section, "reconstruction", "age_step", DEFAULTS["reconstruction"]["age_step"])
-    if not (age_step > 0 and math.isfinite(age_step)):
+    rec = _build(_section(doc, "reconstruction"), "reconstruction", ReconstructionSettings)
+    for i, t in enumerate(rec.times or ()):
+        if t < 0:
+            raise ParameterError(f"reconstruction.times[{i}] must be finite and nonnegative")
+    if not rec.age_step > 0:
         raise ParameterError("reconstruction.age_step must be positive and finite")
-    age_max = _number(section, "reconstruction", "age_max")
-    if age_max is not None and not (age_max > 0 and math.isfinite(age_max)):
+    if rec.age_max is not None and not rec.age_max > 0:
         raise ParameterError("reconstruction.age_max must be positive and finite")
-    resolved_times = tuple(times) if times is not None else (t_end,)
-    return ReconstructionSettings(times=resolved_times, age_step=age_step, age_max=age_max)
+    return replace(rec, times=rec.times or (t_end,))
 
 
 def _parse_oracle(doc: dict) -> OracleSettings:
-    section = _require_mapping(doc.get("oracle", {}), "oracle")
-    _reject_unknown(section, "oracle", {"t_end", "dt", "tol", "k_max", "gap_threshold"})
-    base = DEFAULTS["oracle"]
-    settings = OracleSettings(
-        t_end=_number(section, "oracle", "t_end", base["t_end"]),
-        dt=_number(section, "oracle", "dt", base["dt"]),
-        tol=_number(section, "oracle", "tol", base["tol"]),
-        k_max=_integer(section, "oracle", "k_max", base["k_max"]),
-        gap_threshold=_number(section, "oracle", "gap_threshold", base["gap_threshold"]),
-    )
-    if not (settings.t_end >= 0 and math.isfinite(settings.t_end)):
+    settings = _build(_section(doc, "oracle"), "oracle", OracleSettings)
+    if not settings.t_end >= 0:
         raise ParameterError("oracle.t_end must be nonnegative and finite")
-    if not (settings.dt > 0 and math.isfinite(settings.dt)):
+    if not settings.dt > 0:
         raise ParameterError("oracle.dt must be positive and finite")
     grid_steps(settings.t_end, settings.dt)
     if settings.tol <= 0 or settings.k_max < 1:
@@ -293,13 +233,13 @@ def _parse_oracle(doc: dict) -> OracleSettings:
 def _parse_sweep(doc: dict) -> Optional[tuple]:
     if "sweep" not in doc:
         return None
-    section = _require_mapping(doc["sweep"], "sweep")
+    section = _section(doc, "sweep")
     _reject_unknown(section, "sweep", {"r0_values"})
-    values = _number_list(section, "sweep", "r0_values", required=True)
+    values = _read(section, "sweep", "r0_values", "tuple", required=True)
     for i, r0 in enumerate(values):
-        if not (r0 > 0 and math.isfinite(r0)):
+        if not r0 > 0:
             raise ParameterError(f"sweep.r0_values[{i}] must be positive and finite")
-    return tuple(values)
+    return values
 
 
 _TOP_KEYS = {
@@ -320,12 +260,14 @@ def parse_config(doc: Any) -> RunConfig:
     _reject_unknown(doc, "config", _TOP_KEYS)
     params = _parse_model(doc)
     feedback = _parse_feedback(doc)
-    initial = _parse_initial(doc)
+    initial = None
+    if "initial_density" in doc:
+        initial = _parse_family(doc["initial_density"], "initial_density", _INITIAL_KINDS, "kind")
     integrator = _parse_integrator(doc)
     reconstruction = _parse_reconstruction(doc, integrator.t_end)
     oracle = _parse_oracle(doc)
     sweep_r0 = _parse_sweep(doc)
-    output_dir = _string(doc, "config", "output_dir")
+    output_dir = _read(doc, "config", "output_dir", "str")
 
     resolved = {
         "model": {
@@ -337,27 +279,9 @@ def parse_config(doc: Any) -> RunConfig:
             "normalize_betas": params.normalized,
         },
         "feedback": _echo_feedback(feedback),
-        "integrator": {
-            "method": integrator.method,
-            "t_end": integrator.t_end,
-            "rtol": integrator.rtol,
-            "atol": integrator.atol,
-            "samples": integrator.samples,
-            "h": integrator.h,
-            "max_step": integrator.max_step,
-        },
-        "reconstruction": {
-            "times": list(reconstruction.times) if reconstruction.times else None,
-            "age_step": reconstruction.age_step,
-            "age_max": reconstruction.age_max,
-        },
-        "oracle": {
-            "t_end": oracle.t_end,
-            "dt": oracle.dt,
-            "tol": oracle.tol,
-            "k_max": oracle.k_max,
-            "gap_threshold": oracle.gap_threshold,
-        },
+        "integrator": asdict(integrator),
+        "reconstruction": asdict(reconstruction),
+        "oracle": asdict(oracle),
         "sweep": {"r0_values": list(sweep_r0)} if sweep_r0 is not None else None,
         "initial_density": doc.get("initial_density"),
         "output_dir": output_dir,
@@ -393,7 +317,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigSchemaError(f"{path}: cannot read config file ({exc})") from exc
     try:
         doc = json.loads(text)

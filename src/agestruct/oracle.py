@@ -50,7 +50,7 @@ from .model import (
     density_moments,
     fertility_age_profile,
 )
-from .quadrature import cumulative_trapezoid, trapezoid
+from .quadrature import cumulative_trapezoid, trapezoid, uniform_grid
 from .reduction import Trajectory, integrate
 
 logger = logging.getLogger(__name__)
@@ -189,9 +189,7 @@ def _damped_conv_integrals(kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt
 
 
 def _sigma_grid(p0: InitialDensity, dt: float) -> np.ndarray:
-    support = p0.support_end()
-    n_sig = int(math.ceil(support / dt - 1e-9)) if support > 0 else 0
-    return np.linspace(0.0, n_sig * dt, n_sig + 1)
+    return uniform_grid(p0.support_end(), dt)
 
 
 def _initial_cohorts(p0: InitialDensity, dt: float) -> tuple:
@@ -213,14 +211,20 @@ class _SeparableSweep:
     def __init__(self, model: GeneralModel, times: np.ndarray, dt: float):
         self.times = times
         self.dt = dt
-        self.params = model.separable.params
+        self.params = pr = model.separable.params
         self.feedback = model.separable.feedback
-        survival = np.exp(-self.params.mu0 * times)
+        self.survival = np.exp(-pr.mu0 * times)
         # renewal kernel (all fertility terms at once) and survival kernel
-        self.kernels = np.stack((fertility_age_profile(times, self.params) * survival, survival))
+        self.kernels = np.stack((fertility_age_profile(times, pr) * self.survival, self.survival))
         sigma, p0_vals, self.mass0 = _initial_cohorts(model.initial_density, dt)
-        weighted = p0_vals * np.exp(-self.params.rho * sigma)
-        self.tail_moments = [trapezoid(sigma**j * weighted, dt) for j in range(self.params.n)]
+        weighted = p0_vals * np.exp(-pr.rho * sigma)
+        tail_moments = [trapezoid(sigma**j * weighted, dt) for j in range(pr.n)]
+        # fertility of the initial cohorts at time t, less phi and survival:
+        # exp(-rho t) * sum_i beta_i sum_j C(i, j) t^(i-j) M_j
+        self.decay = np.exp(-pr.rho * times)
+        self.poly = np.zeros_like(times)
+        for i, beta_i in enumerate(pr.betas):
+            self.poly += beta_i * sum(comb(i, j) * times ** (i - j) * tail_moments[j] for j in range(i + 1))
 
     def windows(self) -> list:
         return [(0, self.times.size)]
@@ -239,14 +243,8 @@ class _SeparableSweep:
         renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt)
         renewal *= phi_vals
 
-        survive0 = np.exp(-pr.mu0 * self.times) * shrink
-        poly = np.zeros_like(self.times)
-        for i, beta_i in enumerate(pr.betas):
-            terms = sum(
-                comb(i, j) * self.times ** (i - j) * self.tail_moments[j] for j in range(i + 1)
-            )
-            poly += beta_i * terms
-        f_vals = phi_vals * survive0 * np.exp(-pr.rho * self.times) * poly
+        survive0 = self.survival * shrink
+        f_vals = phi_vals * survive0 * self.decay * self.poly
         g_vals = survive0 * self.mass0
         return renewal + f_vals, p_integral + g_vals
 

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def uniform_grid(length: float, step: float) -> np.ndarray:
+    """Nodes 0, step, ..., n * step, n the fewest steps that reach length to within 1e-9 step."""
+    n = int(math.ceil(length / step - 1e-9))
+    return np.linspace(0.0, n * step, n + 1)
 
 
 def trapezoid(y, dx: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import FeedbackSpec, InitialDensity, ModelParams
-from .quadrature import simpson
+from .quadrature import simpson, uniform_grid
 from .reduction import Trajectory
 
 #: floor used in the relative-error denominator so an all-zero population
@@ -66,8 +66,7 @@ def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -
     else:
         a_max = math.log(amplitude / 1e-10) / traj.params.mu0
         a_max = max(a_max, 10.0 * step)
-    n_steps = int(math.ceil(a_max / step - 1e-9))
-    return np.linspace(0.0, n_steps * step, n_steps + 1)
+    return uniform_grid(a_max, step)
 
 
 def reconstruct_density(

@@ -275,6 +275,26 @@ def test_runtime_errors_exit_4(tmp_path):
     assert run(["report", "--config", cfg2, "--out", str(out)]) == 4
 
 
+
+@pytest.mark.parametrize(
+    "damage",
+    [b'{"files": ["steady.json"], "tim', b'{"files": "steady.json", "timings": {}}', b'{"files": ["\xff"]}'],
+    ids=["truncated", "files-not-a-list", "not-utf8"],
+)
+def test_damaged_manifest_is_kept_and_reported(tmp_path, damage):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_bytes(damage)
+    proc = subprocess.run(
+        [sys.executable, "-m", "agestruct", "steady", "--config", write_config(tmp_path, ref1_doc()),
+         "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith(f"run failed: {out / 'manifest.json'}: damaged manifest")
+    assert "Traceback" not in proc.stderr
+    assert (out / "manifest.json").read_bytes() == damage
+
 def _feedback_doc(feedback):
     doc = ref1_doc()
     doc["feedback"] = feedback

@@ -180,21 +180,29 @@ SCHEMA_ROWS = {
     "sweep-values-range": _value(
         {"sweep.r0_values": [1.0, 0.0]}, "sweep.r0_values[1] must be positive and finite"
     ),
-    # documented changes from the previous schema reader: see CHANGES.md
+    # changed from the previous reader (see CHANGES.md): the tag names its
+    # choices as the feedback families do, and a non-finite number is
+    # refused at parse time with its key, where it used to slip through
+    # or be caught later under a bare field name
     "initial-kind-enum": _schema(
-        {"initial_density.kind": "gamma"}, "initial_density.kind: expected 'exponential' or 'tabulated'"
+        {"initial_density.kind": "gamma"}, "initial_density.kind: expected one of ['exponential', 'tabulated']"
     ),
-    # non-finite numbers
-    "nonfinite-phi-k": ("steady", {"feedback.phi.k": INF}, 0, ""),
-    "nonfinite-psi-c": ("steady", {"feedback.psi.c": INF}, 4, "run failed: kernel integral needs a positive decay rate"),
-    "nonfinite-decay": ("simulate", {"initial_density.decay": INF}, 0, ""),
-    "nonfinite-oracle-tol": ("validate", {"oracle.tol": INF}, 1, ""),
-    "nonfinite-rtol": ("steady", {"integrator.rtol": INF}, 0, ""),
-    "nonfinite-r0": _value({"model.r0": INF}, "r0 must be finite and > 0"),
-    "nonfinite-t_end": _value({"integrator.t_end": INF}, "integrator.t_end must be positive and finite"),
-    "nonfinite-times-item": _value(
-        {"reconstruction.times": [1.0, INF]}, "reconstruction.times[1] must be finite and nonnegative"
+    "nonfinite-phi-k": _value({"feedback.phi.k": INF}, "feedback.phi.k: must be finite"),
+    "nonfinite-psi-c": _value({"feedback.psi.c": INF}, "feedback.psi.c: must be finite"),
+    "nonfinite-decay": _value(
+        {"initial_density.decay": INF}, "initial_density.decay: must be finite", "simulate"
     ),
+    "nonfinite-oracle-tol": _value({"oracle.tol": INF}, "oracle.tol: must be finite", "validate"),
+    "nonfinite-rtol": _value({"integrator.rtol": INF}, "integrator.rtol: must be finite"),
+    "nonfinite-r0": _value({"model.r0": INF}, "model.r0: must be finite"),
+    "nonfinite-t_end": _value({"integrator.t_end": INF}, "integrator.t_end: must be finite"),
+    "nonfinite-times-item": _value({"reconstruction.times": [1.0, INF]}, "reconstruction.times[1]: must be finite"),
+    "nonfinite-nan": _value({"oracle.gap_threshold": float("nan")}, "oracle.gap_threshold: must be finite"),
+    "nonfinite-minus-inf": _value({"model.betas": [-INF]}, "model.betas[0]: must be finite"),
+    "nonfinite-tabulated": _value(
+        {"initial_density": dict(TABULATED, values=[1.0, INF, 0.0])}, "initial_density.values[1]: must be finite"
+    ),
+    "nonfinite-huge-integer": _value({"sweep.r0_values": [10**400]}, "sweep.r0_values[0]: must be finite"),
 }
 
 
@@ -210,8 +218,95 @@ def test_single_fault_documents(tmp_path, capsys, row):
         assert not out.exists()  # rejected before anything is computed
 
 
-def test_top_level_must_be_an_object(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"[]", "config: expected an object"), (b'{"model": "\xff"}', "cannot read config file")],
+    ids=["not-an-object", "not-utf8"],
+)
+def test_unreadable_documents(tmp_path, capsys, raw, message):
     config = tmp_path / "run.json"
-    config.write_text("[]", encoding="utf-8")
+    config.write_bytes(raw)
     assert run(["steady", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "config error: config: expected an object\n"
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+# the defaults as README "Sections and defaults" documents them; an absent
+# reconstruction.times resolves to the integrator horizon
+DOCUMENTED = {
+    "integrator": {
+        "method": "rk45", "t_end": 50.0, "rtol": 1e-8, "atol": 1e-10, "samples": 1001, "h": None, "max_step": None
+    },
+    "reconstruction": {"times": None, "age_step": 0.01, "age_max": None},
+    "oracle": {"t_end": 5.0, "dt": 0.002, "tol": 1e-10, "k_max": 200, "gap_threshold": 5e-3},
+}
+
+
+def test_settings_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    positive = st.one_of(st.floats(min_value=1e-6, max_value=1e6), st.integers(1, 1000))
+    nonnegative = st.floats(min_value=0.0, max_value=1e3)
+    integrator_keys = {
+        "t_end": positive, "rtol": positive, "atol": nonnegative,
+        "samples": st.integers(2, 10**6), "max_step": positive,
+    }
+    integrators = st.one_of(
+        st.fixed_dictionaries({}, optional=dict(integrator_keys, method=st.just("rk45"))),
+        st.fixed_dictionaries({"method": st.just("rk4"), "h": positive}, optional=integrator_keys),
+    )
+    reconstructions = st.fixed_dictionaries({}, optional={
+        "times": st.lists(nonnegative, min_size=1, max_size=4), "age_step": positive, "age_max": positive,
+    })
+
+    @st.composite
+    def oracles(draw):
+        section = draw(st.fixed_dictionaries({}, optional={
+            "dt": st.sampled_from([0.5, 0.01, 0.002]), "tol": positive,
+            "k_max": st.integers(1, 10**4), "gap_threshold": positive,
+        }))
+        if draw(st.booleans()):  # a horizon the step divides
+            section["t_end"] = draw(st.integers(0, 500)) * section.get("dt", 0.002)
+        return section
+
+    @st.composite
+    def tabulated(draw):
+        ages = sorted(draw(st.lists(nonnegative, min_size=2, max_size=6, unique=True)))
+        values = draw(st.lists(nonnegative, min_size=len(ages), max_size=len(ages)))
+        return {"kind": "tabulated", "ages": ages, "values": values}
+
+    densities = st.one_of(
+        st.builds(lambda c, d: {"kind": "exponential", "coefficient": c, "decay": d}, nonnegative, positive),
+        tabulated(),
+    )
+
+    @hypothesis.given(
+        integrator=integrators, reconstruction=reconstructions, oracle=oracles(), initial=densities
+    )
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def check(integrator, reconstruction, oracle, initial):
+        doc = base_doc()
+        doc.update(
+            integrator=integrator, reconstruction=reconstruction, oracle=oracle, initial_density=initial
+        )
+        snapshot = copy.deepcopy(doc)
+        cfg = parse_config(doc)
+        assert doc == snapshot
+        for name in DOCUMENTED:
+            expected = {**DOCUMENTED[name], **doc[name]}
+            if name == "reconstruction":
+                expected["times"] = tuple(reconstruction.get("times", [cfg.integrator.t_end]))
+            settings = asdict(getattr(cfg, name))
+            assert settings == expected
+            assert cfg.resolved[name] == settings
+        assert cfg.integrator.t_end == integrator.get("t_end", 50.0)
+        if initial["kind"] == "exponential":
+            assert cfg.initial == ExponentialDensity(initial["coefficient"], initial["decay"])
+        else:
+            assert isinstance(cfg.initial, TabulatedDensity)
+            assert np.array_equal(cfg.initial.ages, initial["ages"])
+            assert np.array_equal(cfg.initial.values, initial["values"])
+        assert cfg.resolved["initial_density"] == initial
+
+    check()

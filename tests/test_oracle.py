@@ -8,7 +8,7 @@ import pytest
 
 import agestruct as ag
 from agestruct import oracle
-from agestruct.config import DEFAULTS
+from agestruct.config import OracleSettings
 from agestruct.errors import ConvergenceError, ParameterError
 from agestruct.oracle import (
     GeneralModel,
@@ -178,7 +178,7 @@ def test_damped_convolution_follows_growing_births(ref1):
 def test_long_horizon_cross_validation(ref1):
     report = cross_validate(ref1.params, ref1.feedback, ref1.p0, 20.0, 5e-3)
     assert report.oracle.iterations == 47
-    assert report.max_gap <= DEFAULTS["oracle"]["gap_threshold"]
+    assert report.max_gap <= OracleSettings().gap_threshold
 
 
 class _DirectGenericSweep:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from agestruct.quadrature import cumulative_trapezoid, simpson, trapezoid
+from agestruct.quadrature import cumulative_trapezoid, simpson, trapezoid, uniform_grid
 
 
 def test_trapezoid_linear_exact():
@@ -43,3 +43,12 @@ def test_simpson_fourth_order_convergence():
         x = np.linspace(0, 1, 2 * n + 1)
         errs.append(abs(simpson(np.sin(x), x) - exact))
     assert errs[0] / errs[1] > 12  # ~16 for a fourth-order rule
+
+
+def test_uniform_grid_reaches_length():
+    assert np.array_equal(uniform_grid(0.0, 0.1), [0.0])
+    # 0.07 / 0.01 rounds above 7; the 1e-9 slack keeps it at seven steps
+    assert uniform_grid(0.07, 0.01).size == 8
+    grid = uniform_grid(1.05, 0.1)
+    assert grid.size == 12 and grid[-1] == 11 * 0.1
+    assert np.array_equal(grid, np.linspace(0.0, 11 * 0.1, 12))
