@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every subcommand reads one JSON config, writes its outputs under a single
-directory, and registers each written file in ``manifest.json`` there.
+Every subcommand reads one JSON config and writes its outputs under a
+single directory; ``run`` times it and registers each written file in
+``manifest.json`` there.
 Data files (CSV) are deterministic byte-for-byte for a given config; wall
 clock timings live only in the manifest and run summary.
 
@@ -53,15 +54,19 @@ def _outdir(args, cfg: RunConfig) -> Path:
     return path
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise AgestructError(f"{path}: damaged {what} ({exc})") from exc
+
+
 def _load_manifest(outdir: Path) -> dict:
     """The manifest, empty when absent; a damaged one is an error, never overwritten."""
     path = outdir / MANIFEST_NAME
     if not path.exists():
         return {"files": [], "timings": {}}
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise AgestructError(f"{path}: damaged manifest ({exc})") from exc
+    doc = _read_json(path, "manifest")
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("files"), list)
@@ -148,33 +153,27 @@ def _run_trajectory(cfg: RunConfig) -> Trajectory:
     )
 
 
-def _cmd_steady(args, cfg: RunConfig, outdir: Path) -> int:
-    started = time.perf_counter()
+def _cmd_steady(cfg: RunConfig, outdir: Path):
     doc = _equilibrium_doc(cfg)
     _write_json(outdir / "steady.json", doc)
-    _register(outdir, "steady", ["steady.json"], time.perf_counter() - started)
     if doc["exists"]:
-        print(f"nontrivial equilibrium: p_star = {doc['p_star']!r}, birth rate {doc['birth_rate']!r}")
+        found = f"nontrivial equilibrium: p_star = {doc['p_star']!r}, birth rate {doc['birth_rate']!r}"
     else:
-        print("no nontrivial equilibrium (net reproduction at zero size <= 1)")
-    print(f"stability: {doc['verdict']} (spectral abscissa {doc['stability']['spectral_abscissa']!r})")
-    return 0
+        found = "no nontrivial equilibrium (net reproduction at zero size <= 1)"
+    verdict = f"stability: {doc['verdict']} (spectral abscissa {doc['stability']['spectral_abscissa']!r})"
+    return 0, ["steady.json"], f"{found}\n{verdict}"
 
 
-def _cmd_simulate(args, cfg: RunConfig, outdir: Path) -> int:
-    started = time.perf_counter()
+def _cmd_simulate(cfg: RunConfig, outdir: Path):
     traj = _run_trajectory(cfg)
     write_trajectory_csv(outdir / "trajectory.csv", traj)
-    _register(outdir, "simulate", ["trajectory.csv"], time.perf_counter() - started)
-    print(
+    return 0, ["trajectory.csv"], (
         f"integrated to t = {traj.t_end!r} ({traj.times.size} samples, "
         f"final p = {float(traj.states[-1, 0])!r})"
     )
-    return 0
 
 
-def _cmd_reconstruct(args, cfg: RunConfig, outdir: Path) -> int:
-    started = time.perf_counter()
+def _cmd_reconstruct(cfg: RunConfig, outdir: Path):
     p0 = _require_initial(cfg)
     traj = _run_trajectory(cfg)
     settings = cfg.reconstruction
@@ -201,27 +200,22 @@ def _cmd_reconstruct(args, cfg: RunConfig, outdir: Path) -> int:
             }
         )
     _write_json(outdir / "consistency.json", {"checks": checks})
-    files.append("consistency.json")
-    _register(outdir, "reconstruct", files, time.perf_counter() - started)
     worst = max(c["relative_mass_error"] for c in checks)
-    print(f"reconstructed {len(settings.times)} profile(s); worst relative mass error {worst:.3e}")
-    return 0
+    return 0, files + ["consistency.json"], (
+        f"reconstructed {len(settings.times)} profile(s); worst relative mass error {worst:.3e}"
+    )
 
 
-def _cmd_sweep(args, cfg: RunConfig, outdir: Path) -> int:
-    started = time.perf_counter()
+def _cmd_sweep(cfg: RunConfig, outdir: Path):
     if cfg.sweep_r0 is None:
         raise ConfigSchemaError("sweep: required section with explicit r0_values")
     points = steady.bifurcation_sweep(cfg.params, cfg.feedback, cfg.sweep_r0)
     write_sweep_csv(outdir / "sweep.csv", points)
-    _register(outdir, "sweep", ["sweep.csv"], time.perf_counter() - started)
     existing = sum(1 for pt in points if pt.exists)
-    print(f"swept {len(points)} r0 values; {existing} carry a nontrivial equilibrium")
-    return 0
+    return 0, ["sweep.csv"], f"swept {len(points)} r0 values; {existing} carry a nontrivial equilibrium"
 
 
-def _cmd_validate(args, cfg: RunConfig, outdir: Path) -> int:
-    started = time.perf_counter()
+def _cmd_validate(cfg: RunConfig, outdir: Path):
     p0 = _require_initial(cfg)
     settings = cfg.oracle
     with open(outdir / "oracle_log.txt", "w", encoding="utf-8", newline="\n") as log:
@@ -248,22 +242,15 @@ def _cmd_validate(args, cfg: RunConfig, outdir: Path) -> int:
         "dt": settings.dt,
     }
     _write_json(outdir / "validate.json", doc)
-    _register(
-        outdir,
-        "validate",
-        ["oracle.csv", "oracle_log.txt", "validate.json"],
-        time.perf_counter() - started,
-    )
     status = "PASS" if passed else "FAIL"
-    print(
+    return 0 if passed else 1, ["oracle.csv", "oracle_log.txt", "validate.json"], (
         f"{status}: sup-norm gaps p = {report.p_gap:.3e}, b = {report.b_gap:.3e} "
         f"(threshold {settings.gap_threshold:.3e})"
     )
-    return 0 if passed else 1
 
 
-def _cmd_report(args, cfg: RunConfig, outdir: Path) -> int:
-    started = time.perf_counter()
+def _cmd_report(cfg: RunConfig, outdir: Path):
+    started = time.perf_counter()  # run_summary.json records its own elapsed time
     manifest = _load_manifest(outdir)
     missing = [name for name in manifest["files"] if not (outdir / name).exists()]
     if missing:
@@ -272,7 +259,7 @@ def _cmd_report(args, cfg: RunConfig, outdir: Path) -> int:
     for name, key in (("validate.json", "validation"), ("consistency.json", "consistency")):
         path = outdir / name
         if path.exists():
-            metrics[key] = json.loads(path.read_text(encoding="utf-8"))
+            metrics[key] = _read_json(path, f"{key} record")
     summary = {
         "config": cfg.resolved,
         "equilibrium": _equilibrium_doc(cfg),
@@ -281,27 +268,18 @@ def _cmd_report(args, cfg: RunConfig, outdir: Path) -> int:
         "timings": dict(manifest["timings"], report=time.perf_counter() - started),
     }
     _write_json(outdir / SUMMARY_NAME, summary)
-    _register(outdir, "report", [SUMMARY_NAME], time.perf_counter() - started)
-    print(f"wrote {SUMMARY_NAME} covering {len(manifest['files'])} output file(s)")
-    return 0
+    return 0, [SUMMARY_NAME], f"wrote {SUMMARY_NAME} covering {len(manifest['files'])} output file(s)"
 
 
+# each subcommand computes and writes its outputs, then returns
+# (exit code, the file names it wrote, its summary for stdout)
 _COMMANDS = {
-    "steady": _cmd_steady,
-    "simulate": _cmd_simulate,
-    "reconstruct": _cmd_reconstruct,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
-    "report": _cmd_report,
-}
-
-_HELP = {
-    "steady": "solve for the equilibrium and classify its stability",
-    "simulate": "integrate the reduced moment system and write trajectory.csv",
-    "reconstruct": "rebuild age profiles from a simulation and check mass balance",
-    "sweep": "tabulate the equilibrium branch over a grid of r0 values",
-    "validate": "cross-check the ODE reduction against the integral-equation solver",
-    "report": "aggregate prior outputs into run_summary.json",
+    "steady": (_cmd_steady, "solve for the equilibrium and classify its stability"),
+    "simulate": (_cmd_simulate, "integrate the reduced moment system and write trajectory.csv"),
+    "reconstruct": (_cmd_reconstruct, "rebuild age profiles from a simulation and check mass balance"),
+    "sweep": (_cmd_sweep, "tabulate the equilibrium branch over a grid of r0 values"),
+    "validate": (_cmd_validate, "cross-check the ODE reduction against the integral-equation solver"),
+    "report": (_cmd_report, "aggregate prior outputs into run_summary.json"),
 }
 
 
@@ -312,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"agestruct {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in _HELP.items():
+    for name, (_, blurb) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
         cmd.add_argument("--out", help="output directory (overrides AGESTRUCT_OUTDIR and config)")
@@ -330,9 +308,13 @@ def run(argv=None) -> int:
     except ParameterError as exc:
         print(f"invalid configuration value: {exc}", file=sys.stderr)
         return 3
+    command, _ = _COMMANDS[args.command]
     try:
         outdir = _outdir(args, cfg)
-        return _COMMANDS[args.command](args, cfg, outdir)
+        _load_manifest(outdir)  # a damaged manifest stops the run before it solves
+        started = time.perf_counter()
+        code, files, message = command(cfg, outdir)
+        _register(outdir, args.command, files, time.perf_counter() - started)
     except ConfigSchemaError as exc:
         # a section required by this subcommand is absent
         print(f"config error: {exc}", file=sys.stderr)
@@ -340,6 +322,8 @@ def run(argv=None) -> int:
     except AgestructError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 4
+    print(message)
+    return code
 
 
 if __name__ == "__main__":

@@ -192,11 +192,17 @@ def fertility_kernel_integral(betas: Sequence[float], rate: float) -> float:
     """Closed form of the age integral sum_i beta_i * i! / rate**(i+1).
 
     This equals the integral over ages of the raw fertility profile weighted
-    by exp(-(rate - rho) * a) when rate already includes rho.
+    by exp(-(rate - rho) * a) when rate already includes rho. Terms beyond
+    the float range read as inf or 0 instead of raising.
     """
     if not (rate > 0):
         raise ParameterError("kernel integral needs a positive decay rate")
-    return float(sum(b * math.factorial(i) / rate ** (i + 1) for i, b in enumerate(betas)))
+    try:
+        return float(sum(b * math.factorial(i) / rate ** (i + 1) for i, b in enumerate(betas)))
+    except (OverflowError, ZeroDivisionError):  # Python floats raise where numpy's do not
+        rate64 = np.float64(rate)
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(sum(b * math.factorial(i) / rate64 ** (i + 1) for i, b in enumerate(betas)))
 
 
 def normalize_betas(betas: Sequence[float], rho: float, mu0: float) -> tuple[float, ...]:
@@ -211,6 +217,8 @@ def normalize_betas(betas: Sequence[float], rho: float, mu0: float) -> tuple[flo
     if len(betas) == 0 or any(b <= 0 for b in betas):
         raise ParameterError("normalize_betas requires a nonempty, positive coefficient list")
     s = fertility_kernel_integral(betas, rho + mu0)
+    if s == 0.0:
+        raise ParameterError("normalize_betas: the generation integral underflows to 0")
     return tuple(b / s for b in betas)
 
 
@@ -279,10 +287,12 @@ def _profile_values(a: np.ndarray, betas: Sequence[float], rho: float) -> np.nda
 # initial age densities
 
 
+#: mass fraction an initial density may leave beyond its ``support_end``
+TAIL_TOL = 1e-14
+
+
 class InitialDensity(ABC):
     """Initial age distribution of the population."""
-
-    kind: str
 
     @abstractmethod
     def evaluate(self, a):
@@ -297,11 +307,8 @@ class InitialDensity(ABC):
         """Integral of a**(i-1) * exp(-rho*a) times the density, for i >= 1."""
 
     @abstractmethod
-    def support_end(self, tail_tol: float = 1e-14) -> float:
-        """Age beyond which the remaining mass fraction is at most tail_tol."""
-
-    def __call__(self, a):
-        return self.evaluate(a)
+    def support_end(self) -> float:
+        """Age beyond which the remaining mass fraction is at most TAIL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -310,7 +317,6 @@ class ExponentialDensity(InitialDensity):
 
     coefficient: float
     decay: float
-    kind = "exponential"
 
     def __post_init__(self):
         if not (self.coefficient >= 0):
@@ -331,10 +337,10 @@ class ExponentialDensity(InitialDensity):
             raise ParameterError("weighted_moment index must be >= 1")
         return self.coefficient * math.factorial(i - 1) / (rho + self.decay) ** i
 
-    def support_end(self, tail_tol: float = 1e-14) -> float:
+    def support_end(self) -> float:
         if self.coefficient == 0.0:
             return 0.0
-        return math.log(1.0 / tail_tol) / self.decay
+        return math.log(1.0 / TAIL_TOL) / self.decay
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,7 +349,6 @@ class TabulatedDensity(InitialDensity):
 
     ages: np.ndarray
     values: np.ndarray
-    kind = "tabulated"
 
     def __post_init__(self):
         ages = np.asarray(self.ages, dtype=float)
@@ -375,7 +380,7 @@ class TabulatedDensity(InitialDensity):
         integrand = self.ages ** (i - 1) * np.exp(-rho * self.ages) * self.values
         return simpson(integrand, self.ages)
 
-    def support_end(self, tail_tol: float = 1e-14) -> float:
+    def support_end(self) -> float:
         return float(self.ages[-1])
 
 

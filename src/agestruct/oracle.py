@@ -51,7 +51,7 @@ from .model import (
     fertility_age_profile,
 )
 from .quadrature import cumulative_trapezoid, trapezoid, uniform_grid
-from .reduction import Trajectory, integrate
+from .reduction import integrate
 
 logger = logging.getLogger(__name__)
 
@@ -466,7 +466,6 @@ class CrossValidationReport:
     oracle: OracleSolution
     ode_populations: np.ndarray
     ode_birth_rates: np.ndarray
-    trajectory: Trajectory
 
     @property
     def max_gap(self) -> float:
@@ -512,5 +511,4 @@ def cross_validate(
         oracle=oracle,
         ode_populations=ode_p,
         ode_birth_rates=ode_b,
-        trajectory=traj,
     )

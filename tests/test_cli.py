@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import agestruct
@@ -294,6 +295,106 @@ def test_damaged_manifest_is_kept_and_reported(tmp_path, damage):
     assert proc.stderr.startswith(f"run failed: {out / 'manifest.json'}: damaged manifest")
     assert "Traceback" not in proc.stderr
     assert (out / "manifest.json").read_bytes() == damage
+    # the manifest is checked before the solve, so nothing else was written
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("name", ["validate.json", "consistency.json"])
+def test_damaged_report_input_exits_4(tmp_path, name):
+    cfg = write_config(tmp_path, ref1_doc())
+    out = tmp_path / "out"
+    assert run(["steady", "--config", cfg, "--out", str(out)]) == 0
+    (out / name).write_bytes(b'{"checks": [{"t": 1.0, "rel')
+    proc = subprocess.run(
+        [sys.executable, "-m", "agestruct", "report", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith(f"run failed: {out / name}: damaged ")
+    assert "Traceback" not in proc.stderr
+    assert not (out / "run_summary.json").exists()
+
+
+def _model_doc(**model):
+    doc = ref1_doc()
+    doc["model"].update(model)
+    doc["sweep"] = {"r0_values": [1.0, 4.0]}
+    return doc
+
+
+OVERFLOW = {"n": 2, "betas": [1.0, 1.0], "rho": 1e-300, "mu0": 1e-300}
+UNDERFLOW = {"rho": 1e308, "mu0": 1e308}
+HUGE_BETAS = {"n": 2, "betas": [1e308, 1e308], "normalize_betas": False}
+
+
+@pytest.mark.parametrize(
+    "command, model, code, message",
+    [
+        # the zero-crowding generation integral overflows while normalizing ...
+        ("steady", OVERFLOW, 3, "betas[0] must be finite and > 0"),
+        ("sweep", OVERFLOW, 3, "betas[0] must be finite and > 0"),
+        # ... or underflows to 0
+        ("steady", UNDERFLOW, 3, "generation integral underflows to 0"),
+        ("sweep", UNDERFLOW, 3, "generation integral underflows to 0"),
+        # it reads inf while steady_state brackets the root, and the
+        # Jacobian at the equilibrium is then not finite
+        ("steady", HUGE_BETAS, 4, "eigenvalues expects finite matrix entries"),
+    ],
+    ids=["overflow-steady", "overflow-sweep", "underflow-steady", "underflow-sweep", "huge-betas"],
+)
+def test_extreme_model_values_exit_cleanly(tmp_path, capsys, command, model, code, message):
+    cfg = write_config(tmp_path, _model_doc(**model))
+    with np.errstate(all="ignore"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+
+
+def _leaf_keys(section):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from ((key, *rest) for rest in _leaf_keys(value))
+        else:
+            yield (key,)
+
+
+def test_no_model_value_raises_out_of_run(tmp_path, capsys):
+    # one value of the model, feedback or initial density replaced by any
+    # JSON value: run() answers with an exit code and never raises
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    base = _model_doc()
+    paths = [
+        (section, *keys)
+        for section in ("model", "feedback", "initial_density")
+        for keys in _leaf_keys(base[section])
+    ]
+    numbers = st.one_of(
+        st.sampled_from([0, -1, 5e-324, 1e-300, 1e-30, 1e30, 1e308, -1e308]),
+        st.integers(min_value=-(10**400), max_value=10**400),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    values = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4), numbers, st.lists(numbers, max_size=3)
+    )
+    cfg = tmp_path / "run.json"
+    out = str(tmp_path / "out")
+
+    @hypothesis.given(path=st.sampled_from(paths), value=values, command=st.sampled_from(["steady", "sweep"]))
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def check(path, value, command):
+        doc = copy.deepcopy(base)
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        with np.errstate(all="ignore"):
+            assert run([command, "--config", str(cfg), "--out", out]) in {0, 1, 2, 3, 4}
+        capsys.readouterr()
+
+    check()
+
 
 def _feedback_doc(feedback):
     doc = ref1_doc()
