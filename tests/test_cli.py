@@ -277,6 +277,15 @@ def test_runtime_errors_exit_4(tmp_path):
 
 
 
+def test_simulate_undershoot_exits_4(tmp_path, capsys):
+    doc = ref1_doc()
+    doc["feedback"]["psi"]["c"] = 50.0
+    doc["integrator"] = {"method": "rk4", "h": 0.5, "t_end": 5.0, "samples": 11}
+    cfg = write_config(tmp_path, doc)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert "at t=0.5 fell below" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "damage",
     [b'{"files": ["steady.json"], "tim', b'{"files": "steady.json", "timings": {}}', b'{"files": ["\xff"]}'],

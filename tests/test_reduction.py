@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import agestruct as ag
-from agestruct.errors import ParameterError, TrajectoryRangeError
+from agestruct.errors import NegativityError, ParameterError, TrajectoryRangeError
 from agestruct.reduction import StateVector
 
 
@@ -143,3 +143,51 @@ def test_birth_rates_consistent_with_states(ref2):
     np.testing.assert_allclose(traj.birth_rates, recompute, rtol=1e-12, atol=1e-14)
     assert np.all(traj.birth_rates >= 0)
     assert np.all(np.diff(traj.psi_integral) >= 0)
+
+
+# --- undershoot policy -------------------------------------------------------
+
+
+def _with_psi(fx, psi):
+    return ag.FeedbackSpec(phi_family=fx.feedback.phi_family, psi_family=psi)
+
+
+def test_unstable_step_undershoots_at_first_step(ref1):
+    # rk4 at h=0.5 is far outside its stability region once psi = 50 p
+    feedback = _with_psi(ref1, ag.make_psi("linear", c=50.0))
+    start = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)
+    with pytest.raises(NegativityError, match=r"at t=0\.5 fell below"):
+        ag.integrate(start, ref1.params, feedback, t_end=5.0, method="rk4", h=0.5)
+
+
+def test_undershoot_message_prints_plain_floats(ref1):
+    feedback = _with_psi(ref1, ag.make_psi("linear", c=50.0))
+    start = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)
+    with pytest.raises(NegativityError) as info:
+        ag.integrate(start, ref1.params, feedback, t_end=5.0, method="rk4", h=0.5)
+    assert "np.float64" not in str(info.value)
+    assert str(info.value).startswith("state entry -1.6")
+
+
+def test_non_finite_step_is_rejected(ref1):
+    # a negative stage p makes p**1.5 NaN; the step must not pass it on
+    feedback = _with_psi(ref1, ag.make_psi("power", c=20.0, gamma=1.5))
+    start = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NegativityError, match=r"state entry nan at t=0\.2 is not finite"
+    ):
+        ag.integrate(start, ref1.params, feedback, t_end=5.0, method="rk4", h=0.2)
+
+
+def test_undershoot_policy_function():
+    from agestruct.reduction import _clamp_undershoot
+
+    y = np.array([1.0, -5e-10, 0.0, -1e-9, 2.5])
+    assert _clamp_undershoot(y, ParameterError) == 2
+    np.testing.assert_array_equal(y, [1.0, 0.0, 0.0, 0.0, 2.5])
+    assert _clamp_undershoot(y, ParameterError) == 0
+    with pytest.raises(NegativityError, match=r"^state entry -2e-09 at t=1\.0 fell below"):
+        _clamp_undershoot(np.array([1.0, -2e-9]), NegativityError, " at t=1.0")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(TrajectoryRangeError, match=f"^state entry {bad!r} is not finite"):
+            _clamp_undershoot(np.array([-1.0, bad]), TrajectoryRangeError)
