@@ -29,6 +29,7 @@ from .model import (
     InitialDensity,
     ModelParams,
     TabulatedDensity,
+    _check_size,
     normalize_betas,
 )
 from .oracle import DEFAULT_K_MAX, grid_steps
@@ -153,6 +154,7 @@ def _parse_model(doc: dict) -> ModelParams:
     betas = _read(section, "model", "betas", "tuple", required=True)
     rho, mu0, r0 = (_read(section, "model", key, "float", required=True) for key in ("rho", "mu0", "r0"))
     normalized = _read(section, "model", "normalize_betas", "bool", False)
+    _check_size(n, betas)  # before normalizing, whose factorials stop at n = 170
     if normalized:
         betas = normalize_betas(betas, rho, mu0)
     return ModelParams(n=n, betas=betas, rho=rho, mu0=mu0, r0=r0, normalized=normalized)
@@ -230,7 +232,7 @@ def _parse_oracle(doc: dict) -> OracleSettings:
     return settings
 
 
-def _parse_sweep(doc: dict) -> Optional[tuple]:
+def _parse_sweep(doc: dict, params: ModelParams) -> Optional[tuple]:
     if "sweep" not in doc:
         return None
     section = _section(doc, "sweep")
@@ -239,6 +241,10 @@ def _parse_sweep(doc: dict) -> Optional[tuple]:
     for i, r0 in enumerate(values):
         if not r0 > 0:
             raise ParameterError(f"sweep.r0_values[{i}] must be positive and finite")
+        try:
+            params.with_r0(r0)  # the sweep builds each of these models
+        except ParameterError as exc:
+            raise ParameterError(f"sweep.r0_values[{i}]: {exc}") from None
     return values
 
 
@@ -266,7 +272,7 @@ def parse_config(doc: Any) -> RunConfig:
     integrator = _parse_integrator(doc)
     reconstruction = _parse_reconstruction(doc, integrator.t_end)
     oracle = _parse_oracle(doc)
-    sweep_r0 = _parse_sweep(doc)
+    sweep_r0 = _parse_sweep(doc, params)
     output_dir = _read(doc, "config", "output_dir", "str")
 
     resolved = {

@@ -14,6 +14,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .oracle import OracleSolution
 from .reconstruct import DensityField
 from .reduction import Trajectory
@@ -48,19 +50,18 @@ def _write_lines(path, header: str, rows: Iterable[str]) -> Path:
     return path
 
 
+def _write_columns(path, header: str, columns) -> Path:
+    """One row per index of the equal-length numeric columns."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return _write_lines(path, header, (",".join(map(fmt, row)) for row in rows))
+
+
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
     """Sampled trajectory: t,p,p1,...,pn,b,psi_int."""
     n = traj.states.shape[1] - 1
     header = "t,p," + ",".join(f"p{i}" for i in range(1, n + 1)) + ",b,psi_int"
-    rows = (
-        ",".join(
-            [fmt(t)]
-            + [fmt(v) for v in state]
-            + [fmt(b), fmt(z)]
-        )
-        for t, state, b, z in zip(traj.times, traj.states, traj.birth_rates, traj.psi_integral)
-    )
-    return _write_lines(path, header, rows)
+    columns = (traj.times, *traj.states.T, traj.birth_rates, traj.psi_integral)
+    return _write_columns(path, header, columns)
 
 
 def write_sweep_csv(path, points: Iterable[SweepPoint]) -> Path:
@@ -76,8 +77,7 @@ def write_sweep_csv(path, points: Iterable[SweepPoint]) -> Path:
 
 def write_density_csv(path, field: DensityField) -> Path:
     """Reconstructed age profile at one time: a,p."""
-    rows = (f"{fmt(a)},{fmt(v)}" for a, v in zip(field.age_grid, field.values))
-    return _write_lines(path, "a,p", rows)
+    return _write_columns(path, "a,p", (field.age_grid, field.values))
 
 
 def density_filename(t: float) -> str:
@@ -86,8 +86,4 @@ def density_filename(t: float) -> str:
 
 def write_oracle_csv(path, solution: OracleSolution) -> Path:
     """Integral-equation solution: t,b,p."""
-    rows = (
-        f"{fmt(t)},{fmt(b)},{fmt(p)}"
-        for t, b, p in zip(solution.times, solution.birth_rates, solution.populations)
-    )
-    return _write_lines(path, "t,b,p", rows)
+    return _write_columns(path, "t,b,p", (solution.times, solution.birth_rates, solution.populations))

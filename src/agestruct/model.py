@@ -222,6 +222,20 @@ def normalize_betas(betas: Sequence[float], rho: float, mu0: float) -> tuple[flo
     return tuple(b / s for b in betas)
 
 
+#: largest n: reproduction_derivative needs (n + 1)! as a float, and 171! overflows
+_MAX_N = 170
+
+
+def _check_size(n, betas) -> None:
+    """Reject a moment count outside [1, _MAX_N] or a betas list of another length."""
+    if not isinstance(n, int) or n < 1:
+        raise ParameterError("n must be an integer >= 1")
+    if n > _MAX_N:
+        raise ParameterError(f"n must be at most {_MAX_N}: (n + 1)! must fit a float")
+    if len(betas) != n:
+        raise ParameterError(f"expected {n} betas, got {len(betas)}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Static model parameters.
@@ -242,12 +256,9 @@ class ModelParams:
     normalized: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError("n must be an integer >= 1")
         betas = tuple(float(b) for b in self.betas)
         object.__setattr__(self, "betas", betas)
-        if len(betas) != self.n:
-            raise ParameterError(f"expected {self.n} betas, got {len(betas)}")
+        _check_size(self.n, betas)
         for i, b in enumerate(betas):
             if not math.isfinite(b) or b <= 0:
                 raise ParameterError(f"betas[{i}] must be finite and > 0")
@@ -256,12 +267,13 @@ class ModelParams:
             object.__setattr__(self, name, v)
             if not math.isfinite(v) or v <= 0:
                 raise ParameterError(f"{name} must be finite and > 0")
-        if self.normalized:
-            s = fertility_kernel_integral(betas, self.rho + self.mu0)
-            if abs(s - 1.0) > 1e-12:
-                raise ParameterError(
-                    f"betas flagged normalized but the generation integral is {s!r}"
-                )
+        s = fertility_kernel_integral(betas, self.rho + self.mu0)
+        if self.normalized and abs(s - 1.0) > 1e-12:
+            raise ParameterError(f"betas flagged normalized but the generation integral is {s!r}")
+        if not math.isfinite(self.r0 * s):
+            raise ParameterError(
+                "the zero-crowding reproduction number r0 * K(betas, rho + mu0) overflows the float range"
+            )
 
     def with_r0(self, r0: float) -> "ModelParams":
         return ModelParams(self.n, self.betas, self.rho, self.mu0, float(r0), self.normalized)

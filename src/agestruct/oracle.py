@@ -103,7 +103,7 @@ def from_separable(params: ModelParams, feedback: FeedbackSpec, p0: InitialDensi
     """
 
     def mortality(a, p):
-        return params.mu0 + feedback.psi(p) + np.zeros_like(np.asarray(a, dtype=float))
+        return params.mu0 + feedback.psi(p)
 
     def fertility(a, p):
         return params.r0 * feedback.phi(p) * fertility_age_profile(a, params)

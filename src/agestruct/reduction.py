@@ -33,27 +33,41 @@ if TYPE_CHECKING:  # pragma: no cover
 NEGATIVE_SLACK = 1e-9
 
 
+def _clamp_undershoot(y: np.ndarray, error: type, where: str = "") -> int:
+    """Apply the undershoot policy to the state entries ``y`` in place.
+
+    An entry below -NEGATIVE_SLACK or not finite raises ``error``; the
+    remaining negatives are set to zero. Returns how many were zeroed.
+    """
+    lo, hi = y.min(), y.max()  # both propagate NaN
+    if not (lo >= -NEGATIVE_SLACK and hi < math.inf):
+        finite = np.isfinite(y)
+        if not finite.all():
+            raise error(f"state entry {float(y[~finite][0])!r}{where} is not finite")
+        raise error(f"state entry {float(lo)!r}{where} fell below the -1e-9 negativity slack")
+    if lo >= 0.0:
+        return 0
+    negative = y < 0.0
+    y[negative] = 0.0
+    return int(np.count_nonzero(negative))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Population total plus weighted age moments; entries are nonnegative.
 
-    Values in [-1e-9, 0) are clamped to zero on construction; anything more
-    negative is rejected.
+    Construction applies the undershoot policy: values in [-1e-9, 0) are
+    clamped to zero, anything more negative or not finite is rejected.
     """
 
     p: float
     moments: tuple[float, ...]
 
     def __post_init__(self):
-        vals = [float(self.p), *(float(m) for m in self.moments)]
-        for v in vals:
-            if not math.isfinite(v):
-                raise ParameterError("state entries must be finite")
-            if v < -NEGATIVE_SLACK:
-                raise ParameterError(f"state entry {v!r} below the negativity slack")
-        clamped = [0.0 if v < 0 else v for v in vals]
-        object.__setattr__(self, "p", clamped[0])
-        object.__setattr__(self, "moments", tuple(clamped[1:]))
+        y = self.as_array()
+        _clamp_undershoot(y, ParameterError)
+        object.__setattr__(self, "p", float(y[0]))
+        object.__setattr__(self, "moments", tuple(float(v) for v in y[1:]))
 
     @property
     def n(self) -> int:
@@ -68,20 +82,25 @@ class StateVector:
         return cls(p=float(y[0]), moments=tuple(float(v) for v in y[1:]))
 
 
+def _state_array(state: StateVector, params: ModelParams) -> np.ndarray:
+    """The state as [p, p_1, ..., p_n], checked to carry params.n moments."""
+    if len(state.moments) != params.n:
+        raise ParameterError(f"state carries {len(state.moments)} moments, expected {params.n}")
+    return state.as_array()
+
+
 def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
+    # y' = A(p) y: births r0 phi(p) beta.m enter p and p_1, p decays at
+    # mu0 + psi(p), each moment at rho + mu0 + psi(p), and p_i feeds p_{i+1}
+    # at rate i
     p = y[0]
-    mom = y[1:]
-    phi = feedback.phi(p)
     psi = feedback.psi(p)
-    betas = params.betas
-    births = params.r0 * phi * float(np.dot(betas, mom))
-    out = np.empty_like(y)
+    births = params.r0 * feedback.phi(p) * float(np.dot(params.betas, y[1:]))
+    out = -(params.rho + params.mu0 + psi) * y
     out[0] = -(params.mu0 + psi) * p + births
-    late = params.r0 * phi * float(np.dot(betas[1:], mom[1:])) if params.n > 1 else 0.0
-    out[1] = (params.r0 * betas[0] * phi - params.rho - params.mu0 - psi) * mom[0] + late
+    out[1] += births
     if params.n > 1:
-        decay = params.rho + params.mu0 + psi
-        out[2:] = np.arange(1, params.n) * mom[:-1] - decay * mom[1:]
+        out[2:] += np.arange(1, params.n) * y[1:-1]
     return out
 
 
@@ -90,12 +109,7 @@ def rhs(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> Stat
 
     The first component is the balance law p' = births - (mu0 + psi(p)) * p.
     """
-    y = state.as_array()
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("rhs requires finite state entries")
-    if len(state.moments) != params.n:
-        raise ParameterError(f"state carries {len(state.moments)} moments, expected {params.n}")
-    d = _rhs_array(y, params, feedback)
+    d = _rhs_array(_state_array(state, params), params, feedback)
     out = object.__new__(StateVector)  # derivatives may be negative; skip clamping
     object.__setattr__(out, "p", float(d[0]))
     object.__setattr__(out, "moments", tuple(float(v) for v in d[1:]))
@@ -104,9 +118,8 @@ def rhs(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> Stat
 
 def birth_rate(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> float:
     """Birth rate r0 * phi(p) * sum_i beta_i * p_{i+1} at a state; nonnegative."""
-    if len(state.moments) != params.n:
-        raise ParameterError(f"state carries {len(state.moments)} moments, expected {params.n}")
-    return float(params.r0 * feedback.phi(state.p) * np.dot(params.betas, state.moments))
+    y = _state_array(state, params)
+    return float(params.r0 * feedback.phi(y[0]) * np.dot(params.betas, y[1:]))
 
 
 def _births_rows(states: np.ndarray, params, feedback) -> np.ndarray:
@@ -221,34 +234,14 @@ _DP_ERR = (
 )
 
 
-class _NegativityGuard:
-    """Applies the undershoot policy: clamp tiny negatives, reject large ones."""
-
-    def __init__(self, n_state: int):
-        self.n_state = n_state  # components subject to the policy
-        self.count = 0
-
-    def apply(self, y: np.ndarray, t: float) -> np.ndarray:
-        head = y[: self.n_state]
-        worst = head.min() if head.size else 0.0
-        if worst < -NEGATIVE_SLACK:
-            raise NegativityError(
-                f"state entry {worst!r} at t={t!r} fell below the -1e-9 slack"
-            )
-        if worst < 0.0:
-            mask = head < 0.0
-            self.count += int(np.count_nonzero(mask))
-            head[mask] = 0.0
-        return y
-
-
-def _integrate_rk4(f, y0, t_end, h, guard):
+def _integrate_rk4(f, y0, t_end, h, n_state):
     ts = [0.0]
     ys = [y0.copy()]
     fs = [f(0.0, y0)]
     t = 0.0
     y = y0.copy()
     k1 = fs[0]
+    clamped = 0
     while t < t_end - 1e-15 * t_end:
         step = min(h, t_end - t)
         k2 = f(t + 0.5 * step, y + 0.5 * step * k1)
@@ -258,15 +251,15 @@ def _integrate_rk4(f, y0, t_end, h, guard):
         t = t + step
         if abs(t - t_end) < 1e-12 * max(1.0, t_end):
             t = t_end
-        y = guard.apply(y, t)
+        clamped += _clamp_undershoot(y[:n_state], NegativityError, f" at t={t!r}")
         k1 = f(t, y)
         ts.append(t)
         ys.append(y.copy())
         fs.append(k1)
-    return np.array(ts), np.array(ys), np.array(fs)
+    return np.array(ts), np.array(ys), np.array(fs), clamped
 
 
-def _integrate_dp45(f, y0, t_end, rtol, atol, max_step, guard):
+def _integrate_dp45(f, y0, t_end, rtol, atol, max_step, n_state):
     ts = [0.0]
     ys = [y0.copy()]
     k1 = f(0.0, y0)
@@ -275,6 +268,7 @@ def _integrate_dp45(f, y0, t_end, rtol, atol, max_step, guard):
     y = y0.copy()
     h = min(max_step, t_end / 100.0)
     k = np.empty((7, y0.size))
+    clamped = 0
     while t < t_end:
         h = min(h, t_end - t, max_step)
         if h < 1e-14 * max(t_end, 1.0):
@@ -296,7 +290,8 @@ def _integrate_dp45(f, y0, t_end, rtol, atol, max_step, guard):
             t_new = t + h
             if t_end - t_new < 1e-14 * max(t_end, 1.0):
                 t_new = t_end
-            y = guard.apply(y_new, t_new)
+            clamped += _clamp_undershoot(y_new[:n_state], NegativityError, f" at t={t_new!r}")
+            y = y_new
             t = t_new
             k1 = k[6]
             ts.append(t)
@@ -306,7 +301,7 @@ def _integrate_dp45(f, y0, t_end, rtol, atol, max_step, guard):
             h *= factor
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
-    return np.array(ts), np.array(ys), np.array(fs)
+    return np.array(ts), np.array(ys), np.array(fs), clamped
 
 
 def integrate(
@@ -333,8 +328,6 @@ def integrate(
     """
     if not (t_end > 0):
         raise ParameterError("t_end must be > 0")
-    if len(initial.moments) != params.n:
-        raise ParameterError(f"initial state carries {len(initial.moments)} moments, expected {params.n}")
     if sample_times is None:
         if n_samples < 2:
             raise ParameterError("need at least two sample times")
@@ -348,7 +341,7 @@ def integrate(
         if np.any(np.diff(sample_times) <= 0):
             raise ParameterError("sample times must be strictly increasing")
 
-    y0 = np.append(initial.as_array(), 0.0)  # extra channel: integral of psi(p)
+    y0 = np.append(_state_array(initial, params), 0.0)  # extra channel: integral of psi(p)
     n_state = params.n + 1
 
     def f(t, y):
@@ -357,43 +350,36 @@ def integrate(
         out[n_state] = feedback.psi(y[0])
         return out
 
-    guard = _NegativityGuard(n_state)
     if method == "rk4":
         if h is None or not (h > 0):
             raise ParameterError("rk4 requires a positive step size h")
-        kt, ky, kf = _integrate_rk4(f, y0, float(t_end), float(h), guard)
+        kt, ky, kf, clamped = _integrate_rk4(f, y0, float(t_end), float(h), n_state)
     elif method == "rk45":
         if max_step is None:
             max_step = t_end / 20.0
         if not (max_step > 0):
             raise ParameterError("max_step must be > 0")
-        kt, ky, kf = _integrate_dp45(f, y0, float(t_end), float(rtol), float(atol), float(max_step), guard)
+        kt, ky, kf, clamped = _integrate_dp45(
+            f, y0, float(t_end), float(rtol), float(atol), float(max_step), n_state
+        )
     else:
         raise ParameterError(f"unknown integration method {method!r}")
 
     aug = _hermite_eval(sample_times, kt, ky, kf)
-    head = aug[:, :n_state]
-    worst = float(head.min())
-    if worst < -NEGATIVE_SLACK:
-        raise NegativityError(f"sampled state entry {worst!r} fell below the -1e-9 slack")
-    clamped_samples = int(np.count_nonzero(head < 0.0))
-    head = np.maximum(head, 0.0)
+    states = aug[:, :n_state].copy()
+    clamped += _clamp_undershoot(states, NegativityError, " in the samples")
     zint = np.maximum.accumulate(np.maximum(aug[:, n_state], 0.0))  # guard float-level dips
-    total_clamped = guard.count + clamped_samples
-    if total_clamped:
-        warnings.warn(
-            f"integration clamped {total_clamped} slightly negative state entries",
-            stacklevel=2,
-        )
+    if clamped:
+        warnings.warn(f"integration clamped {clamped} slightly negative state entries", stacklevel=2)
     return Trajectory(
         times=sample_times,
-        states=head,
-        birth_rates=_births_rows(head, params, feedback),
+        states=states,
+        birth_rates=_births_rows(states, params, feedback),
         psi_integral=zint,
         params=params,
         feedback=feedback,
         knot_times=kt,
         knot_states=ky,
         knot_derivs=kf,
-        clamp_count=total_clamped,
+        clamp_count=clamped,
     )

@@ -13,40 +13,27 @@ import numpy as np
 
 from .errors import EigenvalueError, ParameterError
 from .model import FeedbackSpec, ModelParams
-from .reduction import StateVector
+from .reduction import StateVector, _state_array
 from .steady import EquilibriumReport
 
 VERDICT_MARGIN = 1e-8
 
 
 def jacobian_at(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> np.ndarray:
-    """Closed-form Jacobian of the moment-system rhs at a state."""
-    if len(state.moments) != params.n:
-        raise ParameterError(f"state carries {len(state.moments)} moments, expected {params.n}")
-    n = params.n
-    p = state.p
-    mom = np.asarray(state.moments)
-    betas = np.asarray(params.betas)
-    phi = float(feedback.phi(p))
-    dphi = float(feedback.phi_prime(p))
-    psi = float(feedback.psi(p))
-    dpsi = float(feedback.psi_prime(p))
+    """Closed-form Jacobian of the moment-system rhs y' = A(p) y at a state.
 
-    jac = np.zeros((n + 1, n + 1))
-    # row 0: total population balance
-    jac[0, 0] = -(params.mu0 + psi) - dpsi * p + params.r0 * dphi * float(betas @ mom)
-    jac[0, 1:] = params.r0 * phi * betas
-    # row 1: first weighted moment
-    late = float(betas[1:] @ mom[1:]) if n > 1 else 0.0
-    jac[1, 0] = (params.r0 * betas[0] * dphi - dpsi) * mom[0] + params.r0 * dphi * late
-    jac[1, 1] = params.r0 * betas[0] * phi - params.rho - params.mu0 - psi
-    if n > 1:
-        jac[1, 2:] = params.r0 * phi * betas[1:]
-        decay = params.rho + params.mu0 + psi
-        for i in range(1, n):
-            jac[i + 1, 0] = -dpsi * mom[i]
-            jac[i + 1, i] = float(i)
-            jac[i + 1, i + 1] = -decay
+    It is A(p) with column 0 replaced by d(A(p) y)/dp.
+    """
+    y = _state_array(state, params)
+    n, p = params.n, y[0]
+    psi = feedback.psi(p)
+    jac = np.diag(np.arange(float(n)), -1)  # p_i feeds p_{i+1} at rate i
+    np.fill_diagonal(jac, -(params.rho + params.mu0 + psi))
+    jac[:2, 1:] += params.r0 * feedback.phi(p) * np.asarray(params.betas)
+    column = -feedback.psi_prime(p) * y
+    column[:2] += params.r0 * feedback.phi_prime(p) * float(np.dot(params.betas, y[1:]))
+    column[0] -= params.mu0 + psi
+    jac[:, 0] = column
     return jac
 
 

@@ -345,9 +345,8 @@ HUGE_BETAS = {"n": 2, "betas": [1e308, 1e308], "normalize_betas": False}
         # ... or underflows to 0
         ("steady", UNDERFLOW, 3, "generation integral underflows to 0"),
         ("sweep", UNDERFLOW, 3, "generation integral underflows to 0"),
-        # it reads inf while steady_state brackets the root, and the
-        # Jacobian at the equilibrium is then not finite
-        ("steady", HUGE_BETAS, 4, "eigenvalues expects finite matrix entries"),
+        # ... and r0 times it overflows when the betas are not normalized
+        ("steady", HUGE_BETAS, 3, "r0 * K(betas, rho + mu0) overflows the float range"),
     ],
     ids=["overflow-steady", "overflow-sweep", "underflow-steady", "underflow-sweep", "huge-betas"],
 )
@@ -355,7 +354,22 @@ def test_extreme_model_values_exit_cleanly(tmp_path, capsys, command, model, cod
     cfg = write_config(tmp_path, _model_doc(**model))
     with np.errstate(all="ignore"):
         assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def test_huge_betas_print_one_line(tmp_path):
+    # numpy warnings reach a real stderr only outside pytest's capture
+    cfg = write_config(tmp_path, _model_doc(**HUGE_BETAS))
+    proc = subprocess.run(
+        [sys.executable, "-m", "agestruct", "steady", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "invalid configuration value: the zero-crowding reproduction number "
+        "r0 * K(betas, rho + mu0) overflows the float range"
+    ]
 
 
 def _leaf_keys(section):

@@ -76,6 +76,14 @@ SCHEMA_ROWS = {
         {"model.normalize_betas": "yes"}, "model.normalize_betas: expected true or false"
     ),
     "model-r0-range": _value({"model.r0": -1.0}, "r0 must be finite and > 0"),
+    "model-n-range": _value({"model.n": 0, "model.betas": [1.0]}, "n must be an integer >= 1"),
+    "model-n-too-large": _value(
+        {"model.n": 171, "model.betas": [1.0] * 171}, "n must be at most 170: (n + 1)! must fit a float"
+    ),
+    "model-betas-overflow": _value(
+        {"model.n": 2, "model.betas": [1e308, 1e308], "model.normalize_betas": False},
+        "the zero-crowding reproduction number r0 * K(betas, rho + mu0) overflows the float range",
+    ),
     # feedback
     "feedback-missing": _schema({"feedback": DELETE}, "feedback: required section"),
     "feedback-type": _schema({"feedback": 1}, "feedback: expected an object"),
@@ -179,6 +187,11 @@ SCHEMA_ROWS = {
     ),
     "sweep-values-range": _value(
         {"sweep.r0_values": [1.0, 0.0]}, "sweep.r0_values[1] must be positive and finite"
+    ),
+    "sweep-values-overflow": _value(
+        {"model.betas": [1e300], "model.normalize_betas": False, "sweep.r0_values": [1.0, 1e10]},
+        "sweep.r0_values[1]: the zero-crowding reproduction number r0 * K(betas, rho + mu0) "
+        "overflows the float range",
     ),
     # changed from the previous reader (see CHANGES.md): the tag names its
     # choices as the feedback families do, and a non-finite number is

@@ -5,7 +5,7 @@ import pytest
 
 import agestruct as ag
 from agestruct.errors import NegativityError, ParameterError, TrajectoryRangeError
-from agestruct.reduction import StateVector
+from agestruct.reduction import StateVector, _clamp_undershoot
 
 
 # --- state vector ------------------------------------------------------------
@@ -180,8 +180,6 @@ def test_non_finite_step_is_rejected(ref1):
 
 
 def test_undershoot_policy_function():
-    from agestruct.reduction import _clamp_undershoot
-
     y = np.array([1.0, -5e-10, 0.0, -1e-9, 2.5])
     assert _clamp_undershoot(y, ParameterError) == 2
     np.testing.assert_array_equal(y, [1.0, 0.0, 0.0, 0.0, 2.5])

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of two source trees byte for byte.
+
+Usage: python3 tools/compare_outputs.py PARENT [CHANGE]
+
+Runs the six subcommands (steady, simulate, reconstruct, sweep, validate,
+report, in that order, into one output directory) on configs/ref1.json,
+configs/ref2.json and configs/linear_growth.json, once with each tree's
+``src`` on PYTHONPATH. CHANGE defaults to the tree holding this script.
+Each run works in a fresh temporary directory with relative paths, so
+nothing in the outputs names the tree. The exit code, stdout and stderr
+of every subcommand and every output file are compared; ``timings`` is
+dropped from manifest.json and run_summary.json first. Prints SAME or
+DIFF per item and exits 1 on any DIFF.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = ("ref1", "ref2", "linear_growth")
+COMMANDS = ("steady", "simulate", "reconstruct", "sweep", "validate", "report")
+TIMED = ("manifest.json", "run_summary.json")
+
+
+def _run_tree(tree: Path, config: str, workdir: Path) -> dict:
+    """Every compared item of one config in one tree, by name."""
+    shutil.copy(tree / "configs" / f"{config}.json", workdir / "run.json")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("AGESTRUCT_OUTDIR", None)
+    items = {}
+    for command in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "agestruct", command, "--config", "run.json", "--out", "out"],
+            cwd=workdir, env=env, capture_output=True, timeout=600,
+        )
+        items[f"{command} exit"] = str(proc.returncode).encode()
+        items[f"{command} stdout"] = proc.stdout
+        items[f"{command} stderr"] = proc.stderr
+    out = workdir / "out"
+    for path in sorted(out.rglob("*")) if out.exists() else ():
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name in TIMED:
+                doc = json.loads(data)
+                doc.pop("timings", None)
+                data = json.dumps(doc, indent=2, sort_keys=True).encode()
+            items[str(path.relative_to(out))] = data
+    return items
+
+
+def main(argv) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    same = diff = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for config in CONFIGS:
+            runs = []
+            for side, tree in (("parent", parent), ("change", change)):
+                workdir = Path(scratch) / config / side
+                workdir.mkdir(parents=True)
+                runs.append(_run_tree(tree, config, workdir))
+            before, after = runs
+            for name in sorted(set(before) | set(after)):
+                verdict = "SAME" if before.get(name) == after.get(name) else "DIFF"
+                if name not in before or name not in after:
+                    name += " (only in " + ("change" if name in after else "parent") + ")"
+                same, diff = (same + 1, diff) if verdict == "SAME" else (same, diff + 1)
+                print(f"{verdict} {config}: {name}")
+    print(f"{same} SAME, {diff} DIFF")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
