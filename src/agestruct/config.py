@@ -20,6 +20,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
 from .errors import ConfigSchemaError, ParameterError
 from .model import (
     _PHI_FAMILIES,
@@ -184,6 +186,17 @@ def _parse_feedback(doc: dict) -> FeedbackSpec:
     return FeedbackSpec(phi_family=parsed["phi"], psi_family=parsed["psi"])
 
 
+def _parse_initial(doc: dict, params: ModelParams) -> Optional[InitialDensity]:
+    if "initial_density" not in doc:
+        return None
+    initial = _parse_family(doc["initial_density"], "initial_density", _INITIAL_KINDS, "kind")
+    with np.errstate(all="ignore"):  # the start state of every simulation
+        start = [initial.mass(), *(initial.weighted_moment(i, params.rho) for i in range(1, params.n + 1))]
+    if not all(math.isfinite(v) for v in start):
+        raise ParameterError("initial_density: its mass or a weighted moment is not finite")
+    return initial
+
+
 def _parse_integrator(doc: dict) -> IntegratorSettings:
     it = _build(_section(doc, "integrator"), "integrator", IntegratorSettings)
     if it.method not in ("rk4", "rk45"):
@@ -266,9 +279,7 @@ def parse_config(doc: Any) -> RunConfig:
     _reject_unknown(doc, "config", _TOP_KEYS)
     params = _parse_model(doc)
     feedback = _parse_feedback(doc)
-    initial = None
-    if "initial_density" in doc:
-        initial = _parse_family(doc["initial_density"], "initial_density", _INITIAL_KINDS, "kind")
+    initial = _parse_initial(doc, params)
     integrator = _parse_integrator(doc)
     reconstruction = _parse_reconstruction(doc, integrator.t_end)
     oracle = _parse_oracle(doc)

@@ -188,21 +188,19 @@ def make_psi(family: str, **params):
 # parameters
 
 
-def fertility_kernel_integral(betas: Sequence[float], rate: float) -> float:
-    """Closed form of the age integral sum_i beta_i * i! / rate**(i+1).
+def fertility_kernel_integral(betas: Sequence[float], rate):
+    """Closed form of the age integral sum_i beta_i * i! / rate**(i+1), elementwise over rates.
 
     This equals the integral over ages of the raw fertility profile weighted
     by exp(-(rate - rho) * a) when rate already includes rho. Terms beyond
     the float range read as inf or 0 instead of raising.
     """
-    if not (rate > 0):
+    rate = np.asarray(rate, dtype=float)
+    if not np.all(rate > 0):
         raise ParameterError("kernel integral needs a positive decay rate")
-    try:
-        return float(sum(b * math.factorial(i) / rate ** (i + 1) for i, b in enumerate(betas)))
-    except (OverflowError, ZeroDivisionError):  # Python floats raise where numpy's do not
-        rate64 = np.float64(rate)
-        with np.errstate(over="ignore", divide="ignore"):
-            return float(sum(b * math.factorial(i) / rate64 ** (i + 1) for i, b in enumerate(betas)))
+    with np.errstate(over="ignore", divide="ignore"):
+        total = sum(b * math.factorial(i) / rate ** (i + 1) for i, b in enumerate(betas))
+    return _scalar_or_array(rate, total)
 
 
 def normalize_betas(betas: Sequence[float], rho: float, mu0: float) -> tuple[float, ...]:
@@ -347,7 +345,10 @@ class ExponentialDensity(InitialDensity):
     def weighted_moment(self, i: int, rho: float) -> float:
         if i < 1:
             raise ParameterError("weighted_moment index must be >= 1")
-        return self.coefficient * math.factorial(i - 1) / (rho + self.decay) ** i
+        if self.coefficient == 0.0:
+            return 0.0
+        with np.errstate(over="ignore", divide="ignore"):  # out of range reads as inf or 0
+            return float(self.coefficient * math.factorial(i - 1) / np.float64(rho + self.decay) ** i)
 
     def support_end(self) -> float:
         if self.coefficient == 0.0:

@@ -6,9 +6,16 @@ import math
 
 import numpy as np
 
+from .errors import ParameterError
+
+#: most nodes an age grid may have; each array over it takes 8 bytes a node
+MAX_GRID_NODES = 10**7
+
 
 def uniform_grid(length: float, step: float) -> np.ndarray:
     """Nodes 0, step, ..., n * step, n the fewest steps that reach length to within 1e-9 step."""
+    if not length / step < MAX_GRID_NODES:
+        raise ParameterError(f"age grid [0, {length!r}] at step {step!r} needs more than {MAX_GRID_NODES} nodes")
     n = int(math.ceil(length / step - 1e-9))
     return np.linspace(0.0, n * step, n + 1)
 

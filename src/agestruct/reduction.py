@@ -94,8 +94,9 @@ def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
     # mu0 + psi(p), each moment at rho + mu0 + psi(p), and p_i feeds p_{i+1}
     # at rate i
     p = y[0]
-    psi = feedback.psi(p)
-    births = params.r0 * feedback.phi(p) * float(np.dot(params.betas, y[1:]))
+    p_plus = max(p, 0.0)  # a Runge-Kutta stage may dip below 0; the feedbacks see max(p, 0)
+    psi = feedback.psi(p_plus)
+    births = params.r0 * feedback.phi(p_plus) * float(np.dot(params.betas, y[1:]))
     out = -(params.rho + params.mu0 + psi) * y
     out[0] = -(params.mu0 + psi) * p + births
     out[1] += births
@@ -347,7 +348,7 @@ def integrate(
     def f(t, y):
         out = np.empty_like(y)
         out[:n_state] = _rhs_array(y[:n_state], params, feedback)
-        out[n_state] = feedback.psi(y[0])
+        out[n_state] = feedback.psi(max(y[0], 0.0))
         return out
 
     if method == "rk4":

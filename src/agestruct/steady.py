@@ -19,35 +19,67 @@ from .errors import BracketDivergenceError, ParameterError
 from .model import FeedbackSpec, ModelParams, fertility_kernel_integral
 
 
+def _reproduction(x, r0, params: ModelParams, feedback: FeedbackSpec):
+    """R(x) = r0 * phi(x) * K(betas, rho + mu0 + psi(x)), elementwise."""
+    rate = params.rho + params.mu0 + feedback.psi(x)
+    return r0 * feedback.phi(x) * fertility_kernel_integral(params.betas, rate)
+
+
+def _reproduction_slope(x, r0, params: ModelParams, feedback: FeedbackSpec):
+    """R'(x), elementwise; -dK/dd = sum_i beta_i * (i+1)! / d**(i+2) = K((0, *betas), d)."""
+    rate = params.rho + params.mu0 + feedback.psi(x)
+    kernel = fertility_kernel_integral(params.betas, rate)
+    kernel_slope = fertility_kernel_integral((0.0, *params.betas), rate)
+    return r0 * (feedback.phi_prime(x) * kernel - feedback.phi(x) * feedback.psi_prime(x) * kernel_slope)
+
+
 def net_reproduction(x: float, params: ModelParams, feedback: FeedbackSpec) -> float:
     """Expected offspring per individual over a lifetime at frozen size x."""
-    x = float(x)
-    if not (x >= 0) or not math.isfinite(x):
+    if not 0 <= float(x) < math.inf:
         raise ParameterError("net reproduction is defined for finite x >= 0")
-    denom = params.rho + params.mu0 + float(feedback.psi(x))
-    total = fertility_kernel_integral(params.betas, denom)
-    return params.r0 * float(feedback.phi(x)) * total
+    return _reproduction(float(x), params.r0, params, feedback)
 
 
 def reproduction_derivative(x: float, params: ModelParams, feedback: FeedbackSpec) -> float:
     """Closed-form derivative of the net reproduction number; negative for x >= 0
-    unless both feedbacks are off. R = r0 * phi * K(betas, d) with d = rho + mu0 + psi,
-    and -dK/dd = sum_i beta_i * (i+1)! / d**(i+2) = K((0, *betas), d)."""
-    x = float(x)
-    if not (x >= 0) or not math.isfinite(x):
+    unless both feedbacks are off."""
+    if not 0 <= float(x) < math.inf:
         raise ParameterError("reproduction derivative is defined for finite x >= 0")
-    denom = params.rho + params.mu0 + float(feedback.psi(x))
-    kernel = fertility_kernel_integral(params.betas, denom)
-    kernel_slope = fertility_kernel_integral((0.0, *params.betas), denom)
-    return params.r0 * (
-        float(feedback.phi_prime(x)) * kernel
-        - float(feedback.phi(x)) * float(feedback.psi_prime(x)) * kernel_slope
-    )
+    return _reproduction_slope(float(x), params.r0, params, feedback)
 
 
-def steady_state(
-    params: ModelParams, feedback: FeedbackSpec, tol: float = 1e-12
-) -> float | None:
+def _roots(r0: np.ndarray, params: ModelParams, feedback: FeedbackSpec, tol: float) -> np.ndarray:
+    """steady_state's root for each fertility scale in r0, nan where absent. Index
+    arrays hold the elements left in each stage, so each leaves it where a scalar loop would."""
+    lo, hi, x = np.zeros(r0.shape), np.ones(r0.shape), np.full(r0.shape, np.nan)
+    live = grow = halve = np.flatnonzero(_reproduction(lo, r0, params, feedback) > 1.0)
+    while grow.size:
+        grow = grow[_reproduction(hi[grow], r0[grow], params, feedback) >= 1.0]
+        if np.any(hi[grow] == 2.0**1023):  # the largest finite power of two
+            raise BracketDivergenceError(
+                "no sign change while bracketing the reproduction root "
+                "(expansion reached the largest float); the feedbacks do not force decay"
+            )
+        lo[grow], hi[grow] = hi[grow], 2.0 * hi[grow]
+    while halve.size:
+        # halving before adding cannot overflow and rounds like 0.5 * (lo + hi)
+        mid = 0.5 * lo[halve] + 0.5 * hi[halve]
+        going = (hi[halve] - lo[halve] > tol) & (mid != lo[halve]) & (mid != hi[halve])
+        halve, mid = halve[going], mid[going]
+        above = _reproduction(mid, r0[halve], params, feedback) >= 1.0
+        lo[halve[above]], hi[halve[~above]] = mid[above], mid[~above]
+    x[live] = 0.5 * lo[live] + 0.5 * hi[live]
+    for _ in range(5):
+        fx = _reproduction(x[live], r0[live], params, feedback) - 1.0
+        with np.errstate(all="ignore"):  # a zero slope gives a non-finite step
+            x_next = x[live] - fx / _reproduction_slope(x[live], r0[live], params, feedback)
+        moves = (np.abs(fx) > 1e-14) & np.isfinite(x_next) & (x_next >= 0.0)
+        live = live[moves]
+        x[live] = x_next[moves]
+    return x
+
+
+def steady_state(params: ModelParams, feedback: FeedbackSpec, tol: float = 1e-12) -> float | None:
     """Unique positive root of net_reproduction(x) = 1, or None when absent.
 
     Returns None when the zero-crowding reproduction number is at most 1.
@@ -56,38 +88,8 @@ def steady_state(
     onto an endpoint, and polishes with at most five Newton steps so the
     residual |R(x) - 1| lands at or below 1e-12.
     """
-    if net_reproduction(0.0, params, feedback) <= 1.0:
-        return None
-    lo, hi = 0.0, 1.0
-    while net_reproduction(hi, params, feedback) >= 1.0:
-        if not math.isfinite(2.0 * hi):
-            raise BracketDivergenceError(
-                "no sign change while bracketing the reproduction root "
-                "(expansion reached the largest float); the feedbacks do not force decay"
-            )
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > tol:
-        # halving before adding cannot overflow and rounds like 0.5 * (lo + hi)
-        mid = 0.5 * lo + 0.5 * hi
-        if mid == lo or mid == hi:
-            break
-        if net_reproduction(mid, params, feedback) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * lo + 0.5 * hi
-    for _ in range(5):
-        fx = net_reproduction(x, params, feedback) - 1.0
-        if abs(fx) <= 1e-14:
-            break
-        dfx = reproduction_derivative(x, params, feedback)
-        if dfx == 0.0:
-            break
-        x_next = x - fx / dfx
-        if not math.isfinite(x_next) or x_next < 0.0:
-            break
-        x = x_next
-    return x
+    x = float(_roots(np.array([params.r0]), params, feedback, tol)[0])
+    return None if math.isnan(x) else x
 
 
 @dataclass(frozen=True)
@@ -150,18 +152,17 @@ class SweepPoint:
 def bifurcation_sweep(
     params: ModelParams, feedback: FeedbackSpec, r0_grid: Sequence[float]
 ) -> list[SweepPoint]:
-    """Equilibrium size across a grid of fertility scales.
-
-    Rows are independent; they are computed in grid order so output files
-    are deterministic.
-    """
-    grid = [float(r) for r in r0_grid]
+    """Equilibrium size across a grid of fertility scales, solved at once and
+    returned in grid order."""
+    grid = np.array([float(r) for r in r0_grid])
     if len(grid) == 0:
         raise ParameterError("sweep grid must be nonempty")
-    if any(not math.isfinite(r) or r <= 0 for r in grid):
+    if not np.all(np.isfinite(grid) & (grid > 0)):
         raise ParameterError("sweep grid entries must be finite and > 0")
-    out = []
-    for r in grid:
-        p_star = steady_state(params.with_r0(r), feedback)
-        out.append(SweepPoint(r0=r, p_star=p_star, exists=p_star is not None))
-    return out
+    with np.errstate(over="ignore"):  # as ModelParams checks each r0
+        if not np.all(np.isfinite(grid * fertility_kernel_integral(params.betas, params.rho + params.mu0))):
+            raise ParameterError(
+                "the zero-crowding reproduction number r0 * K(betas, rho + mu0) overflows the float range"
+            )
+    p_star = [None if math.isnan(p) else p for p in _roots(grid, params, feedback, tol=1e-12).tolist()]
+    return [SweepPoint(r0=r, p_star=p, exists=p is not None) for r, p in zip(grid.tolist(), p_star)]

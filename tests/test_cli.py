@@ -347,8 +347,10 @@ HUGE_BETAS = {"n": 2, "betas": [1e308, 1e308], "normalize_betas": False}
         ("sweep", UNDERFLOW, 3, "generation integral underflows to 0"),
         # ... and r0 times it overflows when the betas are not normalized
         ("steady", HUGE_BETAS, 3, "r0 * K(betas, rho + mu0) overflows the float range"),
+        # the default age grid reaches log(amplitude / 1e-10) / mu0, about 5e98 here
+        ("reconstruct", {"mu0": 4.7820559487979494e-98}, 4, "run failed: age grid [0, "),
     ],
-    ids=["overflow-steady", "overflow-sweep", "underflow-steady", "underflow-sweep", "huge-betas"],
+    ids=["overflow-steady", "overflow-sweep", "underflow-steady", "underflow-sweep", "huge-betas", "age-grid"],
 )
 def test_extreme_model_values_exit_cleanly(tmp_path, capsys, command, model, code, message):
     cfg = write_config(tmp_path, _model_doc(**model))
@@ -387,6 +389,8 @@ def test_no_model_value_raises_out_of_run(tmp_path, capsys):
     st = pytest.importorskip("hypothesis.strategies")
 
     base = _model_doc()
+    base["integrator"] = {"t_end": 2.0, "samples": 11}
+    base["reconstruction"] = {"times": [1.0, 2.0]}
     paths = [
         (section, *keys)
         for section in ("model", "feedback", "initial_density")
@@ -403,8 +407,13 @@ def test_no_model_value_raises_out_of_run(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     out = str(tmp_path / "out")
 
-    @hypothesis.given(path=st.sampled_from(paths), value=values, command=st.sampled_from(["steady", "sweep"]))
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    commands = st.sampled_from(["steady", "sweep", "simulate", "reconstruct"])
+
+    @hypothesis.given(path=st.sampled_from(paths), value=values, command=commands)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # a default age grid far beyond the array size limit, and one of infinite length
+    @hypothesis.example(path=("model", "mu0"), value=1e-300, command="reconstruct")
+    @hypothesis.example(path=("model", "mu0"), value=5e-324, command="reconstruct")
     def check(path, value, command):
         doc = copy.deepcopy(base)
         section = doc

@@ -216,6 +216,15 @@ SCHEMA_ROWS = {
         {"initial_density": dict(TABULATED, values=[1.0, INF, 0.0])}, "initial_density.values[1]: must be finite"
     ),
     "nonfinite-huge-integer": _value({"sweep.r0_values": [10**400]}, "sweep.r0_values[0]: must be finite"),
+    # the start state of a simulation leaves the float range: p_170 is about 1e682
+    "initial-moment-range": _value(
+        {
+            "model": {"n": 170, "betas": [1.0] * 170, "rho": 0.005, "mu0": 1.0, "r0": 4.0, "normalize_betas": True},
+            "initial_density.decay": 0.001,
+        },
+        "initial_density: its mass or a weighted moment is not finite",
+        "simulate",
+    ),
 }
 
 

@@ -120,6 +120,15 @@ def test_exponential_density_closed_forms():
     assert zero.mass() == 0.0 and zero.support_end() == 0.0
 
 
+def test_exponential_moment_out_of_range():
+    # 169! / 0.006**170 is about 1e682: it reads as inf, never divides by zero,
+    # and a zero coefficient still gives a zero moment
+    assert ag.ExponentialDensity(1.5, 0.001).weighted_moment(170, 0.005) == math.inf
+    assert ag.ExponentialDensity(0.0, 0.001).weighted_moment(170, 0.005) == 0.0
+    # far below the float range it reads as 0
+    assert ag.ExponentialDensity(1.5, 1e200).weighted_moment(2, 0.5) == 0.0
+
+
 def test_tabulated_density_interpolation_and_mass():
     ages = np.linspace(0, 4, 81)
     vals = np.maximum(0.0, 2.0 - ages) ** 2  # supported on [0, 2]

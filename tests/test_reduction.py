@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -166,17 +168,32 @@ def test_undershoot_message_prints_plain_floats(ref1):
     with pytest.raises(NegativityError) as info:
         ag.integrate(start, ref1.params, feedback, t_end=5.0, method="rk4", h=0.5)
     assert "np.float64" not in str(info.value)
-    assert str(info.value).startswith("state entry -1.6")
+    value = re.fullmatch(r"state entry (\S+) at t=0\.5 fell below the -1e-9 negativity slack", str(info.value))
+    assert value is not None and float(value[1]) < -1e-9
 
 
 def test_non_finite_step_is_rejected(ref1):
-    # a negative stage p makes p**1.5 NaN; the step must not pass it on
-    feedback = _with_psi(ref1, ag.make_psi("power", c=20.0, gamma=1.5))
+    # with no feedback and a huge r0 the first rk4 step overflows to inf
+    params = ref1.params.with_r0(1e100)
     start = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)
-    with np.errstate(invalid="ignore"), pytest.raises(
-        NegativityError, match=r"state entry nan at t=0\.2 is not finite"
+    with np.errstate(all="ignore"), pytest.raises(
+        NegativityError, match=r"^state entry inf at t=0\.5 is not finite$"
     ):
-        ag.integrate(start, ref1.params, feedback, t_end=5.0, method="rk4", h=0.2)
+        ag.integrate(start, params, ag.FeedbackSpec.linear(), t_end=5.0, method="rk4", h=0.5)
+
+
+def test_rk45_passes_p_through_zero(ref1):
+    # a stage may take p below 0; the feedbacks see max(p, 0), so c * p**1.5
+    # stays finite and the step size does not collapse as p decays
+    params = ref1.params.with_r0(0.5)
+    feedback = _with_psi(ref1, ag.make_psi("power", c=1.0, gamma=1.5))
+    start = StateVector(p=1.0, moments=(0.5,))
+    for t_end in (50.0, 200.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # clamps are expected near p = 0
+            traj = ag.integrate(start, params, feedback, t_end=t_end)
+        assert traj.t_end == t_end and traj.knot_times.size < 150  # 114 and 141 steps
+        assert np.all(traj.states[-1] < 1e-10)
 
 
 def test_undershoot_policy_function():

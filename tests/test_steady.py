@@ -162,3 +162,115 @@ def test_bifurcation_sweep_validates_grid(ref1):
         ag.bifurcation_sweep(ref1.params, ref1.feedback, [])
     with pytest.raises(ParameterError):
         ag.bifurcation_sweep(ref1.params, ref1.feedback, [1.0, -2.0])
+
+
+# --- the array root solver against the scalar loop it replaced --------------
+
+
+def _reference_root(params, feedback, tol=1e-12):
+    """The scalar bracket, bisect and Newton loop that steady_state ran before
+    the array solver, with the kernel summed on Python floats."""
+
+    def kernel(betas, rate):
+        return float(sum(b * math.factorial(i) / rate ** (i + 1) for i, b in enumerate(betas)))
+
+    def reproduction(x):
+        rate = params.rho + params.mu0 + float(feedback.psi(x))
+        return params.r0 * float(feedback.phi(x)) * kernel(params.betas, rate)
+
+    def slope(x):
+        rate = params.rho + params.mu0 + float(feedback.psi(x))
+        return params.r0 * (
+            float(feedback.phi_prime(x)) * kernel(params.betas, rate)
+            - float(feedback.phi(x)) * float(feedback.psi_prime(x)) * kernel((0.0, *params.betas), rate)
+        )
+
+    if reproduction(0.0) <= 1.0:
+        return None
+    lo, hi = 0.0, 1.0
+    while reproduction(hi) >= 1.0:
+        if not math.isfinite(2.0 * hi):
+            raise BracketDivergenceError("no sign change")
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol:
+        mid = 0.5 * lo + 0.5 * hi
+        if mid == lo or mid == hi:
+            break
+        if reproduction(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * lo + 0.5 * hi
+    for _ in range(5):
+        fx = reproduction(x) - 1.0
+        if abs(fx) <= 1e-14:
+            break
+        dfx = slope(x)
+        if dfx == 0.0:
+            break
+        x_next = x - fx / dfx
+        if not math.isfinite(x_next) or x_next < 0.0:
+            break
+        x = x_next
+    return x
+
+
+def test_sweep_matches_scalar_reference_on_random_models():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    positive = st.floats(min_value=0.2, max_value=3.0)
+    exponent = st.floats(min_value=1.0, max_value=3.0)
+    # the switched-off families too: with both off R is constant and no bracket exists
+    off = ag.FeedbackSpec.linear()
+    phis = st.one_of(
+        st.builds(lambda k: ag.make_phi("exponential", k=k), positive),
+        st.builds(lambda k, m: ag.make_phi("hill", k=k, m=m), positive, exponent),
+        st.just(off.phi_family),
+    )
+    psis = st.one_of(
+        st.builds(lambda c: ag.make_psi("linear", c=c), positive),
+        st.builds(lambda c, g: ag.make_psi("power", c=c, gamma=g), positive, exponent),
+        st.just(off.psi_family),
+    )
+
+    @hypothesis.given(
+        n=st.integers(min_value=1, max_value=5),
+        raw_betas=st.lists(positive, min_size=5, max_size=5),
+        rho=positive,
+        mu0=positive,
+        phi=phis,
+        psi=psis,
+        grid=st.lists(st.floats(min_value=0.3, max_value=300.0), min_size=1, max_size=8),
+    )
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def check(n, raw_betas, rho, mu0, phi, psi, grid):
+        params = ag.ModelParams(
+            n=n, betas=ag.normalize_betas(raw_betas[:n], rho, mu0), rho=rho, mu0=mu0, r0=1.0,
+            normalized=True,
+        )
+        feedback = ag.FeedbackSpec(phi_family=phi, psi_family=psi)
+        try:
+            expected = [_reference_root(params.with_r0(r), feedback) for r in grid]
+        except BracketDivergenceError:
+            with pytest.raises(BracketDivergenceError):
+                ag.bifurcation_sweep(params, feedback, grid)
+            return
+        points = ag.bifurcation_sweep(params, feedback, grid)
+        assert [pt.r0 for pt in points] == grid
+        for pt, want in zip(points, expected):
+            assert pt.exists == (want is not None)
+            if want is None:
+                assert pt.p_star is None
+            else:
+                assert abs(pt.p_star - want) <= 1e-14 * want
+
+    check()
+
+
+def test_sweep_is_bitwise_per_point_on_a_fine_grid(ref1):
+    grid = np.logspace(-1, 3, 2000).tolist()
+    swept = [pt.p_star for pt in ag.bifurcation_sweep(ref1.params, ref1.feedback, grid)]
+    assert swept == [_reference_root(ref1.params.with_r0(r), ref1.feedback) for r in grid]
+    # steady_state is the one-element case; every tenth point keeps this quick
+    assert swept[::10] == [ag.steady_state(ref1.params.with_r0(r), ref1.feedback) for r in grid[::10]]
