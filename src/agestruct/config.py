@@ -254,10 +254,7 @@ def _parse_sweep(doc: dict, params: ModelParams) -> Optional[tuple]:
     for i, r0 in enumerate(values):
         if not r0 > 0:
             raise ParameterError(f"sweep.r0_values[{i}] must be positive and finite")
-        try:
-            params.with_r0(r0)  # the sweep builds each of these models
-        except ParameterError as exc:
-            raise ParameterError(f"sweep.r0_values[{i}]: {exc}") from None
+    params.check_r0_range(values, "sweep.r0_values")
     return values
 
 

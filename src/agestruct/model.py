@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .quadrature import simpson
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reduction import StateVector
@@ -268,9 +267,22 @@ class ModelParams:
         s = fertility_kernel_integral(betas, self.rho + self.mu0)
         if self.normalized and abs(s - 1.0) > 1e-12:
             raise ParameterError(f"betas flagged normalized but the generation integral is {s!r}")
-        if not math.isfinite(self.r0 * s):
+        self.check_r0_range(self.r0)
+
+    def check_r0_range(self, r0, where: str = "") -> None:
+        """Reject fertility scales whose r0 * K(betas, rho + mu0) overflows the float range.
+
+        ``r0`` is one value or an array of them; with ``where`` set, the
+        message names the first failing entry as ``where[i]``.
+        """
+        kernel = fertility_kernel_integral(self.betas, self.rho + self.mu0)
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(np.atleast_1d(r0) * kernel)
+        if bad.any():
+            entry = f"{where}[{int(np.argmax(bad))}]: " if where else ""
             raise ParameterError(
-                "the zero-crowding reproduction number r0 * K(betas, rho + mu0) overflows the float range"
+                f"{entry}the zero-crowding reproduction number r0 * K(betas, rho + mu0) "
+                "overflows the float range"
             )
 
     def with_r0(self, r0: float) -> "ModelParams":
@@ -385,13 +397,20 @@ class TabulatedDensity(InitialDensity):
         return _scalar_or_array(a, vals)
 
     def mass(self) -> float:
-        return simpson(self.values, self.ages)
+        # the trapezoid rule is exact for a piecewise-linear density
+        return float(np.sum(0.5 * np.diff(self.ages) * (self.values[1:] + self.values[:-1])))
 
     def weighted_moment(self, i: int, rho: float) -> float:
         if i < 1:
             raise ParameterError("weighted_moment index must be >= 1")
-        integrand = self.ages ** (i - 1) * np.exp(-rho * self.ages) * self.values
-        return simpson(integrand, self.ages)
+        # Gauss-Legendre on each table segment: its weights are positive, so a
+        # nonnegative table never gives a negative moment, and i // 2 + 4 nodes
+        # are exact for the polynomial a**(i-1) times the linear piece
+        nodes, weights = np.polynomial.legendre.leggauss(i // 2 + 4)
+        half = 0.5 * np.diff(self.ages)[:, None]
+        a = 0.5 * (self.ages[1:] + self.ages[:-1])[:, None] + half * nodes
+        integrand = a ** (i - 1) * np.exp(-rho * a) * np.interp(a, self.ages, self.values)
+        return float(np.sum(half * weights * integrand))
 
     def support_end(self) -> float:
         return float(self.ages[-1])

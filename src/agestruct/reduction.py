@@ -5,10 +5,11 @@ moments of the density against a**(i-1) * exp(-rho*a). The birth rate is an
 algebraic readout of the state, and the system closes exactly because the
 fertility age profile is a polynomial times exp(-rho*a).
 
-Two steppers are provided: classical fixed-step RK4 and an adaptive embedded
-Dormand-Prince 5(4) pair. Both integrate an extra channel for the running
-integral of the crowding mortality psi(p), which the density reconstruction
-needs, and both expose cubic-Hermite dense output between accepted steps.
+One Runge-Kutta loop runs two methods: classical fixed-step RK4 and the
+adaptive embedded Dormand-Prince 5(4) pair. It integrates an extra channel
+for the running integral of the crowding mortality psi(p), which the density
+reconstruction needs, and keeps cubic-Hermite dense output between accepted
+steps.
 """
 
 from __future__ import annotations
@@ -211,97 +212,66 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # steppers
 
-# Dormand-Prince 5(4) tableau; the 5th-order weights are propagated and the
-# last stage is the derivative at the new point (first-same-as-last).
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Each method is a tuple of stage rows a_i (i = 1..s-1) whose last row holds
+# the propagated weights, so the last stage is f at the step's result and is
+# the next step's first stage (first-same-as-last). The moment system is
+# autonomous, so the nodes c are not needed.
+_RK4_A = tuple(
+    np.array(row) for row in ((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6))
 )
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_DP45_A = tuple(
+    np.array(row)
+    for row in (
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
 )
+# Dormand-Prince error weights per stage: the 5th- minus the 4th-order solution
+_DP45_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+#: method name -> (stage rows, error weights, or None for fixed steps of h)
+_METHODS = {"rk4": (_RK4_A, None), "rk45": (_DP45_A, _DP45_E)}
 
 
-def _integrate_rk4(f, y0, t_end, h, n_state):
-    ts = [0.0]
-    ys = [y0.copy()]
-    fs = [f(0.0, y0)]
-    t = 0.0
-    y = y0.copy()
-    k1 = fs[0]
-    clamped = 0
-    while t < t_end - 1e-15 * t_end:
-        step = min(h, t_end - t)
-        k2 = f(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = f(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = f(t + step, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + step
-        if abs(t - t_end) < 1e-12 * max(1.0, t_end):
-            t = t_end
-        clamped += _clamp_undershoot(y[:n_state], NegativityError, f" at t={t!r}")
-        k1 = f(t, y)
-        ts.append(t)
-        ys.append(y.copy())
-        fs.append(k1)
-    return np.array(ts), np.array(ys), np.array(fs), clamped
+def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, n_state):
+    """Knot times, states and derivatives of one Runge-Kutta run, and the clamp count.
 
-
-def _integrate_dp45(f, y0, t_end, rtol, atol, max_step, n_state):
-    ts = [0.0]
-    ys = [y0.copy()]
-    k1 = f(0.0, y0)
-    fs = [k1]
-    t = 0.0
-    y = y0.copy()
-    h = min(max_step, t_end / 100.0)
-    k = np.empty((7, y0.size))
+    With error weights the step adapts to rtol/atol; without them every step
+    of h is accepted. A step that ends within 1e-12 * max(1, t_end) of t_end
+    ends on it.
+    """
+    land = 1e-12 * max(1.0, t_end)
+    t, y = 0.0, y0.copy()
+    ts, ys, fs = [t], [y], [f(y)]
+    k = np.empty((len(stages) + 1, y0.size))
     clamped = 0
     while t < t_end:
         h = min(h, t_end - t, max_step)
         if h < 1e-14 * max(t_end, 1.0):
             raise StepSizeError(f"step size underflow at t={t!r}; problem too stiff")
-        k[0] = k1
-        for i in range(1, 7):
-            yi = y + h * (np.asarray(_DP_A[i]) @ k[:i])
-            k[i] = f(t + _DP_C[i] * h, yi)
-        y_new = y + h * (np.asarray(_DP_B5[:6]) @ k[:6])
-        # stage 7 is f at the candidate point; reused as k1 when accepted
-        k[6] = f(t + h, y_new)
-        err_vec = h * (np.asarray(_DP_ERR) @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not np.isfinite(err):
-            h *= 0.2
-            continue
+        k[0] = fs[-1]  # the last accepted derivative, never a rejected trial's stage
+        for i, row in enumerate(stages, 1):
+            y_new = y + h * (row @ k[:i])
+            k[i] = f(y_new)
+        err = 0.0
+        if err_weights is not None:
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((h * (err_weights @ k) / scale) ** 2)))
+            if not np.isfinite(err):
+                h *= 0.2
+                continue
         if err <= 1.0:
-            t_new = t + h
-            if t_end - t_new < 1e-14 * max(t_end, 1.0):
-                t_new = t_end
-            clamped += _clamp_undershoot(y_new[:n_state], NegativityError, f" at t={t_new!r}")
+            t = t_end if t_end - (t + h) < land else t + h
+            clamped += _clamp_undershoot(y_new[:n_state], NegativityError, f" at t={t!r}")
             y = y_new
-            t = t_new
-            k1 = k[6]
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(k1.copy())
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h *= factor
-        else:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            ys.append(y)
+            fs.append(k[-1].copy())
+        if err_weights is not None:
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     return np.array(ts), np.array(ys), np.array(fs), clamped
 
 
@@ -345,26 +315,28 @@ def integrate(
     y0 = np.append(_state_array(initial, params), 0.0)  # extra channel: integral of psi(p)
     n_state = params.n + 1
 
-    def f(t, y):
+    def f(y):
         out = np.empty_like(y)
         out[:n_state] = _rhs_array(y[:n_state], params, feedback)
         out[n_state] = feedback.psi(max(y[0], 0.0))
         return out
 
-    if method == "rk4":
+    if not isinstance(method, str) or method not in _METHODS:
+        raise ParameterError(f"unknown integration method {method!r}")
+    stages, err_weights = _METHODS[method]
+    if err_weights is None:
         if h is None or not (h > 0):
             raise ParameterError("rk4 requires a positive step size h")
-        kt, ky, kf, clamped = _integrate_rk4(f, y0, float(t_end), float(h), n_state)
-    elif method == "rk45":
+        max_step = h
+    else:
         if max_step is None:
             max_step = t_end / 20.0
         if not (max_step > 0):
             raise ParameterError("max_step must be > 0")
-        kt, ky, kf, clamped = _integrate_dp45(
-            f, y0, float(t_end), float(rtol), float(atol), float(max_step), n_state
-        )
-    else:
-        raise ParameterError(f"unknown integration method {method!r}")
+        h = min(max_step, t_end / 100.0)
+    kt, ky, kf, clamped = _integrate_rk(
+        f, y0, float(t_end), stages, err_weights, float(h), float(max_step), float(rtol), float(atol), n_state
+    )
 
     aug = _hermite_eval(sample_times, kt, ky, kf)
     states = aug[:, :n_state].copy()

@@ -159,10 +159,6 @@ def bifurcation_sweep(
         raise ParameterError("sweep grid must be nonempty")
     if not np.all(np.isfinite(grid) & (grid > 0)):
         raise ParameterError("sweep grid entries must be finite and > 0")
-    with np.errstate(over="ignore"):  # as ModelParams checks each r0
-        if not np.all(np.isfinite(grid * fertility_kernel_integral(params.betas, params.rho + params.mu0))):
-            raise ParameterError(
-                "the zero-crowding reproduction number r0 * K(betas, rho + mu0) overflows the float range"
-            )
+    params.check_r0_range(grid)
     p_star = [None if math.isnan(p) else p for p in _roots(grid, params, feedback, tol=1e-12).tolist()]
     return [SweepPoint(r0=r, p_star=p, exists=p is not None) for r, p in zip(grid.tolist(), p_star)]

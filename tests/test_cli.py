@@ -286,6 +286,14 @@ def test_simulate_undershoot_exits_4(tmp_path, capsys):
     assert "at t=0.5 fell below" in capsys.readouterr().err
 
 
+def test_simulate_from_a_steep_table(tmp_path):
+    # a nonnegative table gives a nonnegative start state, so the run succeeds
+    doc = ref1_doc()
+    doc["initial_density"] = {"kind": "tabulated", "ages": [0.0, 0.1, 10.0], "values": [1.0, 0.0, 0.0]}
+    cfg = write_config(tmp_path, doc)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize(
     "damage",
     [b'{"files": ["steady.json"], "tim', b'{"files": "steady.json", "timings": {}}', b'{"files": ["\xff"]}'],
@@ -391,6 +399,7 @@ def test_no_model_value_raises_out_of_run(tmp_path, capsys):
     base = _model_doc()
     base["integrator"] = {"t_end": 2.0, "samples": 11}
     base["reconstruction"] = {"times": [1.0, 2.0]}
+    base["oracle"] = {"t_end": 1.0, "dt": 0.01}
     paths = [
         (section, *keys)
         for section in ("model", "feedback", "initial_density")
@@ -407,7 +416,7 @@ def test_no_model_value_raises_out_of_run(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     out = str(tmp_path / "out")
 
-    commands = st.sampled_from(["steady", "sweep", "simulate", "reconstruct"])
+    commands = st.sampled_from(["steady", "sweep", "simulate", "reconstruct", "validate", "report"])
 
     @hypothesis.given(path=st.sampled_from(paths), value=values, command=commands)
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -137,6 +137,10 @@ def test_tabulated_density_interpolation_and_mass():
     assert math.isclose(p0.evaluate(1.0), 1.0, rel_tol=1e-12)
     assert math.isclose(p0.mass(), 8.0 / 3.0, rel_tol=1e-3)
     assert p0.support_end() == 4.0
+    # spacings that differ 99x, where nonuniform Simpson has negative weights
+    steep = ag.TabulatedDensity(ages=[0.0, 0.1, 10.0], values=[1.0, 0.0, 0.0])
+    assert math.isclose(steep.mass(), 0.05, rel_tol=1e-14)
+    assert all(steep.weighted_moment(i, 0.5) >= 0.0 for i in range(1, 171))
     with pytest.raises(ParameterError):
         ag.TabulatedDensity(ages=[0.0, 1.0], values=[1.0, -0.5])
     with pytest.raises(ParameterError):

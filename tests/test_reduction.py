@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import agestruct as ag
+from agestruct import reduction
 from agestruct.errors import NegativityError, ParameterError, TrajectoryRangeError
 from agestruct.reduction import StateVector, _clamp_undershoot
 
@@ -86,6 +87,42 @@ def test_rk4_is_fourth_order(linear_fixture):
         traj = ag.integrate(start, fx.params, fx.feedback, t_end=1.0, method="rk4", h=h)
         errs.append(abs(traj.states[-1, 1] - exact))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+def test_rk45_retries_a_rejected_step_from_the_accepted_point(ref1):
+    # at r0 = 20 the step control rejects steps after accepted ones; each
+    # retry must start from f(t, y), not from the rejected trial's last stage
+    params = ref1.params.with_r0(20.0)
+    start = ag.density_moments(ref1.p0, params.rho, params.n)
+    traj = ag.integrate(start, params, ref1.feedback, t_end=50.0)
+    fine = ag.integrate(
+        start, params, ref1.feedback, t_end=50.0, method="rk4", h=5e-3, sample_times=traj.knot_times
+    )
+    rel = np.abs(traj.knot_states[:, :-1] - fine.states) / np.abs(fine.states)
+    assert np.max(rel) <= 5e-8
+
+
+def test_rhs_calls_per_step(ref1, monkeypatch):
+    # one call at t = 0, then 4 per rk4 step and 6 per rk45 attempt: the
+    # last stage of an accepted step is the next step's first (FSAL)
+    calls = []
+    rhs_array = reduction._rhs_array
+
+    def counted(*args):
+        calls.append(args)
+        return rhs_array(*args)
+
+    monkeypatch.setattr(reduction, "_rhs_array", counted)
+    start = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)
+    # the stationary start rejects no step
+    for kwargs, per_step in (({"method": "rk4", "h": 0.05}, 4), ({}, 6)):
+        calls.clear()
+        traj = ag.integrate(start, ref1.params, ref1.feedback, t_end=20.0, **kwargs)
+        assert len(calls) == 1 + per_step * (traj.knot_times.size - 1)
+    calls.clear()
+    traj = ag.integrate(start, ref1.params.with_r0(20.0), ref1.feedback, t_end=50.0)
+    attempts, rest = divmod(len(calls) - 1, 6)
+    assert rest == 0 and attempts > traj.knot_times.size - 1  # some steps were rejected
 
 
 def test_trajectory_sampling_and_dense_output(ref1):
@@ -192,7 +229,7 @@ def test_rk45_passes_p_through_zero(ref1):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # clamps are expected near p = 0
             traj = ag.integrate(start, params, feedback, t_end=t_end)
-        assert traj.t_end == t_end and traj.knot_times.size < 150  # 114 and 141 steps
+        assert traj.t_end == t_end and traj.knot_times.size < 150  # 114 and 140 steps
         assert np.all(traj.states[-1] < 1e-10)
 
 

@@ -5,8 +5,10 @@ Usage: python3 tools/compare_outputs.py PARENT [CHANGE]
 
 Runs the six subcommands (steady, simulate, reconstruct, sweep, validate,
 report, in that order, into one output directory) on configs/ref1.json,
-configs/ref2.json and configs/linear_growth.json, once with each tree's
-``src`` on PYTHONPATH. CHANGE defaults to the tree holding this script.
+configs/ref2.json and configs/linear_growth.json, and ``simulate`` on
+configs/ref1.json with the fixed-step RK4 integrator (h = 0.01), once with
+each tree's ``src`` on PYTHONPATH. CHANGE defaults to the tree holding this
+script.
 Each run works in a fresh temporary directory with relative paths, so
 nothing in the outputs names the tree. The exit code, stdout and stderr
 of every subcommand and every output file are compared; ``timings`` is
@@ -18,24 +20,30 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-CONFIGS = ("ref1", "ref2", "linear_growth")
 COMMANDS = ("steady", "simulate", "reconstruct", "sweep", "validate", "report")
+#: case name -> (config, integrator settings it overrides, subcommands run)
+CASES = {
+    **{config: (config, {}, COMMANDS) for config in ("ref1", "ref2", "linear_growth")},
+    "ref1_rk4": ("ref1", {"method": "rk4", "h": 0.01}, ("simulate",)),
+}
 TIMED = ("manifest.json", "run_summary.json")
 
 
-def _run_tree(tree: Path, config: str, workdir: Path) -> dict:
-    """Every compared item of one config in one tree, by name."""
-    shutil.copy(tree / "configs" / f"{config}.json", workdir / "run.json")
+def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
+    """Every compared item of one case in one tree, by name."""
+    config, integrator, commands = CASES[case]
+    doc = json.loads((tree / "configs" / f"{config}.json").read_text(encoding="utf-8"))
+    doc["integrator"].update(integrator)
+    (workdir / "run.json").write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("AGESTRUCT_OUTDIR", None)
     items = {}
-    for command in COMMANDS:
+    for command in commands:
         proc = subprocess.run(
             [sys.executable, "-m", "agestruct", command, "--config", "run.json", "--out", "out"],
             cwd=workdir, env=env, capture_output=True, timeout=600,
@@ -63,19 +71,19 @@ def main(argv) -> int:
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
     same = diff = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for config in CONFIGS:
+        for case in CASES:
             runs = []
             for side, tree in (("parent", parent), ("change", change)):
-                workdir = Path(scratch) / config / side
+                workdir = Path(scratch) / case / side
                 workdir.mkdir(parents=True)
-                runs.append(_run_tree(tree, config, workdir))
+                runs.append(_run_tree(tree, case, workdir))
             before, after = runs
             for name in sorted(set(before) | set(after)):
                 verdict = "SAME" if before.get(name) == after.get(name) else "DIFF"
                 if name not in before or name not in after:
                     name += " (only in " + ("change" if name in after else "parent") + ")"
                 same, diff = (same + 1, diff) if verdict == "SAME" else (same, diff + 1)
-                print(f"{verdict} {config}: {name}")
+                print(f"{verdict} {case}: {name}")
     print(f"{same} SAME, {diff} DIFF")
     return 1 if diff else 0
 
