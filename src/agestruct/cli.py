@@ -26,11 +26,12 @@ from .csvio import (
     atomic_open,
     density_filename,
     write_density_csv,
+    write_lines,
     write_oracle_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
-from .errors import AgestructError, ConfigSchemaError, ParameterError
+from .errors import AgestructError, ConfigSchemaError, ConvergenceError, ParameterError
 from .model import density_moments
 from .oracle import cross_validate
 from .quadrature import uniform_grid
@@ -218,7 +219,7 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path):
 def _cmd_validate(cfg: RunConfig, outdir: Path):
     p0 = _require_initial(cfg)
     settings = cfg.oracle
-    with open(outdir / "oracle_log.txt", "w", encoding="utf-8", newline="\n") as log:
+    try:
         report = cross_validate(
             cfg.params,
             cfg.feedback,
@@ -227,8 +228,11 @@ def _cmd_validate(cfg: RunConfig, outdir: Path):
             dt=settings.dt,
             tol=settings.tol,
             k_max=settings.k_max,
-            log=log,
         )
+    except ConvergenceError as exc:  # a stall still leaves the sweeps it got through
+        write_lines(outdir / "oracle_log.txt", exc.sweep_log)
+        raise
+    write_lines(outdir / "oracle_log.txt", report.oracle.sweep_log)
     write_oracle_csv(outdir / "oracle.csv", report.oracle)
     passed = report.max_gap <= settings.gap_threshold
     doc = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -41,10 +42,10 @@ def atomic_open(path):
     os.replace(tmp, path)
 
 
-def _write_lines(path, header: str, rows: Iterable[str]) -> Path:
+def write_lines(path, rows: Iterable[str]) -> Path:
+    """One line per row."""
     path = Path(path)
     with atomic_open(path) as fh:
-        fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
     return path
@@ -53,7 +54,7 @@ def _write_lines(path, header: str, rows: Iterable[str]) -> Path:
 def _write_columns(path, header: str, columns) -> Path:
     """One row per index of the equal-length numeric columns."""
     rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
-    return _write_lines(path, header, (",".join(map(fmt, row)) for row in rows))
+    return write_lines(path, chain([header], (",".join(map(fmt, row)) for row in rows)))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> Path:
@@ -72,7 +73,7 @@ def write_sweep_csv(path, points: Iterable[SweepPoint]) -> Path:
         )
         for pt in points
     )
-    return _write_lines(path, "r0,p_star,exists", rows)
+    return write_lines(path, chain(["r0,p_star,exists"], rows))
 
 
 def write_density_csv(path, field: DensityField) -> Path:

@@ -34,12 +34,16 @@ class TrajectoryRangeError(AgestructError):
 
 
 class ConvergenceError(AgestructError):
-    """Fixed-point iteration hit its sweep budget before reaching tolerance."""
+    """Fixed-point iteration hit its sweep budget before reaching tolerance.
 
-    def __init__(self, message, update_norm=None, iterations=None):
+    ``sweep_log`` holds the lines of the sweeps run up to the stall.
+    """
+
+    def __init__(self, message, update_norm=None, iterations=None, sweep_log=()):
         super().__init__(message)
         self.update_norm = update_norm
         self.iterations = iterations
+        self.sweep_log = sweep_log
 
 
 class EigenvalueError(AgestructError):

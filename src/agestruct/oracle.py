@@ -37,7 +37,7 @@ import logging
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -148,6 +148,8 @@ class OracleSolution:
     ``sweeps`` their total over all ``windows``; a single-window solve has
     ``sweeps == iterations``. Each window also runs one uncounted seeding
     sweep. ``final_update`` is the largest last update of any window.
+    ``sweep_log`` holds one line per counted sweep: ``k,update`` for a single
+    window, ``w,k,update`` (window w from 1) for several.
     """
 
     times: np.ndarray
@@ -157,6 +159,7 @@ class OracleSolution:
     final_update: float
     windows: int
     sweeps: int
+    sweep_log: tuple[str, ...]
 
 
 def _damped_conv_integrals(kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -203,14 +206,15 @@ class _SeparableSweep:
     """One fixed-point sweep for the separable model, via convolutions.
 
     A sweep maps the iterates (b, p) to new ones, updated on the nodes
-    [s, e) of one window from the final values before s. This one has a
-    single window, the whole grid, so ``s`` and ``e`` are 0 and N and
-    ``commit`` has nothing to carry.
+    [s, e) of one window of ``window_rows`` nodes from the final values
+    before s. This one has a single window, the whole grid, so ``s`` and
+    ``e`` are 0 and N.
     """
 
     def __init__(self, model: GeneralModel, times: np.ndarray, dt: float):
         self.times = times
         self.dt = dt
+        self.window_rows = times.size
         self.params = pr = model.separable.params
         self.feedback = model.separable.feedback
         self.survival = np.exp(-pr.mu0 * times)
@@ -225,12 +229,6 @@ class _SeparableSweep:
         self.poly = np.zeros_like(times)
         for i, beta_i in enumerate(pr.betas):
             self.poly += beta_i * sum(comb(i, j) * times ** (i - j) * tail_moments[j] for j in range(i + 1))
-
-    def windows(self) -> list:
-        return [(0, self.times.size)]
-
-    def commit(self) -> None:
-        """Make the window of the last sweep final before the next one starts."""
 
     def __call__(self, b: np.ndarray, p: np.ndarray, s: int = 0, e: Optional[int] = None):
         pr = self.params
@@ -280,7 +278,7 @@ class _GenericSweep:
     P(t_m) of its rows and of row s - 1, and ``_characteristic_rows`` skews
     that table to one row per node and one column per characteristic.
     Survival exponents build up row by row with the trapezoid step from
-    those of row s - 1, which ``commit`` carries over, unscaled, from the
+    those of row s - 1, carried over, unscaled, from the last sweep of the
     window before for every characteristic alive there; each cohort starts
     at 0 on its birth node. B and P on the window are then two
     matrix-vector products with one trapezoid weight vector (b reversed,
@@ -301,15 +299,7 @@ class _GenericSweep:
             self.p0_weights[:] = dt * p0_vals
             self.p0_weights[[0, -1]] *= 0.5
         self.window_rows = max(_WINDOW_MIN_ROWS, round(_WINDOW_SPAN / dt))
-        self.carry = self.last_row = None
-
-    def windows(self) -> list:
-        n = self.times.size
-        step = self.window_rows
-        return [(s, min(s + step, n)) for s in range(0, n, step)]
-
-    def commit(self) -> None:
-        self.carry = self.last_row
+        self.start, self.carry, self.last_row = 0, None, None
 
     def _table(self, fn: Callable, width: int, sizes: np.ndarray, what: str) -> np.ndarray:
         """rate(a_l, P) for l < width as a C-contiguous (sizes, width) array."""
@@ -319,6 +309,8 @@ class _GenericSweep:
         """B and P with new values on the nodes [s, e), by default the whole grid."""
         e = self.times.size if e is None else e
         dt = self.dt
+        if s != self.start:  # a new window: the last sweep of the one before is final
+            self.start, self.carry = s, self.last_row
         lo = max(s - 1, 0)
         rows, width = e - lo, e - 1 + self.n_sigma
         mu = self._table(self.model.mortality, width, p[lo:e], "mortality")
@@ -385,7 +377,6 @@ def volterra_solve(
     dt: float,
     tol: float = 1e-10,
     k_max: int = DEFAULT_K_MAX,
-    log: Optional[TextIO] = None,
 ) -> OracleSolution:
     """Fixed-point solve of the coupled B/P renewal equations, window by window.
 
@@ -398,11 +389,9 @@ def volterra_solve(
     mass at t = 0), runs one seeding sweep, and then sweeps until the
     sup-norm change of both B and P drops to its share of ``tol``,
     tol * (e - s) / N, which is ``tol`` itself for a single window. Raises
-    ConvergenceError (carrying the last update norm, and naming the start of
-    the window) if ``k_max`` sweeps of a window are not enough.
-
-    ``log`` gets one line per counted sweep: ``k,update`` for a single
-    window, ``w,k,update`` (window w from 1) for several.
+    ConvergenceError (carrying the last update norm and the sweep log, and
+    naming the start of the window) if ``k_max`` sweeps of a window are not
+    enough.
     """
     t_end, dt = float(t_end), float(dt)
     if not (t_end >= 0 and math.isfinite(t_end)):
@@ -413,15 +402,17 @@ def volterra_solve(
     n = times.size
 
     sweep = (_SeparableSweep if model.separable else _GenericSweep)(model, times, dt)
-    windows = sweep.windows()
+    starts = range(0, n, sweep.window_rows)
     b, p = np.zeros(n), np.full(n, sweep.mass0)
     iterations = sweeps = 0
     final_update = 0.0
-    for w, (s, e) in enumerate(windows, start=1):
+    sweep_log = []
+    for w, s in enumerate(starts, start=1):
+        e = min(s + sweep.window_rows, n)
         if s:
             b[s:e], p[s:e] = b[s - 1], p[s - 1]
         share = tol * ((e - s) / n)
-        prefix = f"{w}," if len(windows) > 1 else ""
+        prefix = f"{w}," if len(starts) > 1 else ""
         b, p = sweep(b, p, s, e)
         for k in range(1, k_max + 1):
             b_next, p_next = sweep(b, p, s, e)
@@ -429,10 +420,8 @@ def volterra_solve(
                 float(np.max(np.abs(b_next[s:e] - b[s:e]))),
                 float(np.max(np.abs(p_next[s:e] - p[s:e]))),
             )
-            line = f"{prefix}{k},{update:.6e}"
-            logger.debug("%s", line)
-            if log is not None:
-                log.write(line + "\n")
+            sweep_log.append(f"{prefix}{k},{update:.6e}")
+            logger.debug("%s", sweep_log[-1])
             b, p = b_next, p_next
             if update <= share:
                 break
@@ -441,8 +430,8 @@ def volterra_solve(
                 f"fixed-point iteration stalled after {k_max} sweeps in the window from t={times[s]:g}",
                 update_norm=update,
                 iterations=k_max,
+                sweep_log=tuple(sweep_log),
             )
-        sweep.commit()
         iterations, sweeps = max(iterations, k), sweeps + k
         final_update = max(final_update, update)
     return OracleSolution(
@@ -451,8 +440,9 @@ def volterra_solve(
         populations=np.maximum(p, 0.0),
         iterations=iterations,
         final_update=final_update,
-        windows=len(windows),
+        windows=len(starts),
         sweeps=sweeps,
+        sweep_log=tuple(sweep_log),
     )
 
 
@@ -480,7 +470,6 @@ def cross_validate(
     dt: float,
     tol: float = 1e-10,
     k_max: int = DEFAULT_K_MAX,
-    log: Optional[TextIO] = None,
 ) -> CrossValidationReport:
     """Solve the same separable model both ways and report the disagreement.
 
@@ -490,7 +479,7 @@ def cross_validate(
     tight tolerance so the gap is dominated by the oracle's O(dt^2) error.
     """
     model = from_separable(params, feedback, p0)
-    oracle = volterra_solve(model, t_end, dt, tol=tol, k_max=k_max, log=log)
+    oracle = volterra_solve(model, t_end, dt, tol=tol, k_max=k_max)
     start = density_moments(p0, params.rho, params.n)
     traj = integrate(
         start,

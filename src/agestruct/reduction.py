@@ -165,18 +165,10 @@ class Trajectory:
     psi_integral: np.ndarray
     params: "ModelParams"
     feedback: "FeedbackSpec"
-    knot_times: np.ndarray = field(repr=False, default=None)
-    knot_states: np.ndarray = field(repr=False, default=None)
-    knot_derivs: np.ndarray = field(repr=False, default=None)
+    knot_times: np.ndarray = field(repr=False)
+    knot_states: np.ndarray = field(repr=False)
+    knot_derivs: np.ndarray = field(repr=False)
     clamp_count: int = 0
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ParameterError("trajectory sample times must be strictly increasing")
-        if self.times[0] == 0.0 and self.psi_integral[0] != 0.0:
-            raise ParameterError("psi integral must start at zero")
-        if np.any(np.diff(self.psi_integral) < -NEGATIVE_SLACK):
-            raise ParameterError("psi integral must be nondecreasing")
 
     @property
     def t_end(self) -> float:

@@ -18,6 +18,9 @@ from . import reduction
 from .errors import BracketDivergenceError, ParameterError
 from .model import FeedbackSpec, ModelParams, fertility_kernel_integral
 
+#: bracket width at which bisection hands the root to Newton
+_BISECT_WIDTH = 1e-12
+
 
 def _reproduction(x, r0, params: ModelParams, feedback: FeedbackSpec):
     """R(x) = r0 * phi(x) * K(betas, rho + mu0 + psi(x)), elementwise."""
@@ -48,7 +51,7 @@ def reproduction_derivative(x: float, params: ModelParams, feedback: FeedbackSpe
     return _reproduction_slope(float(x), params.r0, params, feedback)
 
 
-def _roots(r0: np.ndarray, params: ModelParams, feedback: FeedbackSpec, tol: float) -> np.ndarray:
+def _roots(r0: np.ndarray, params: ModelParams, feedback: FeedbackSpec) -> np.ndarray:
     """steady_state's root for each fertility scale in r0, nan where absent. Index
     arrays hold the elements left in each stage, so each leaves it where a scalar loop would."""
     lo, hi, x = np.zeros(r0.shape), np.ones(r0.shape), np.full(r0.shape, np.nan)
@@ -64,7 +67,7 @@ def _roots(r0: np.ndarray, params: ModelParams, feedback: FeedbackSpec, tol: flo
     while halve.size:
         # halving before adding cannot overflow and rounds like 0.5 * (lo + hi)
         mid = 0.5 * lo[halve] + 0.5 * hi[halve]
-        going = (hi[halve] - lo[halve] > tol) & (mid != lo[halve]) & (mid != hi[halve])
+        going = (hi[halve] - lo[halve] > _BISECT_WIDTH) & (mid != lo[halve]) & (mid != hi[halve])
         halve, mid = halve[going], mid[going]
         above = _reproduction(mid, r0[halve], params, feedback) >= 1.0
         lo[halve[above]], hi[halve[~above]] = mid[above], mid[~above]
@@ -79,16 +82,16 @@ def _roots(r0: np.ndarray, params: ModelParams, feedback: FeedbackSpec, tol: flo
     return x
 
 
-def steady_state(params: ModelParams, feedback: FeedbackSpec, tol: float = 1e-12) -> float | None:
+def steady_state(params: ModelParams, feedback: FeedbackSpec) -> float | None:
     """Unique positive root of net_reproduction(x) = 1, or None when absent.
 
     Returns None when the zero-crowding reproduction number is at most 1.
     Otherwise brackets the root by doubling from [0, 1] up to the largest
-    finite power of two, bisects to width tol or until the midpoint rounds
+    finite power of two, bisects to width 1e-12 or until the midpoint rounds
     onto an endpoint, and polishes with at most five Newton steps so the
     residual |R(x) - 1| lands at or below 1e-12.
     """
-    x = float(_roots(np.array([params.r0]), params, feedback, tol)[0])
+    x = float(_roots(np.array([params.r0]), params, feedback)[0])
     return None if math.isnan(x) else x
 
 
@@ -128,10 +131,10 @@ def _report_for(p_star: float, params: ModelParams, feedback: FeedbackSpec, exis
     )
 
 
-def equilibrium(params: ModelParams, feedback: FeedbackSpec, tol: float = 1e-12) -> EquilibriumReport:
+def equilibrium(params: ModelParams, feedback: FeedbackSpec) -> EquilibriumReport:
     """Nontrivial equilibrium report: root of the reproduction number plus the
     moment chain it induces, with the rhs residual evaluated as a check."""
-    p_star = steady_state(params, feedback, tol)
+    p_star = steady_state(params, feedback)
     if p_star is None:
         return _report_for(0.0, params, feedback, exists=False)
     return _report_for(p_star, params, feedback, exists=True)
@@ -160,5 +163,5 @@ def bifurcation_sweep(
     if not np.all(np.isfinite(grid) & (grid > 0)):
         raise ParameterError("sweep grid entries must be finite and > 0")
     params.check_r0_range(grid)
-    p_star = [None if math.isnan(p) else p for p in _roots(grid, params, feedback, tol=1e-12).tolist()]
+    p_star = [None if math.isnan(p) else p for p in _roots(grid, params, feedback).tolist()]
     return [SweepPoint(r0=r, p_star=p, exists=p is not None) for r, p in zip(grid.tolist(), p_star)]

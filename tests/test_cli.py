@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -179,6 +180,25 @@ def test_validate_passes_and_fails_by_threshold(tmp_path):
     assert run(["validate", "--config", cfg2, "--out", str(out2)]) == 1
     doc2 = json.loads((out2 / "validate.json").read_text(encoding="utf-8"))
     assert doc2["passed"] is False
+
+
+def test_validate_stall_keeps_its_sweeps(tmp_path, capsys):
+    # a stalled oracle exits 4 and leaves the sweeps it got through in
+    # oracle_log.txt, unregistered, with no temporary file beside it
+    doc = ref1_doc()
+    doc["oracle"]["k_max"] = 3
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run(["steady", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["validate", "--config", cfg, "--out", str(out)]) == 4
+    assert "stalled after 3 sweeps in the window from t=0" in capsys.readouterr().err
+    lines = (out / "oracle_log.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines] == ["1", "2", "3"]
+    assert all(re.fullmatch(r"\d,\d\.\d{6}e[+-]\d{2,}", line) for line in lines)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["files"] == ["steady.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "oracle_log.txt", "steady.json"]
 
 
 def test_report_aggregates_outputs(tmp_path):

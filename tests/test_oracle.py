@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import re
@@ -265,12 +264,14 @@ def _assert_close_to(got, want):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _windows(sweep, n):
+    """The windows [s, e) of ``window_rows`` nodes that volterra_solve cuts."""
+    return [(s, min(s + sweep.window_rows, n)) for s in range(0, n, sweep.window_rows)]
+
+
 def _windowed_pass(sweep, b, p):
     """One sweep of every window in turn, all from the same iterates."""
-    parts = []
-    for s, e in sweep.windows():
-        parts.append([x[s:e] for x in sweep(b, p, s, e)])
-        sweep.commit()
+    parts = [[x[s:e] for x in sweep(b, p, s, e)] for s, e in _windows(sweep, b.size)]
     return [np.concatenate(values) for values in zip(*parts)]
 
 
@@ -346,7 +347,7 @@ def test_generic_windows_evaluate_only_the_ages_they_read():
     sol = volterra_solve(model, t_end, dt)
     times = np.linspace(0.0, t_end, oracle.grid_steps(t_end, dt) + 1)
     sweep = _GenericSweep(model, times, dt)
-    windows = sweep.windows()
+    windows = _windows(sweep, times.size)
     assert sol.windows == len(windows) > 1
     want = [((1, e - 1 + sweep.n_sigma), (e - max(s - 1, 0), 1)) for s, e in windows]
     for shapes in calls.values():
@@ -357,9 +358,8 @@ def test_generic_windows_evaluate_only_the_ages_they_read():
 
 
 def test_windowed_log_and_stall_name_the_window():
-    buf = io.StringIO()
-    sol = volterra_solve(_crowded_model(_TABLE_P0), 2.0, 0.02, log=buf)
-    lines = [line.split(",") for line in buf.getvalue().splitlines()]
+    sol = volterra_solve(_crowded_model(_TABLE_P0), 2.0, 0.02)
+    lines = [line.split(",") for line in sol.sweep_log]
     assert len(lines) == sol.sweeps
     assert [int(w) for w, k, _ in lines if k == "1"] == list(range(1, sol.windows + 1))
     last = {int(w): float(update) for w, _, update in lines}  # each window's last update
@@ -373,8 +373,10 @@ def test_windowed_log_and_stall_name_the_window():
         fertility=lambda a, p: 40.0 * np.maximum(a - 2.4, 0.0) / (1.0 + p),
         initial_density=ag.TabulatedDensity(ages=(0.0, 1.0), values=(1.0, 1.0)),
     )
-    with pytest.raises(ConvergenceError, match=r"window from t=1\.28$"):
+    with pytest.raises(ConvergenceError, match=r"window from t=1\.28$") as err:
         volterra_solve(model, 3.0, 0.01, k_max=1)
+    # one sweep in each of the 16-node windows up to and including the stall
+    assert [line.split(",")[:2] for line in err.value.sweep_log] == [[str(w), "1"] for w in range(1, 10)]
 
 
 def test_broadcast_rates_need_one_call_per_sweep():
@@ -453,17 +455,20 @@ def test_generic_and_separable_paths_agree_on_random_models():
 
 def test_convergence_error_carries_diagnostics(ref1):
     model = from_separable(ref1.params, ref1.feedback, ref1.p0)
-    with pytest.raises(ConvergenceError) as err:
-        volterra_solve(model, 2.0, 0.01, k_max=1)
-    assert err.value.iterations == 1
-    assert err.value.update_norm > 1e-10
+    for k_max in (1, 3):
+        with pytest.raises(ConvergenceError) as err:
+            volterra_solve(model, 2.0, 0.01, k_max=k_max)
+        assert err.value.iterations == k_max
+        assert err.value.update_norm > 1e-10
+        # the log holds every sweep up to the stall, the last with its update
+        assert [line.split(",")[0] for line in err.value.sweep_log] == [str(k + 1) for k in range(k_max)]
+        assert float(err.value.sweep_log[-1].split(",")[1]) == pytest.approx(err.value.update_norm, rel=1e-6)
 
 
 def test_iteration_log_lines(ref1):
     model = from_separable(ref1.params, ref1.feedback, ref1.p0)
-    buf = io.StringIO()
-    sol = volterra_solve(model, 2.0, 0.01, log=buf)
-    lines = buf.getvalue().splitlines()
+    sol = volterra_solve(model, 2.0, 0.01)
+    lines = sol.sweep_log
     assert len(lines) == sol.iterations
     for k, line in enumerate(lines, start=1):
         m = re.fullmatch(r"(\d+),(\d\.\d{6}e[+-]\d{2,})", line)

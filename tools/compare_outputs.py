@@ -5,10 +5,14 @@ Usage: python3 tools/compare_outputs.py PARENT [CHANGE]
 
 Runs the six subcommands (steady, simulate, reconstruct, sweep, validate,
 report, in that order, into one output directory) on configs/ref1.json,
-configs/ref2.json and configs/linear_growth.json, and ``simulate`` on
-configs/ref1.json with the fixed-step RK4 integrator (h = 0.01), once with
-each tree's ``src`` on PYTHONPATH. CHANGE defaults to the tree holding this
-script.
+configs/ref2.json and configs/linear_growth.json, and again on ref1 and
+ref2 from two exponential starts off their equilibrium: (1.65, 1.5), a bump
+of the stationary (1.5, 1.5), and (0.3, 0.8), well below it. ref1 and
+ref2 themselves start at rest, so only the moving starts show a change to the stepper,
+dense output, reconstruction or oracle. ``simulate`` also runs on the
+bumped ref1 with the fixed-step RK4 integrator (h = 0.01). Every case runs
+once with each tree's ``src`` on PYTHONPATH. CHANGE defaults to the tree
+holding this script.
 Each run works in a fresh temporary directory with relative paths, so
 nothing in the outputs names the tree. The exit code, stdout and stderr
 of every subcommand and every output file are compared; ``timings`` is
@@ -26,19 +30,24 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("steady", "simulate", "reconstruct", "sweep", "validate", "report")
-#: case name -> (config, integrator settings it overrides, subcommands run)
+BUMPED = {"initial_density": {"coefficient": 1.65, "decay": 1.5}}
+LOW = {"initial_density": {"coefficient": 0.3, "decay": 0.8}}
+#: case name -> (config, the settings it overrides by section, subcommands run)
 CASES = {
     **{config: (config, {}, COMMANDS) for config in ("ref1", "ref2", "linear_growth")},
-    "ref1_rk4": ("ref1", {"method": "rk4", "h": 0.01}, ("simulate",)),
+    **{f"{config}_{name}": (config, start, COMMANDS)
+       for config in ("ref1", "ref2") for name, start in (("bumped", BUMPED), ("low", LOW))},
+    "ref1_rk4": ("ref1", {**BUMPED, "integrator": {"method": "rk4", "h": 0.01}}, ("simulate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
 
 
 def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
     """Every compared item of one case in one tree, by name."""
-    config, integrator, commands = CASES[case]
+    config, overrides, commands = CASES[case]
     doc = json.loads((tree / "configs" / f"{config}.json").read_text(encoding="utf-8"))
-    doc["integrator"].update(integrator)
+    for section, settings in overrides.items():
+        doc[section].update(settings)
     (workdir / "run.json").write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("AGESTRUCT_OUTDIR", None)
