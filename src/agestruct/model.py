@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .reduction import StateVector
+from .reduction import StateVector
 
 
 def _scalar_or_array(x, out):
@@ -416,10 +414,8 @@ class TabulatedDensity(InitialDensity):
         return float(self.ages[-1])
 
 
-def density_moments(p0: InitialDensity, rho: float, n: int) -> "StateVector":
+def density_moments(p0: InitialDensity, rho: float, n: int) -> StateVector:
     """Initial ODE state from a density: total mass plus the n weighted moments."""
-    from .reduction import StateVector
-
     if not (rho > 0) or n < 1:
         raise ParameterError("density_moments requires rho > 0 and n >= 1")
     return StateVector(

@@ -33,7 +33,6 @@ come from window-table array passes and two matrix-vector products (see
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from math import comb
@@ -52,8 +51,6 @@ from .model import (
 )
 from .quadrature import cumulative_trapezoid, trapezoid, uniform_grid
 from .reduction import integrate
-
-logger = logging.getLogger(__name__)
 
 #: iteration cap used when callers do not specify one
 DEFAULT_K_MAX = 200
@@ -421,7 +418,6 @@ def volterra_solve(
                 float(np.max(np.abs(p_next[s:e] - p[s:e]))),
             )
             sweep_log.append(f"{prefix}{k},{update:.6e}")
-            logger.debug("%s", sweep_log[-1])
             b, p = b_next, p_next
             if update <= share:
                 break

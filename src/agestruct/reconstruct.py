@@ -52,6 +52,11 @@ class DensityField:
         return simpson(self.values, self.age_grid)
 
 
+def _survival(traj: Trajectory, t: float) -> float:
+    """Survival factor exp(-mu0*t - Z(t)) on the characteristic a = t."""
+    return math.exp(-traj.params.mu0 * t - traj.psi_integral_at(t))
+
+
 def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -> np.ndarray:
     """Age grid [0, a_max] wide enough that the ignored tail is below 1e-10.
 
@@ -94,8 +99,7 @@ def reconstruct_density(
     values = np.empty_like(ages)
     old = ages >= t
     if np.any(old):
-        survival = math.exp(-params.mu0 * t - z_t)
-        values[old] = p0.evaluate(ages[old] - t) * survival
+        values[old] = p0.evaluate(ages[old] - t) * _survival(traj, t)
     young = ~old
     if np.any(young):
         a = ages[young]
@@ -113,8 +117,7 @@ def characteristic_jump(traj: Trajectory, p0: InitialDensity, t: float) -> float
     that factor times |p0(0) - B(0)|; it is zero exactly when the initial
     data are compatible with the initial birth rate.
     """
-    survival = math.exp(-traj.params.mu0 * float(t) - traj.psi_integral_at(float(t)))
-    return survival * abs(float(p0.evaluate(0.0)) - float(traj.birth_rates[0]))
+    return _survival(traj, float(t)) * abs(float(p0.evaluate(0.0)) - traj.birth_rate_at(0.0))
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,8 @@ def consistency_check(
     p_ref = float(traj.state_at(t)[0])
 
     if p0 is not None and ages[0] < t < ages[-1]:
-        survival = math.exp(-traj.params.mu0 * t - traj.psi_integral_at(t))
-        left_limit = float(traj.birth_rate_at(0.0)) * survival
+        survival = _survival(traj, t)
+        left_limit = traj.birth_rate_at(0.0) * survival
         right_limit = float(p0.evaluate(0.0)) * survival
         young = ages < t
         old = ages > t  # a grid node exactly at t is replaced by the two limits

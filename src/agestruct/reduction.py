@@ -70,10 +70,6 @@ class StateVector:
         object.__setattr__(self, "p", float(y[0]))
         object.__setattr__(self, "moments", tuple(float(v) for v in y[1:]))
 
-    @property
-    def n(self) -> int:
-        return len(self.moments)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.p, *self.moments], dtype=float)
 
@@ -90,14 +86,24 @@ def _state_array(state: StateVector, params: ModelParams) -> np.ndarray:
     return state.as_array()
 
 
+def _births(y: np.ndarray, params, feedback):
+    """Birth rate r0 * phi(p) * sum_i beta_i * p_{i+1} of one state [p, moments...]
+    (a float) or of rows of them (an array).
+
+    A Runge-Kutta stage may dip below 0, so phi sees max(p, 0).
+    """
+    if y.ndim == 1:
+        return params.r0 * feedback.phi(max(y[0], 0.0)) * float(np.dot(params.betas, y[1:]))
+    return params.r0 * feedback.phi(np.maximum(y[:, 0], 0.0)) * (y[:, 1:] @ np.asarray(params.betas))
+
+
 def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
     # y' = A(p) y: births r0 phi(p) beta.m enter p and p_1, p decays at
     # mu0 + psi(p), each moment at rho + mu0 + psi(p), and p_i feeds p_{i+1}
     # at rate i
     p = y[0]
-    p_plus = max(p, 0.0)  # a Runge-Kutta stage may dip below 0; the feedbacks see max(p, 0)
-    psi = feedback.psi(p_plus)
-    births = params.r0 * feedback.phi(p_plus) * float(np.dot(params.betas, y[1:]))
+    psi = feedback.psi(max(p, 0.0))  # as in _births, psi sees max(p, 0)
+    births = _births(y, params, feedback)
     out = -(params.rho + params.mu0 + psi) * y
     out[0] = -(params.mu0 + psi) * p + births
     out[1] += births
@@ -120,14 +126,7 @@ def rhs(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> Stat
 
 def birth_rate(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> float:
     """Birth rate r0 * phi(p) * sum_i beta_i * p_{i+1} at a state; nonnegative."""
-    y = _state_array(state, params)
-    return float(params.r0 * feedback.phi(y[0]) * np.dot(params.betas, y[1:]))
-
-
-def _births_rows(states: np.ndarray, params, feedback) -> np.ndarray:
-    # states: (m, n+1) rows of [p, moments...]
-    phi = np.asarray(feedback.phi(states[:, 0]), dtype=float)
-    return params.r0 * phi * (states[:, 1:] @ np.asarray(params.betas))
+    return _births(_state_array(state, params), params, feedback)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +195,7 @@ class Trajectory:
 
     def birth_rate_at(self, t):
         """Birth rate evaluated from the dense-output state at time(s) t."""
-        states = np.atleast_2d(self.state_at(t))
-        b = _births_rows(states, self.params, self.feedback)
+        b = _births(np.atleast_2d(self.state_at(t)), self.params, self.feedback)
         return float(b[0]) if np.ndim(t) == 0 else b
 
 
@@ -339,7 +337,7 @@ def integrate(
     return Trajectory(
         times=sample_times,
         states=states,
-        birth_rates=_births_rows(states, params, feedback),
+        birth_rates=_births(states, params, feedback),
         psi_integral=zint,
         params=params,
         feedback=feedback,

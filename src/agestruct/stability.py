@@ -14,7 +14,7 @@ import numpy as np
 from .errors import EigenvalueError, ParameterError
 from .model import FeedbackSpec, ModelParams
 from .reduction import StateVector, _state_array
-from .steady import EquilibriumReport
+from .steady import EquilibriumReport, trivial_equilibrium
 
 VERDICT_MARGIN = 1e-8
 
@@ -78,7 +78,10 @@ def _verdict(abscissa: float) -> str:
     return "marginal"
 
 
-def _report(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> StabilityReport:
+def classify(equilibrium: EquilibriumReport, params: ModelParams, feedback: FeedbackSpec) -> StabilityReport:
+    """Stability of the equilibrium the report describes (the origin when
+    no nontrivial equilibrium exists)."""
+    state = StateVector(p=equilibrium.p_star, moments=equilibrium.moments_star)
     jac = jacobian_at(state, params, feedback)
     evs = eigenvalues(jac)
     abscissa = float(np.max(evs.real))
@@ -91,14 +94,6 @@ def _report(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> 
     )
 
 
-def classify(equilibrium: EquilibriumReport, params: ModelParams, feedback: FeedbackSpec) -> StabilityReport:
-    """Stability of the equilibrium the report describes (the origin when
-    no nontrivial equilibrium exists)."""
-    state = StateVector(p=equilibrium.p_star, moments=equilibrium.moments_star)
-    return _report(state, params, feedback)
-
-
 def classify_trivial(params: ModelParams, feedback: FeedbackSpec) -> StabilityReport:
     """Stability of the all-zero equilibrium."""
-    state = StateVector(p=0.0, moments=(0.0,) * params.n)
-    return _report(state, params, feedback)
+    return classify(trivial_equilibrium(params, feedback), params, feedback)

@@ -116,8 +116,8 @@ def _moment_chain(p_star: float, params: ModelParams, feedback: FeedbackSpec) ->
     return tuple(moments)
 
 
-def _report_for(p_star: float, params: ModelParams, feedback: FeedbackSpec, exists: bool) -> EquilibriumReport:
-    moments = _moment_chain(p_star, params, feedback) if p_star > 0 else (0.0,) * params.n
+def _report_for(p_star: float, params: ModelParams, feedback: FeedbackSpec) -> EquilibriumReport:
+    moments = _moment_chain(p_star, params, feedback)
     state = reduction.StateVector(p=p_star, moments=moments)
     resid = reduction.rhs(state, params, feedback)
     residual = float(np.max(np.abs(resid.as_array())))
@@ -127,7 +127,7 @@ def _report_for(p_star: float, params: ModelParams, feedback: FeedbackSpec, exis
         moments_star=moments,
         birth_rate_star=births,
         residual_inf_norm=residual,
-        exists=exists,
+        exists=p_star > 0.0,
     )
 
 
@@ -136,13 +136,13 @@ def equilibrium(params: ModelParams, feedback: FeedbackSpec) -> EquilibriumRepor
     moment chain it induces, with the rhs residual evaluated as a check."""
     p_star = steady_state(params, feedback)
     if p_star is None:
-        return _report_for(0.0, params, feedback, exists=False)
-    return _report_for(p_star, params, feedback, exists=True)
+        return trivial_equilibrium(params, feedback)
+    return _report_for(p_star, params, feedback)
 
 
 def trivial_equilibrium(params: ModelParams, feedback: FeedbackSpec) -> EquilibriumReport:
     """The all-zero equilibrium, which every parameterization admits."""
-    return _report_for(0.0, params, feedback, exists=False)
+    return _report_for(0.0, params, feedback)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ def test_psi_families_values_and_derivatives():
         lambda: ag.make_psi("power", c=1.0, gamma=0.9),
         lambda: ag.make_phi("logistic", k=1.0),
         lambda: ag.make_psi("cubic", c=1.0),
+        lambda: ag.make_psi("power", c=0.0, gamma=1.5),
     ],
 )
 def test_family_validation_rejects(factory):
@@ -145,6 +146,35 @@ def test_tabulated_density_interpolation_and_mass():
         ag.TabulatedDensity(ages=[0.0, 1.0], values=[1.0, -0.5])
     with pytest.raises(ParameterError):
         ag.TabulatedDensity(ages=[1.0, 0.5], values=[1.0, 1.0])
+
+
+_EXP = ag.ExponentialDensity(1.5, 1.5)
+_TAB = ag.TabulatedDensity(ages=[0.0, 1.0], values=[1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ag.TabulatedDensity(ages=[0.0], values=[1.0]), "tables of length >= 2"),
+        (lambda: ag.TabulatedDensity(ages=[0.0, 1.0, 2.0], values=[1.0, 0.5]), "matching 1-d tables"),
+        (lambda: ag.TabulatedDensity(ages=[[0.0, 1.0]], values=[[1.0, 0.5]]), "matching 1-d tables"),
+        (lambda: _EXP.weighted_moment(0, 0.5), "index must be >= 1"),
+        (lambda: _TAB.weighted_moment(0, 0.5), "index must be >= 1"),
+        (lambda: ag.density_moments(_EXP, 0.0, 1), "rho > 0 and n >= 1"),
+        (lambda: ag.density_moments(_EXP, -0.5, 1), "rho > 0 and n >= 1"),
+        (lambda: ag.density_moments(_EXP, 0.5, 0), "rho > 0 and n >= 1"),
+        (lambda: fertility_kernel_integral((1.0,), 0.0), "positive decay rate"),
+        (lambda: fertility_kernel_integral((1.0,), [1.0, -1.0]), "positive decay rate"),
+    ],
+    ids=[
+        "tabulated-short", "tabulated-mismatched", "tabulated-2d", "exponential-moment-0",
+        "tabulated-moment-0", "moments-rho-0", "moments-rho-negative", "moments-n-0",
+        "kernel-rate-0", "kernel-rate-negative",
+    ],
+)
+def test_density_and_kernel_checks_reject(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
 
 
 def test_density_moments_matches_equilibrium_start(ref1):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from agestruct.quadrature import cumulative_trapezoid, simpson, trapezoid, uniform_grid
 
@@ -43,6 +44,16 @@ def test_simpson_fourth_order_convergence():
         x = np.linspace(0, 1, 2 * n + 1)
         errs.append(abs(simpson(np.sin(x), x) - exact))
     assert errs[0] / errs[1] > 12  # ~16 for a fourth-order rule
+
+
+@pytest.mark.parametrize(
+    "y, x",
+    [([1.0, 2.0, 3.0], [0.0, 1.0]), ([1.0, 2.0], [0.0, 1.0, 2.0]), ([[1.0, 2.0]], [[0.0, 1.0]])],
+    ids=["y-longer", "x-longer", "2-d"],
+)
+def test_simpson_rejects_mismatched_arrays(y, x):
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        simpson(y, x)
 
 
 def test_uniform_grid_reaches_length():

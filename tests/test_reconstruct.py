@@ -139,6 +139,19 @@ def test_jump_matches_branch_mismatch(ref1):
     np.testing.assert_allclose(gap, expect, rtol=1e-4)
 
 
+def test_jump_reads_b0_from_the_dense_output(ref1):
+    # B(0) is the birth rate of the start state, whatever the first sample is
+    p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
+    start = ag.density_moments(p0, ref1.params.rho, ref1.params.n)
+    default = ag.integrate(start, ref1.params, ref1.feedback, 20.0)
+    late = ag.integrate(start, ref1.params, ref1.feedback, 20.0, sample_times=[5.0, 10.0, 20.0])
+    jump = characteristic_jump(default, p0, 10.0)
+    assert characteristic_jump(late, p0, 10.0) == jump
+    survival = math.exp(-0.5 * 10.0 - default.psi_integral_at(10.0))
+    b0 = ag.birth_rate(start, ref1.params, ref1.feedback)
+    assert jump == pytest.approx(survival * abs(1.65 - b0), rel=1e-12)
+
+
 # --- grids and validation -------------------------------------------------------
 
 

@@ -172,6 +172,25 @@ def test_integrate_validates_arguments(ref1):
         ag.integrate(start, ref1.params, ref1.feedback, t_end=1.0, n_samples=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sample_times": [[0.5, 1.0]]}, "1-d array"),
+        ({"sample_times": [-0.5, 1.0]}, r"lie in \[0, t_end\]"),
+        ({"sample_times": [0.5, 1.5]}, r"lie in \[0, t_end\]"),
+        ({"sample_times": [0.5, 0.5]}, "strictly increasing"),
+        ({"sample_times": [0.75, 0.5]}, "strictly increasing"),
+        ({"max_step": 0.0}, "max_step must be > 0"),
+        ({"max_step": -1.0}, "max_step must be > 0"),
+    ],
+    ids=["2-d", "before-0", "after-t_end", "repeated", "decreasing", "zero-max-step", "negative-max-step"],
+)
+def test_integrate_rejects_bad_samples_and_steps(ref1, kwargs, message):
+    start = StateVector(p=1.0, moments=(0.75,))
+    with pytest.raises(ParameterError, match=message):
+        ag.integrate(start, ref1.params, ref1.feedback, t_end=1.0, **kwargs)
+
+
 def test_birth_rates_consistent_with_states(ref2):
     start = StateVector(p=1.3, moments=(0.9, 0.4))
     traj = ag.integrate(start, ref2.params, ref2.feedback, t_end=4.0)

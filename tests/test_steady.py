@@ -44,6 +44,13 @@ def test_reproduction_derivative_rejects_linear_mode(linear_fixture):
         assert ag.reproduction_derivative(x, linear_fixture.params, linear_fixture.feedback) == 0.0
 
 
+@pytest.mark.parametrize("function", [ag.net_reproduction, ag.reproduction_derivative])
+@pytest.mark.parametrize("x", [-1.0, math.inf, math.nan])
+def test_reproduction_rejects_x_outside_its_domain(ref1, function, x):
+    with pytest.raises(ParameterError, match="finite x >= 0"):
+        function(x, ref1.params, ref1.feedback)
+
+
 def test_equilibrium_laws_on_random_models():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
