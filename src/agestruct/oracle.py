@@ -20,8 +20,11 @@ input, and exp(Z) may reach exp(600) under the overflow guard (which
 stays), so one transform over the whole grid would bury the early values.
 The grid is cut into blocks, each rescaled so that its inputs stay within
 exp(4) of one another, which keeps the error near exp(4) * eps of the local
-size (see ``_damped_conv_integrals``). Arbitrary ``mu(a, P)`` /
-``beta(a, P)`` evaluators fall back to a dense sweep over short windows.
+size (see ``_damped_conv_integrals``). A block [s, e) transforms the
+kernels cut to [:e] at FFT length nfft, so each sweep keeps those spectra
+by (e, nfft) and the next reuses the ones whose block layout still holds.
+Arbitrary ``mu(a, P)`` / ``beta(a, P)`` evaluators fall back to a dense
+sweep over short windows.
 A sweep of window [s, e) calls each evaluator once, on the ages alive by
 node e - 1 against the sizes of rows s - 1 .. e - 1, and accepts any result
 that broadcasts to that table. A strided view reads the table along
@@ -159,7 +162,9 @@ class OracleSolution:
     sweep_log: tuple[str, ...]
 
 
-def _damped_conv_integrals(kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+def _damped_conv_integrals(
+    kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt: float, spectra: dict
+) -> np.ndarray:
     """Trapezoid values of integral(0..t_m) k(t_m - s) exp(z(s) - z(t_m)) b(s) ds.
 
     One output row per kernel row; ``z`` must be nondecreasing and ``b``
@@ -171,6 +176,11 @@ def _damped_conv_integrals(kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt
     outputs back by exp(z_s - z_m) <= 1. Kernels are cut to [:e] and the FFT
     is at least 2e - 1 - s long, so the circular wrap never lands in [s, e).
     The exact sums have nonnegative terms, so outputs are clipped at zero.
+
+    A block's kernel spectrum rfft(kernels[:, :e], nfft) depends only on
+    (e, nfft). ``spectra`` maps those keys to spectra from earlier calls
+    with the same kernels (empty at first); a block whose key it holds
+    reuses that spectrum, and on return it holds exactly this call's keys.
     """
     n = b.size
     out = np.empty_like(kernels)
@@ -178,10 +188,14 @@ def _damped_conv_integrals(kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt
         level = np.maximum.accumulate(z + np.log(b))
     bins = np.floor(level / _BLOCK_SPAN)
     starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
-    for s, e in zip(starts, [*starts[1:], n]):
-        nfft = 1 << (2 * e - 2 - s).bit_length()
+    keys = [(e, 1 << (2 * e - 2 - s).bit_length()) for s, e in zip(starts, [*starts[1:], n])]
+    for stale in spectra.keys() - set(keys):
+        del spectra[stale]
+    for s, (e, nfft) in zip(starts, keys):
+        if (e, nfft) not in spectra:
+            spectra[e, nfft] = np.fft.rfft(kernels[:, :e], nfft)
         g = np.exp(z[:e] - z[s]) * b[:e]
-        full = np.fft.irfft(np.fft.rfft(kernels[:, :e], nfft) * np.fft.rfft(g, nfft), nfft)[:, s:e]
+        full = np.fft.irfft(spectra[e, nfft] * np.fft.rfft(g, nfft), nfft)[:, s:e]
         full -= 0.5 * (kernels[:, s:e] * g[0] + kernels[:, :1] * g[s:e])
         full *= dt * np.exp(z[s] - z[s:e])
         np.maximum(full, 0.0, out=out[:, s:e])
@@ -217,6 +231,7 @@ class _SeparableSweep:
         self.survival = np.exp(-pr.mu0 * times)
         # renewal kernel (all fertility terms at once) and survival kernel
         self.kernels = np.stack((fertility_age_profile(times, pr) * self.survival, self.survival))
+        self.spectra = {}  # the kernel spectra of the last sweep's blocks
         sigma, p0_vals, self.mass0 = _initial_cohorts(model.initial_density, dt)
         weighted = p0_vals * np.exp(-pr.rho * sigma)
         tail_moments = [trapezoid(sigma**j * weighted, dt) for j in range(pr.n)]
@@ -235,7 +250,7 @@ class _SeparableSweep:
         shrink = np.exp(-psi_int)
         phi_vals = pr.r0 * np.asarray(self.feedback.phi(p), dtype=float)
 
-        renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt)
+        renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt, self.spectra)
         renewal *= phi_vals
 
         survive0 = self.survival * shrink

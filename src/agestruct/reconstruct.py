@@ -88,8 +88,11 @@ def reconstruct_density(
     factor exp(-mu0*t - Z(t)); younger ages carry the birth rate B(t - a)
     with exp(-mu0*a - [Z(t) - Z(t-a)]), where Z is the trajectory's running
     feedback-mortality integral. Off-sample B and Z come from the dense
-    output.
+    output. ``params`` and ``feedback`` must be the trajectory's own
+    (ParameterError otherwise); the rates come from the trajectory.
     """
+    if params != traj.params or feedback != traj.feedback:
+        raise ParameterError("params and feedback must be the trajectory's own")
     ages = np.asarray(age_grid, dtype=float)
     t = float(t)
     if not math.isfinite(t):
@@ -106,7 +109,7 @@ def reconstruct_density(
         birth_times = t - a
         b = np.atleast_1d(traj.birth_rate_at(birth_times))
         z_birth = np.atleast_1d(traj.psi_integral_at(birth_times))
-        values[young] = b * np.exp(-params.mu0 * a - np.maximum(z_t - z_birth, 0.0))
+        values[young] = b * np.exp(-traj.params.mu0 * a - np.maximum(z_t - z_birth, 0.0))
     return DensityField(age_grid=ages, time=t, values=values)
 
 

@@ -155,7 +155,7 @@ def test_damped_convolution_matches_direct_sum(ref1):
     kernels = _separable_kernels(ref1, times, dt)
     z = 590.0 * (times / times[-1]) ** 1.5
     b = 1.0 + 0.5 * np.sin(3.0 * times)
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt)):
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
         want = _direct_damped_integrals(kernel, z, b, dt)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
@@ -169,9 +169,46 @@ def test_damped_convolution_follows_growing_births(ref1):
     kernels = _separable_kernels(ref1, times, dt)
     z = np.zeros(n)
     b = np.exp(5.0 * times)
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt)):
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
         want = _direct_damped_integrals(kernel, z, b, dt)
         assert np.all(np.abs(got - want) <= 1e-12 * b)
+
+
+def _block_keys(z, b):
+    """The (e, nfft) of each block of ``_damped_conv_integrals``, by its stated rule."""
+    with np.errstate(divide="ignore"):
+        bins = np.floor(np.maximum.accumulate(z + np.log(b)) / oracle._BLOCK_SPAN)
+    starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
+    ends = [*starts[1:], b.size]
+    return {(e, 1 << (2 * e - 2 - s).bit_length()) for s, e in zip(starts, ends)}
+
+
+def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
+    # r0 = 20 from a bumped start moves the block ends between sweeps (up to
+    # 14 blocks), so sweeps both reuse kernel spectra and transform new ones;
+    # every bit must match a solve that transforms each spectrum afresh
+    p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
+    model = from_separable(ref1.params.with_r0(20.0), ref1.feedback, p0)
+    damped = oracle._damped_conv_integrals
+    layouts, reused = [], 0
+
+    def keeping(kernels, z, b, dt, spectra):
+        nonlocal reused
+        keys = _block_keys(z, b)
+        reused += len(spectra.keys() & keys)
+        out = damped(kernels, z, b, dt, spectra)
+        assert spectra.keys() == keys  # exactly this sweep's spectra
+        layouts.append(frozenset(keys))
+        return out
+
+    monkeypatch.setattr(oracle, "_damped_conv_integrals", keeping)
+    kept = volterra_solve(model, 10.0, 0.002)
+    monkeypatch.setattr(oracle, "_damped_conv_integrals", lambda k, z, b, dt, spectra: damped(k, z, b, dt, {}))
+    fresh = volterra_solve(model, 10.0, 0.002)
+    assert max(map(len, layouts)) == 14 and len(set(layouts)) > 1 and reused > 0
+    np.testing.assert_array_equal(kept.birth_rates, fresh.birth_rates)
+    np.testing.assert_array_equal(kept.populations, fresh.populations)
+    assert kept.sweep_log == fresh.sweep_log
 
 
 def test_long_horizon_cross_validation(ref1):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,3 +195,20 @@ def test_reconstruct_rejects_out_of_range_times(ref1):
         reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, -0.5, [0.0, 1.0])
     with pytest.raises(ParameterError):
         reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, math.inf, [0.0, 1.0])
+
+
+def test_reconstruct_rejects_other_models_than_the_trajectorys(ref1):
+    # both branches read mu0 from the trajectory, so other parameters or
+    # feedback cannot mix into one density; equal copies are accepted
+    traj = _run(ref1, 2.0)
+    ages = [0.5, 3.0]
+    other_mu0 = dataclasses.replace(ref1.params, mu0=2.0 * ref1.params.mu0, normalized=False)
+    other_feedback = ag.FeedbackSpec(ref1.feedback.phi_family, ag.make_psi("linear", c=2.0))
+    for params, feedback in ((other_mu0, ref1.feedback), (ref1.params, other_feedback)):
+        with pytest.raises(ParameterError, match="trajectory"):
+            reconstruct_density(traj, ref1.p0, params, feedback, 1.0, ages)
+    copy = dataclasses.replace(ref1.params)
+    field = reconstruct_density(traj, ref1.p0, copy, ref1.feedback, 1.0, ages)
+    np.testing.assert_array_equal(
+        field.values, reconstruct_density(traj, ref1.p0, traj.params, traj.feedback, 1.0, ages).values
+    )

@@ -10,11 +10,14 @@ ref2 from two exponential starts off their equilibrium: (1.65, 1.5), a bump
 of the stationary (1.5, 1.5), and (0.3, 0.8), well below it. ref1 and
 ref2 themselves start at rest, so only the moving starts show a change to the stepper,
 dense output, reconstruction or oracle. ``simulate`` also runs on the
-bumped ref1 with the fixed-step RK4 integrator (h = 0.01). Three cases
+bumped ref1 with the fixed-step RK4 integrator (h = 0.01). Four cases
 reach paths the ref configs skip: ``ref2_families`` (n = 4, unnormalized
 betas, exponential phi, power psi, a sweep), ``ref1_subcritical`` (r0 =
-0.8, no nontrivial equilibrium) and ``ref1_tabulated`` (a tabulated start,
-reconstructed past ``age_max``, so the tail mass is used). An override
+0.8, no nontrivial equilibrium), ``ref1_tabulated`` (a tabulated start,
+reconstructed past ``age_max``, so the tail mass is used) and
+``ref1_r0_20`` (``validate`` only, on the bumped ref1 at r0 = 20 to
+t = 10, whose separable oracle sweeps cut up to 14 FFT blocks with ends
+that move between sweeps, where the ref configs keep 2 or 3). An override
 section that names a ``kind``, or that the base config lacks, replaces or
 adds that section whole; any other override updates the section's keys.
 Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
@@ -55,6 +58,7 @@ CASES = {
         "sweep": {"r0_values": [0.5, 1.0, 2.0, 40.0]},
     }, COMMANDS),
     "ref1_subcritical": ("ref1", {**BUMPED, "model": {"r0": 0.8}}, COMMANDS),
+    "ref1_r0_20": ("ref1", {**BUMPED, "model": {"r0": 20.0}, "oracle": {"t_end": 10.0}}, ("validate",)),
     "ref1_tabulated": ("ref1", {
         "initial_density": {"kind": "tabulated", "ages": [0.0, 1.0, 2.5, 6.0], "values": [0.4, 1.2, 0.6, 0.0]},
         "reconstruction": {"times": [0.5, 3.0, 20.0], "age_max": 8.0},
