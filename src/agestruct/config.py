@@ -35,6 +35,7 @@ from .model import (
     normalize_betas,
 )
 from .oracle import DEFAULT_K_MAX, grid_steps
+from .reduction import check_integrator
 
 _INITIAL_KINDS = {"exponential": ExponentialDensity, "tabulated": TabulatedDensity}
 
@@ -205,17 +206,7 @@ def _parse_integrator(doc: dict) -> IntegratorSettings:
         raise ConfigSchemaError("integrator.h: required for method 'rk4'")
     if it.method == "rk45" and it.h is not None:
         raise ConfigSchemaError("integrator.h: only applies to method 'rk4'")
-    # every number is finite by now
-    if not it.t_end > 0:
-        raise ParameterError("integrator.t_end must be positive and finite")
-    if it.samples < 2:
-        raise ParameterError("integrator.samples must be at least 2")
-    if it.rtol <= 0 or it.atol < 0:
-        raise ParameterError("integrator.rtol must be positive and integrator.atol nonnegative")
-    if it.h is not None and not it.h > 0:
-        raise ParameterError("integrator.h must be positive and finite")
-    if it.max_step is not None and not it.max_step > 0:
-        raise ParameterError("integrator.max_step must be positive and finite")
+    check_integrator(it.t_end, it.samples, it.rtol, it.atol, it.h, it.max_step, "integrator.")
     return it
 
 
@@ -233,13 +224,7 @@ def _parse_reconstruction(doc: dict, t_end: float) -> ReconstructionSettings:
 
 def _parse_oracle(doc: dict) -> OracleSettings:
     settings = _build(_section(doc, "oracle"), "oracle", OracleSettings)
-    if not settings.t_end >= 0:
-        raise ParameterError("oracle.t_end must be nonnegative and finite")
-    if not settings.dt > 0:
-        raise ParameterError("oracle.dt must be positive and finite")
-    grid_steps(settings.t_end, settings.dt)
-    if settings.tol <= 0 or settings.k_max < 1:
-        raise ParameterError("oracle.tol must be positive and oracle.k_max at least 1")
+    grid_steps(settings.t_end, settings.dt, settings.tol, settings.k_max, "oracle.")
     if settings.gap_threshold <= 0:
         raise ParameterError("oracle.gap_threshold must be positive")
     return settings
@@ -251,9 +236,6 @@ def _parse_sweep(doc: dict, params: ModelParams) -> Optional[tuple]:
     section = _section(doc, "sweep")
     _reject_unknown(section, "sweep", {"r0_values"})
     values = _read(section, "sweep", "r0_values", "tuple", required=True)
-    for i, r0 in enumerate(values):
-        if not r0 > 0:
-            raise ParameterError(f"sweep.r0_values[{i}] must be positive and finite")
     params.check_r0_range(values, "sweep.r0_values")
     return values
 

@@ -268,14 +268,17 @@ class ModelParams:
         self.check_r0_range(self.r0)
 
     def check_r0_range(self, r0, where: str = "") -> None:
-        """Reject fertility scales whose r0 * K(betas, rho + mu0) overflows the float range.
+        """Reject r0 values not positive and finite, or whose r0 * K(betas, rho + mu0) overflows.
 
-        ``r0`` is one value or an array of them; with ``where`` set, the
-        message names the first failing entry as ``where[i]``.
+        ``r0`` is one value or an array; with ``where`` set, messages name the failing entry ``where[i]``.
         """
+        r0 = np.atleast_1d(r0)
+        bad = ~((r0 > 0) & (r0 < math.inf))
+        if bad.any():
+            raise ParameterError(f"{where}[{int(np.argmax(bad))}] must be positive and finite")
         kernel = fertility_kernel_integral(self.betas, self.rho + self.mu0)
         with np.errstate(over="ignore"):
-            bad = ~np.isfinite(np.atleast_1d(r0) * kernel)
+            bad = ~np.isfinite(r0 * kernel)
         if bad.any():
             entry = f"{where}[{int(np.argmax(bad))}]: " if where else ""
             raise ParameterError(

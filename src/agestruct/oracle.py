@@ -52,7 +52,7 @@ from .model import (
     density_moments,
     fertility_age_profile,
 )
-from .quadrature import cumulative_trapezoid, trapezoid, uniform_grid
+from .quadrature import MAX_GRID_NODES, cumulative_trapezoid, trapezoid, uniform_grid
 from .reduction import integrate
 
 #: iteration cap used when callers do not specify one
@@ -370,16 +370,23 @@ class _GenericSweep:
         return new_b, new_p
 
 
-def grid_steps(t_end: float, dt: float) -> int:
+def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> int:
     """Number of dt steps in the oracle horizon; 0 (a single node) when t_end < dt.
 
-    Raises ParameterError unless dt divides t_end to within 1e-9 * max(1, t_end).
-    """
-    if t_end < dt:
-        return 0
-    n_steps = round(t_end / dt)
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+    Raises ParameterError unless t_end >= 0 and dt > 0 are finite, dt divides t_end to within
+    1e-9 * max(1, t_end) into fewer than MAX_GRID_NODES steps, tol > 0 and k_max >= 1.
+    ``where`` prefixes each name in the message."""
+    if not 0 <= t_end < math.inf:
+        raise ParameterError(f"{where}t_end must be nonnegative and finite")
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"{where}dt must be positive and finite")
+    if not t_end / dt < MAX_GRID_NODES:
+        raise ParameterError(f"{where}t_end / {where}dt needs more than {MAX_GRID_NODES} grid nodes")
+    n_steps = round(t_end / dt) if t_end >= dt else 0
+    if n_steps and abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ParameterError(f"oracle dt={dt!r} must divide the horizon t_end={t_end!r} evenly")
+    if not (tol > 0 and k_max >= 1):
+        raise ParameterError(f"{where}tol must be positive and {where}k_max at least 1")
     return n_steps
 
 
@@ -403,14 +410,10 @@ def volterra_solve(
     tol * (e - s) / N, which is ``tol`` itself for a single window. Raises
     ConvergenceError (carrying the last update norm and the sweep log, and
     naming the start of the window) if ``k_max`` sweeps of a window are not
-    enough.
+    enough. Settings that ``grid_steps`` refuses raise ParameterError first.
     """
     t_end, dt = float(t_end), float(dt)
-    if not (t_end >= 0 and math.isfinite(t_end)):
-        raise ParameterError("horizon must be nonnegative and finite")
-    if not (dt > 0 and math.isfinite(dt)) or tol <= 0 or k_max < 1:
-        raise ParameterError("dt and tol must be positive, k_max at least 1")
-    times = np.linspace(0.0, t_end, grid_steps(t_end, dt) + 1)
+    times = np.linspace(0.0, t_end, grid_steps(t_end, dt, tol, k_max) + 1)
     n = times.size
 
     sweep = (_SeparableSweep if model.separable else _GenericSweep)(model, times, dt)

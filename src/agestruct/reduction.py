@@ -27,6 +27,7 @@ from .errors import (
     StepSizeError,
     TrajectoryRangeError,
 )
+from .quadrature import MAX_GRID_NODES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import FeedbackSpec, ModelParams
@@ -86,15 +87,17 @@ def _state_array(state: StateVector, params: ModelParams) -> np.ndarray:
     return state.as_array()
 
 
+def _beta_sum(y: np.ndarray, betas) -> np.ndarray:
+    """sum_i beta_i * p_{i+1} of a state or of rows, term by term: a state reads the same bits in any batch."""
+    return sum(b * m for b, m in zip(betas, y.T[1:]))
+
+
 def _births(y: np.ndarray, params, feedback):
-    """Birth rate r0 * phi(p) * sum_i beta_i * p_{i+1} of one state [p, moments...]
-    (a float) or of rows of them (an array).
+    """Birth rate r0 * phi(p) * sum_i beta_i * p_{i+1} of one state or of rows of them.
 
     A Runge-Kutta stage may dip below 0, so phi sees max(p, 0).
     """
-    if y.ndim == 1:
-        return params.r0 * feedback.phi(max(y[0], 0.0)) * float(np.dot(params.betas, y[1:]))
-    return params.r0 * feedback.phi(np.maximum(y[:, 0], 0.0)) * (y[:, 1:] @ np.asarray(params.betas))
+    return params.r0 * feedback.phi(np.maximum(y.T[0], 0.0)) * _beta_sum(y, params.betas)
 
 
 def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
@@ -126,7 +129,7 @@ def rhs(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> Stat
 
 def birth_rate(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> float:
     """Birth rate r0 * phi(p) * sum_i beta_i * p_{i+1} at a state; nonnegative."""
-    return _births(_state_array(state, params), params, feedback)
+    return float(_births(_state_array(state, params), params, feedback))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +198,8 @@ class Trajectory:
 
     def birth_rate_at(self, t):
         """Birth rate evaluated from the dense-output state at time(s) t."""
-        b = _births(np.atleast_2d(self.state_at(t)), self.params, self.feedback)
-        return float(b[0]) if np.ndim(t) == 0 else b
+        b = _births(self.state_at(t), self.params, self.feedback)
+        return float(b) if np.ndim(t) == 0 else b
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,22 @@ def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, n_
     return np.array(ts), np.array(ys), np.array(fs), clamped
 
 
+def check_integrator(t_end, samples, rtol, atol, h=None, max_step=None, where: str = "") -> None:
+    """Raise ParameterError unless t_end, h and max_step (when given) are positive and finite,
+    2 <= samples <= MAX_GRID_NODES, rtol > 0 and atol >= 0; ``where`` prefixes each name."""
+    if not 0 < t_end < math.inf:
+        raise ParameterError(f"{where}t_end must be positive and finite")
+    if samples < 2:
+        raise ParameterError(f"{where}samples must be at least 2")
+    if samples > MAX_GRID_NODES:
+        raise ParameterError(f"{where}samples must be at most {MAX_GRID_NODES}")
+    if not (rtol > 0 and atol >= 0):
+        raise ParameterError(f"{where}rtol must be positive and {where}atol nonnegative")
+    for name, step in (("h", h), ("max_step", max_step)):
+        if step is not None and not 0 < step < math.inf:
+            raise ParameterError(f"{where}{name} must be positive and finite")
+
+
 def integrate(
     initial: StateVector,
     params: ModelParams,
@@ -284,14 +303,11 @@ def integrate(
     method 'rk4' takes fixed steps of h (the last step is shortened to land
     on t_end); 'rk45' is adaptive with the given rtol/atol. Samples default
     to n_samples equispaced times and are evaluated from the dense output.
-    States are kept nonnegative per the undershoot policy; the number of
-    clamped entries is reported on the trajectory.
+    States are kept nonnegative per the undershoot policy; the number of clamped
+    entries is reported on the trajectory. ``check_integrator`` checks the settings.
     """
-    if not (t_end > 0):
-        raise ParameterError("t_end must be > 0")
+    check_integrator(t_end, n_samples, rtol, atol, h, max_step)
     if sample_times is None:
-        if n_samples < 2:
-            raise ParameterError("need at least two sample times")
         sample_times = np.linspace(0.0, t_end, n_samples)
     else:
         sample_times = np.asarray(sample_times, dtype=float)
@@ -315,14 +331,12 @@ def integrate(
         raise ParameterError(f"unknown integration method {method!r}")
     stages, err_weights = _METHODS[method]
     if err_weights is None:
-        if h is None or not (h > 0):
+        if h is None:
             raise ParameterError("rk4 requires a positive step size h")
         max_step = h
     else:
         if max_step is None:
             max_step = t_end / 20.0
-        if not (max_step > 0):
-            raise ParameterError("max_step must be > 0")
         h = min(max_step, t_end / 100.0)
     kt, ky, kf, clamped = _integrate_rk(
         f, y0, float(t_end), stages, err_weights, float(h), float(max_step), float(rtol), float(atol), n_state

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EigenvalueError, ParameterError
 from .model import FeedbackSpec, ModelParams
-from .reduction import StateVector, _state_array
+from .reduction import StateVector, _beta_sum, _state_array
 from .steady import EquilibriumReport, trivial_equilibrium
 
 VERDICT_MARGIN = 1e-8
@@ -31,7 +31,7 @@ def jacobian_at(state: StateVector, params: ModelParams, feedback: FeedbackSpec)
     np.fill_diagonal(jac, -(params.rho + params.mu0 + psi))
     jac[:2, 1:] += params.r0 * feedback.phi(p) * np.asarray(params.betas)
     column = -feedback.psi_prime(p) * y
-    column[:2] += params.r0 * feedback.phi_prime(p) * float(np.dot(params.betas, y[1:]))
+    column[:2] += params.r0 * feedback.phi_prime(p) * _beta_sum(y, params.betas)
     column[0] -= params.mu0 + psi
     jac[:, 0] = column
     return jac

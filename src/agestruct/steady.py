@@ -160,8 +160,6 @@ def bifurcation_sweep(
     grid = np.array([float(r) for r in r0_grid])
     if len(grid) == 0:
         raise ParameterError("sweep grid must be nonempty")
-    if not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ParameterError("sweep grid entries must be finite and > 0")
-    params.check_r0_range(grid)
+    params.check_r0_range(grid, "r0_values")
     p_star = [None if math.isnan(p) else p for p in _roots(grid, params, feedback).tolist()]
     return [SweepPoint(r0=r, p_star=p, exists=p is not None) for r, p in zip(grid.tolist(), p_star)]

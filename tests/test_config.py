@@ -7,8 +7,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import agestruct as ag
 from agestruct.cli import run
 from agestruct.config import parse_config
+from agestruct.errors import ParameterError
 from agestruct.model import ExponentialDensity, TabulatedDensity
 
 DELETE = object()
@@ -146,6 +148,9 @@ SCHEMA_ROWS = {
     "integrator-max_step-range": _value(
         {"integrator.max_step": 0.0}, "integrator.max_step must be positive and finite"
     ),
+    "integrator-samples-bound": _value(
+        {"integrator.samples": 10**13}, "integrator.samples must be at most 10000000"
+    ),
     # reconstruction
     "reconstruction-type": _schema({"reconstruction": 1}, "reconstruction: expected an object"),
     "reconstruction-unknown": _schema({"reconstruction.step": 0.1}, "reconstruction.step: unknown key"),
@@ -176,6 +181,12 @@ SCHEMA_ROWS = {
     ),
     "oracle-k_max-range": _value(
         {"oracle.k_max": 0}, "oracle.tol must be positive and oracle.k_max at least 1"
+    ),
+    "oracle-grid-bound": _value(
+        {"oracle.t_end": 1e10, "oracle.dt": 1e-3}, "oracle.t_end / oracle.dt needs more than 10000000 grid nodes"
+    ),
+    "oracle-dt-tiny": _value(  # t_end / dt overflows to inf
+        {"oracle.dt": 5e-324}, "oracle.t_end / oracle.dt needs more than 10000000 grid nodes"
     ),
     "oracle-gap-range": _value({"oracle.gap_threshold": 0.0}, "oracle.gap_threshold must be positive"),
     # sweep
@@ -238,6 +249,35 @@ def test_single_fault_documents(tmp_path, capsys, row):
     assert capsys.readouterr().err == (message + "\n" if message else "")
     if code in (2, 3):
         assert not out.exists()  # rejected before anything is computed
+
+
+# the integrator, oracle and sweep value rows once more, through the solvers
+# that own each check: they refuse the same values in the same words,
+# without the section name
+LIBRARY_ROWS = {
+    key: row
+    for key, row in SCHEMA_ROWS.items()
+    if row[2] == 3 and key.split("-")[0] in ("integrator", "oracle", "sweep") and key != "oracle-gap-range"
+}
+
+
+@pytest.mark.parametrize("key", LIBRARY_ROWS)
+def test_single_fault_values_through_the_library(key):
+    _, edits, _, message = LIBRARY_ROWS[key]
+    section = key.split("-")[0]
+    doc = edited(edits)
+    settings = doc[section]
+    cfg = parse_config({**doc, section: base_doc()[section]})
+    with pytest.raises(ParameterError) as caught:
+        if section == "integrator":
+            start = ag.density_moments(cfg.initial, cfg.params.rho, cfg.params.n)
+            ag.integrate(start, cfg.params, cfg.feedback, n_samples=settings.pop("samples"), **settings)
+        elif section == "oracle":
+            del settings["gap_threshold"]
+            ag.volterra_solve(ag.from_separable(cfg.params, cfg.feedback, cfg.initial), **settings)
+        else:
+            ag.bifurcation_sweep(cfg.params, cfg.feedback, settings["r0_values"])
+    assert str(caught.value) == message.removeprefix("invalid configuration value: ").replace(f"{section}.", "")
 
 
 @pytest.mark.parametrize(

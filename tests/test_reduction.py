@@ -180,15 +180,23 @@ def test_integrate_validates_arguments(ref1):
         ({"sample_times": [0.5, 1.5]}, r"lie in \[0, t_end\]"),
         ({"sample_times": [0.5, 0.5]}, "strictly increasing"),
         ({"sample_times": [0.75, 0.5]}, "strictly increasing"),
-        ({"max_step": 0.0}, "max_step must be > 0"),
-        ({"max_step": -1.0}, "max_step must be > 0"),
+        ({"max_step": 0.0}, "max_step must be positive and finite"),
+        ({"max_step": -1.0}, "max_step must be positive and finite"),
+        # refused before the first step: an infinite horizon never ends, and
+        # with zero tolerances every step fails down to a StepSizeError
+        ({"t_end": math.inf}, "t_end must be positive and finite"),
+        ({"rtol": -1.0}, "rtol must be positive and atol nonnegative"),
+        ({"rtol": 0.0, "atol": 0.0}, "rtol must be positive and atol nonnegative"),
     ],
-    ids=["2-d", "before-0", "after-t_end", "repeated", "decreasing", "zero-max-step", "negative-max-step"],
+    ids=[
+        "2-d", "before-0", "after-t_end", "repeated", "decreasing", "zero-max-step", "negative-max-step",
+        "infinite-t_end", "negative-rtol", "zero-tolerances",
+    ],
 )
 def test_integrate_rejects_bad_samples_and_steps(ref1, kwargs, message):
     start = StateVector(p=1.0, moments=(0.75,))
     with pytest.raises(ParameterError, match=message):
-        ag.integrate(start, ref1.params, ref1.feedback, t_end=1.0, **kwargs)
+        ag.integrate(start, ref1.params, ref1.feedback, **{"t_end": 1.0, **kwargs})
 
 
 def test_birth_rates_consistent_with_states(ref2):
@@ -201,6 +209,20 @@ def test_birth_rates_consistent_with_states(ref2):
     np.testing.assert_allclose(traj.birth_rates, recompute, rtol=1e-12, atol=1e-14)
     assert np.all(traj.birth_rates >= 0)
     assert np.all(np.diff(traj.psi_integral) >= 0)
+
+
+def test_birth_rate_reads_a_state_the_same_in_any_batch():
+    # the n = 4 model of the ref2_families case in tools/compare_outputs.py:
+    # with four terms in beta.m, the order of the sum shows in the last digit
+    params = ag.ModelParams(n=4, betas=(0.3, 0.7, 0.2, 0.05), rho=0.5, mu0=0.5, r0=6.0)
+    feedback = ag.FeedbackSpec(
+        phi_family=ag.make_phi("exponential", k=2.0), psi_family=ag.make_psi("power", c=0.5, gamma=1.5)
+    )
+    start = ag.density_moments(ag.ExponentialDensity(1.65, 1.5), params.rho, params.n)
+    traj = ag.integrate(start, params, feedback, t_end=20.0, n_samples=201)
+    for t, row, births in zip(traj.times, traj.states, traj.birth_rates):
+        alone = ag.birth_rate(StateVector.from_array(row), params, feedback)
+        assert alone == births == traj.birth_rate_at(t)
 
 
 # --- undershoot policy -------------------------------------------------------
