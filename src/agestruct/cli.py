@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, reconstruct, stability, steady
@@ -42,15 +43,7 @@ SUMMARY_NAME = "run_summary.json"
 
 
 def _outdir(args, cfg: RunConfig) -> Path:
-    if args.out:
-        chosen = args.out
-    elif os.environ.get("AGESTRUCT_OUTDIR"):
-        chosen = os.environ["AGESTRUCT_OUTDIR"]
-    elif cfg.output_dir:
-        chosen = cfg.output_dir
-    else:
-        chosen = "out"
-    path = Path(chosen)
+    path = Path(args.out or os.environ.get("AGESTRUCT_OUTDIR") or cfg.output_dir or "out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -186,20 +179,12 @@ def _cmd_reconstruct(cfg: RunConfig, outdir: Path):
     checks = []
     for t in settings.times:
         field = reconstruct.reconstruct_density(traj, p0, cfg.params, cfg.feedback, t, grid)
+        report = reconstruct.consistency_check(field, traj, p0)
         name = density_filename(t)
         write_density_csv(outdir / name, field)
         files.append(name)
-        report = reconstruct.consistency_check(field, traj, p0)
-        checks.append(
-            {
-                "t": float(t),
-                "relative_mass_error": report.relative_mass_error,
-                "grid_mass": report.grid_mass,
-                "tail_mass": report.tail_mass,
-                "reference_mass": report.reference_mass,
-                "characteristic_jump": reconstruct.characteristic_jump(traj, p0, t),
-            }
-        )
+        jump = reconstruct.characteristic_jump(traj, p0, t)
+        checks.append({"t": float(t), **asdict(report), "characteristic_jump": jump})
     _write_json(outdir / "consistency.json", {"checks": checks})
     worst = max(c["relative_mass_error"] for c in checks)
     return 0, files + ["consistency.json"], (

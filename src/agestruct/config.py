@@ -35,6 +35,7 @@ from .model import (
     normalize_betas,
 )
 from .oracle import DEFAULT_K_MAX, grid_steps
+from .quadrature import uniform_steps
 from .reduction import check_integrator
 
 _INITIAL_KINDS = {"exponential": ExponentialDensity, "tabulated": TabulatedDensity}
@@ -219,6 +220,8 @@ def _parse_reconstruction(doc: dict, t_end: float) -> ReconstructionSettings:
         raise ParameterError("reconstruction.age_step must be positive and finite")
     if rec.age_max is not None and not rec.age_max > 0:
         raise ParameterError("reconstruction.age_max must be positive and finite")
+    if rec.age_max is not None and uniform_steps(rec.age_max, rec.age_step, "reconstruction.age_max: ") < 1:
+        raise ParameterError("reconstruction.age_max: the age grid has one node; a profile needs two")
     return replace(rec, times=rec.times or (t_end,))
 
 

@@ -29,8 +29,8 @@ class NegativityError(AgestructError):
     """Integration produced a negative state entry beyond the allowed slack."""
 
 
-class TrajectoryRangeError(AgestructError):
-    """A query time lies outside the computed trajectory."""
+class TrajectoryRangeError(ParameterError):
+    """A query time lies outside the computed trajectory, or is not a number."""
 
 
 class ConvergenceError(AgestructError):

@@ -371,19 +371,22 @@ class _GenericSweep:
 
 
 def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> int:
-    """Number of dt steps in the oracle horizon; 0 (a single node) when t_end < dt.
+    """Number of dt steps in the oracle horizon, at least one.
 
-    Raises ParameterError unless t_end >= 0 and dt > 0 are finite, dt divides t_end to within
-    1e-9 * max(1, t_end) into fewer than MAX_GRID_NODES steps, tol > 0 and k_max >= 1.
-    ``where`` prefixes each name in the message."""
-    if not 0 <= t_end < math.inf:
-        raise ParameterError(f"{where}t_end must be nonnegative and finite")
+    Raises ParameterError unless t_end > 0 and dt > 0 are finite, dt divides t_end to within
+    1e-9 * max(1, t_end) into at least one and fewer than MAX_GRID_NODES steps, tol > 0 and
+    k_max >= 1. ``where`` prefixes each name in the message."""
+    if not 0 < t_end < math.inf:
+        raise ParameterError(f"{where}t_end must be positive and finite")
     if not 0 < dt < math.inf:
         raise ParameterError(f"{where}dt must be positive and finite")
     if not t_end / dt < MAX_GRID_NODES:
         raise ParameterError(f"{where}t_end / {where}dt needs more than {MAX_GRID_NODES} grid nodes")
-    n_steps = round(t_end / dt) if t_end >= dt else 0
-    if n_steps and abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+    n_steps = round(t_end / dt)
+    slack = 1e-9 * max(1.0, t_end)
+    if n_steps < 1 or t_end < dt - slack:  # a single node
+        raise ParameterError(f"{where}t_end must be at least {where}dt")
+    if abs(n_steps * dt - t_end) > slack:
         raise ParameterError(f"oracle dt={dt!r} must divide the horizon t_end={t_end!r} evenly")
     if not (tol > 0 and k_max >= 1):
         raise ParameterError(f"{where}tol must be positive and {where}k_max at least 1")
@@ -503,7 +506,7 @@ def cross_validate(
         method="rk45",
         rtol=1e-10,
         atol=1e-12,
-        sample_times=oracle.times,
+        n_samples=oracle.times.size,  # np.linspace(0, t_end, N) on both sides: the same nodes
     )
     ode_p = traj.states[:, 0]
     ode_b = traj.birth_rates

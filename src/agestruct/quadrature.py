@@ -12,11 +12,20 @@ from .errors import ParameterError
 MAX_GRID_NODES = 10**7
 
 
-def uniform_grid(length: float, step: float) -> np.ndarray:
-    """Nodes 0, step, ..., n * step, n the fewest steps that reach length to within 1e-9 step."""
+def uniform_steps(length: float, step: float, where: str = "") -> int:
+    """The fewest steps n of ``step`` with n * step reaching length to within 1e-9 step; ParameterError
+    (prefixed by ``where``) unless length >= 0, step > 0 is finite and length / step < MAX_GRID_NODES."""
+    grid = f"{where}age grid [0, {length!r}] at step {step!r}"
+    if not (length >= 0 and 0 < step < math.inf):  # an infinite length fails the node bound
+        raise ParameterError(f"{grid} needs a length >= 0 and a finite step > 0")
     if not length / step < MAX_GRID_NODES:
-        raise ParameterError(f"age grid [0, {length!r}] at step {step!r} needs more than {MAX_GRID_NODES} nodes")
-    n = int(math.ceil(length / step - 1e-9))
+        raise ParameterError(f"{grid} needs more than {MAX_GRID_NODES} nodes")
+    return int(math.ceil(length / step - 1e-9))
+
+
+def uniform_grid(length: float, step: float) -> np.ndarray:
+    """Nodes 0, step, ..., n * step for n = uniform_steps(length, step)."""
+    n = uniform_steps(length, step)
     return np.linspace(0.0, n * step, n + 1)
 
 
@@ -33,8 +42,7 @@ def cumulative_trapezoid(y, dx: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     out[0] = 0.0
-    if y.size > 1:
-        np.cumsum(0.5 * dx * (y[1:] + y[:-1]), out=out[1:])
+    np.cumsum(0.5 * dx * (y[1:] + y[:-1]), out=out[1:])
     return out
 
 

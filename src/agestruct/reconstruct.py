@@ -63,15 +63,9 @@ def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -
     The cutoff solves exp(-mu0 * a_max) * (initial mass + sup B) < 1e-10,
     using the bare mortality floor as the (conservative) decay rate.
     """
-    if step <= 0 or not math.isfinite(step):
-        raise ParameterError("step must be positive and finite")
     amplitude = p0.mass() + float(np.max(traj.birth_rates))
-    if amplitude <= 0.0:
-        a_max = 10.0 * step
-    else:
-        a_max = math.log(amplitude / 1e-10) / traj.params.mu0
-        a_max = max(a_max, 10.0 * step)
-    return uniform_grid(a_max, step)
+    a_max = math.log(amplitude / 1e-10) / traj.params.mu0 if amplitude > 0.0 else 0.0
+    return uniform_grid(max(a_max, 10.0 * step), step)
 
 
 def reconstruct_density(
@@ -95,8 +89,6 @@ def reconstruct_density(
         raise ParameterError("params and feedback must be the trajectory's own")
     ages = np.asarray(age_grid, dtype=float)
     t = float(t)
-    if not math.isfinite(t):
-        raise ParameterError("query time must be finite")
     z_t = traj.psi_integral_at(t)  # range-checks t as a side effect
 
     values = np.empty_like(ages)
@@ -145,25 +137,29 @@ def consistency_check(
     integral is split there so the (possibly discontinuous) kink does not
     degrade the quadrature. Beyond the last grid age the renewal branch is
     extended with a frozen exponential rate mu0 + psi(P(t - a_max)) and
-    reported as tail mass.
+    reported as tail mass. A grid mass that is not finite raises
+    ParameterError.
     """
     t = field.time
     ages = field.age_grid
     p_ref = float(traj.state_at(t)[0])
 
-    if p0 is not None and ages[0] < t < ages[-1]:
-        survival = _survival(traj, t)
-        left_limit = traj.birth_rate_at(0.0) * survival
-        right_limit = float(p0.evaluate(0.0)) * survival
-        young = ages < t
-        old = ages > t  # a grid node exactly at t is replaced by the two limits
-        left_ages = np.append(ages[young], t)
-        left_vals = np.append(field.values[young], left_limit)
-        right_ages = np.insert(ages[old], 0, t)
-        right_vals = np.insert(field.values[old], 0, right_limit)
-        grid_mass = simpson(left_vals, left_ages) + simpson(right_vals, right_ages)
-    else:
-        grid_mass = field.mass()
+    with np.errstate(all="ignore"):  # a mass beyond the float range is refused below
+        if p0 is not None and ages[0] < t < ages[-1]:
+            survival = _survival(traj, t)
+            left_limit = traj.birth_rate_at(0.0) * survival
+            right_limit = float(p0.evaluate(0.0)) * survival
+            young = ages < t
+            old = ages > t  # a grid node exactly at t is replaced by the two limits
+            left_ages = np.append(ages[young], t)
+            left_vals = np.append(field.values[young], left_limit)
+            right_ages = np.insert(ages[old], 0, t)
+            right_vals = np.insert(field.values[old], 0, right_limit)
+            grid_mass = simpson(left_vals, left_ages) + simpson(right_vals, right_ages)
+        else:
+            grid_mass = field.mass()
+    if not math.isfinite(grid_mass):  # e.g. Simpson's spacing products overflow on a huge age step
+        raise ParameterError(f"the mass of the age profile at t={t!r} is not finite")
 
     tail_mass = 0.0
     if ages[-1] < t:

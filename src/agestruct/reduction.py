@@ -178,7 +178,7 @@ class Trajectory:
 
     def _check_range(self, t: np.ndarray):
         slack = 1e-12 * max(1.0, self.t_end)
-        if np.any(t < -slack) or np.any(t > self.t_end + slack):
+        if not np.all((t >= -slack) & (t <= self.t_end + slack)):  # NaN fails both
             raise TrajectoryRangeError(f"query time outside [0, {self.t_end!r}]")
 
     def _eval_aug(self, t) -> np.ndarray:
@@ -270,7 +270,8 @@ def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, n_
 
 def check_integrator(t_end, samples, rtol, atol, h=None, max_step=None, where: str = "") -> None:
     """Raise ParameterError unless t_end, h and max_step (when given) are positive and finite,
-    2 <= samples <= MAX_GRID_NODES, rtol > 0 and atol >= 0; ``where`` prefixes each name."""
+    t_end / h and t_end / max_step are below MAX_GRID_NODES, 2 <= samples <= MAX_GRID_NODES,
+    rtol > 0 and atol >= 0; ``where`` prefixes each name."""
     if not 0 < t_end < math.inf:
         raise ParameterError(f"{where}t_end must be positive and finite")
     if samples < 2:
@@ -282,6 +283,8 @@ def check_integrator(t_end, samples, rtol, atol, h=None, max_step=None, where: s
     for name, step in (("h", h), ("max_step", max_step)):
         if step is not None and not 0 < step < math.inf:
             raise ParameterError(f"{where}{name} must be positive and finite")
+        if step is not None and not t_end / step < MAX_GRID_NODES:  # the knots are kept in lists
+            raise ParameterError(f"{where}t_end / {where}{name} needs more than {MAX_GRID_NODES} knots")
 
 
 def integrate(
@@ -295,29 +298,19 @@ def integrate(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     max_step: float | None = None,
-    sample_times=None,
     n_samples: int = 1001,
 ) -> Trajectory:
     """Integrate the moment system over [0, t_end] and sample the solution.
 
     method 'rk4' takes fixed steps of h (the last step is shortened to land
-    on t_end); 'rk45' is adaptive with the given rtol/atol. Samples default
-    to n_samples equispaced times and are evaluated from the dense output.
-    States are kept nonnegative per the undershoot policy; the number of clamped
-    entries is reported on the trajectory. ``check_integrator`` checks the settings.
+    on t_end); 'rk45' is adaptive with the given rtol/atol. The samples are
+    the n_samples times np.linspace(0, t_end, n_samples), evaluated from the
+    dense output; ``state_at``, ``birth_rate_at`` and ``psi_integral_at``
+    read any other time in [0, t_end]. States are kept nonnegative per the
+    undershoot policy; the number of clamped entries is reported on the
+    trajectory. ``check_integrator`` checks the settings.
     """
     check_integrator(t_end, n_samples, rtol, atol, h, max_step)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, n_samples)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
-        if sample_times.ndim != 1 or sample_times.size < 1:
-            raise ParameterError("sample_times must be a 1-d array")
-        if np.any(sample_times < 0) or np.any(sample_times > t_end * (1 + 1e-12)):
-            raise ParameterError("sample times must lie in [0, t_end]")
-        if np.any(np.diff(sample_times) <= 0):
-            raise ParameterError("sample times must be strictly increasing")
-
     y0 = np.append(_state_array(initial, params), 0.0)  # extra channel: integral of psi(p)
     n_state = params.n + 1
 
@@ -342,6 +335,7 @@ def integrate(
         f, y0, float(t_end), stages, err_weights, float(h), float(max_step), float(rtol), float(atol), n_state
     )
 
+    sample_times = np.linspace(0.0, t_end, n_samples)
     aug = _hermite_eval(sample_times, kt, ky, kf)
     states = aug[:, :n_state].copy()
     clamped += _clamp_undershoot(states, NegativityError, " in the samples")

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,20 @@ def test_runtime_errors_exit_4(tmp_path):
 
 
 
+def test_non_finite_profile_mass_exits_4(tmp_path, capsys):
+    # Simpson's spacing products overflow on an age step of 1e300, so the
+    # profile's mass is NaN; it is refused, and no numpy warning is printed
+    doc = ref1_doc()
+    doc["integrator"] = {"t_end": 2.0, "samples": 21}
+    doc["reconstruction"] = {"times": [1.0], "age_step": 1e300}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["reconstruct", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "run failed: the mass of the age profile at t=1.0 is not finite\n"
+    assert sorted(path.name for path in out.iterdir()) == []
+
+
 def test_simulate_undershoot_exits_4(tmp_path, capsys):
     doc = ref1_doc()
     doc["feedback"]["psi"]["c"] = 50.0
@@ -562,6 +577,7 @@ def test_feedback_config_round_trip():
 
 _REGISTER_MANY = """
 import sys
+import warnings
 from pathlib import Path
 from agestruct.cli import _register
 

@@ -12,6 +12,7 @@ from agestruct.cli import run
 from agestruct.config import parse_config
 from agestruct.errors import ParameterError
 from agestruct.model import ExponentialDensity, TabulatedDensity
+from agestruct.quadrature import MAX_GRID_NODES, uniform_grid
 
 DELETE = object()
 
@@ -151,6 +152,14 @@ SCHEMA_ROWS = {
     "integrator-samples-bound": _value(
         {"integrator.samples": 10**13}, "integrator.samples must be at most 10000000"
     ),
+    "integrator-h-bound": _value(
+        {"integrator.method": "rk4", "integrator.h": 1e-9, "integrator.t_end": 1.0},
+        "integrator.t_end / integrator.h needs more than 10000000 knots",
+    ),
+    "integrator-max_step-bound": _value(
+        {"integrator.max_step": 1e-9, "integrator.t_end": 1.0},
+        "integrator.t_end / integrator.max_step needs more than 10000000 knots",
+    ),
     # reconstruction
     "reconstruction-type": _schema({"reconstruction": 1}, "reconstruction: expected an object"),
     "reconstruction-unknown": _schema({"reconstruction.step": 0.1}, "reconstruction.step: unknown key"),
@@ -169,12 +178,24 @@ SCHEMA_ROWS = {
     "reconstruction-age_max-range": _value(
         {"reconstruction.age_max": -1.0}, "reconstruction.age_max must be positive and finite"
     ),
+    "reconstruction-grid-bound": _value(
+        {"reconstruction.age_max": 1e5, "reconstruction.age_step": 1e-3},
+        "reconstruction.age_max: age grid [0, 100000.0] at step 0.001 needs more than 10000000 nodes",
+    ),
+    "reconstruction-grid-one-node": _value(
+        {"reconstruction.age_max": 1e-12},
+        "reconstruction.age_max: the age grid has one node; a profile needs two",
+    ),
     # oracle
     "oracle-type": _schema({"oracle": []}, "oracle: expected an object"),
     "oracle-unknown": _schema({"oracle.steps": 10}, "oracle.steps: unknown key"),
     "oracle-dt-type": _schema({"oracle.dt": "0.01"}, "oracle.dt: expected a number"),
     "oracle-k_max-type": _schema({"oracle.k_max": 2.5}, "oracle.k_max: expected an integer"),
-    "oracle-t_end-range": _value({"oracle.t_end": -1.0}, "oracle.t_end must be nonnegative and finite"),
+    "oracle-t_end-range": _value({"oracle.t_end": -1.0}, "oracle.t_end must be positive and finite"),
+    "oracle-t_end-zero": _value({"oracle.t_end": 0.0}, "oracle.t_end must be positive and finite", "validate"),
+    "oracle-t_end-below-dt": _value(
+        {"oracle.t_end": 0.001, "oracle.dt": 0.002}, "oracle.t_end must be at least oracle.dt", "validate"
+    ),
     "oracle-dt-range": _value({"oracle.dt": 0.0}, "oracle.dt must be positive and finite"),
     "oracle-dt-divides": _value(
         {"oracle.dt": 0.03}, "oracle dt=0.03 must divide the horizon t_end=2.0 evenly"
@@ -280,6 +301,23 @@ def test_single_fault_values_through_the_library(key):
     assert str(caught.value) == message.removeprefix("invalid configuration value: ").replace(f"{section}.", "")
 
 
+def test_reconstruction_grid_faults_through_the_library():
+    # the grid the config refuses as too large is refused by uniform_grid in
+    # the same words, and a profile on the one-node grid by the density field
+    _, edits, _, message = SCHEMA_ROWS["reconstruction-grid-bound"]
+    with pytest.raises(ParameterError) as caught:
+        uniform_grid(edits["reconstruction.age_max"], edits["reconstruction.age_step"])
+    assert str(caught.value) == message.removeprefix("invalid configuration value: reconstruction.age_max: ")
+
+    cfg = parse_config(base_doc())
+    grid = uniform_grid(SCHEMA_ROWS["reconstruction-grid-one-node"][1]["reconstruction.age_max"], 0.05)
+    assert grid.tolist() == [0.0]
+    start = ag.density_moments(cfg.initial, cfg.params.rho, cfg.params.n)
+    traj = ag.integrate(start, cfg.params, cfg.feedback, t_end=1.0, n_samples=11)
+    with pytest.raises(ParameterError, match="^age_grid must be 1-d with at least two nodes$"):
+        ag.reconstruct_density(traj, cfg.initial, cfg.params, cfg.feedback, 1.0, grid)
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [(b"[]", "config: expected an object"), (b'{"model": "\xff"}', "cannot read config file")],
@@ -302,6 +340,22 @@ DOCUMENTED = {
     "reconstruction": {"times": None, "age_step": 0.01, "age_max": None},
     "oracle": {"t_end": 5.0, "dt": 0.002, "tol": 1e-10, "k_max": 200, "gap_threshold": 5e-3},
 }
+
+
+def _refused_key(doc):
+    """The key of the first bound the settings break, in parse order, or None."""
+    integrator = {**DOCUMENTED["integrator"], **doc["integrator"]}
+    for key in ("h", "max_step"):
+        if integrator[key] is not None and not integrator["t_end"] / integrator[key] < MAX_GRID_NODES:
+            return f"integrator.t_end / integrator.{key} needs more than"
+    reconstruction = {**DOCUMENTED["reconstruction"], **doc["reconstruction"]}
+    if reconstruction["age_max"] is not None:
+        nodes = reconstruction["age_max"] / reconstruction["age_step"]
+        if not nodes < MAX_GRID_NODES or nodes <= 1e-9:  # too many nodes, or one
+            return "reconstruction.age_max: age grid"
+    if doc["oracle"].get("t_end") == 0:
+        return "oracle.t_end must be positive"
+    return None
 
 
 def test_settings_round_trip():
@@ -353,6 +407,13 @@ def test_settings_round_trip():
             integrator=integrator, reconstruction=reconstruction, oracle=oracle, initial_density=initial
         )
         snapshot = copy.deepcopy(doc)
+        refused = _refused_key(doc)
+        outcomes.add(refused is None)
+        if refused is not None:  # a step, age grid or horizon beyond its bound
+            with pytest.raises(ParameterError) as caught:
+                parse_config(doc)
+            assert str(caught.value).startswith(refused)
+            return
         cfg = parse_config(doc)
         assert doc == snapshot
         for name in DOCUMENTED:
@@ -371,4 +432,6 @@ def test_settings_round_trip():
             assert np.array_equal(cfg.initial.values, initial["values"])
         assert cfg.resolved["initial_density"] == initial
 
+    outcomes = set()
     check()
+    assert outcomes == {True, False}  # both refused and accepted draws were met

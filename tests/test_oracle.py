@@ -32,9 +32,12 @@ def test_single_node_horizon(ref2):
     p0 = ag.ExponentialDensity(coefficient=1.2, decay=1.1)
     model = from_separable(ref2.params, ref2.feedback, p0)
     dt = 0.5
-    sol = volterra_solve(model, 0.3, dt)  # horizon below one step
-    assert sol.times.tolist() == [0.0]
-    assert sol.iterations == 1
+    # a horizon below one step would leave a single node: it is refused
+    for t_end in (0.3, 1e-12):
+        with pytest.raises(ParameterError, match="^t_end must be at least dt$"):
+            volterra_solve(model, t_end, dt)
+    sol = volterra_solve(model, dt, dt)
+    assert sol.times.tolist() == [0.0, dt]
 
     # both values at t = 0 are plain trapezoid functionals of the start data
     sigma = np.linspace(0.0, math.ceil(p0.support_end() / dt) * dt,
@@ -47,6 +50,24 @@ def test_single_node_horizon(ref2):
     )
     np.testing.assert_allclose(sol.populations[0], mass0, rtol=1e-12)
     np.testing.assert_allclose(sol.birth_rates[0], b0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("t_end, dt", [(3, 0.01), (0.3, 0.1), (10, 1e-3)], ids=["integer", "0.3-0.1", "fine"])
+def test_cross_validate_samples_the_oracle_grid(ref1, monkeypatch, t_end, dt):
+    # the ODE side samples by count; both sides build np.linspace(0, t_end, N)
+    trajectories = []
+    integrate = oracle.integrate
+
+    def recorded(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(oracle, "integrate", recorded)
+    report = cross_validate(ref1.params, ref1.feedback, ref1.p0, t_end, dt)
+    (traj,) = trajectories
+    assert report.times is report.oracle.times
+    assert np.array_equal(traj.times, report.times)
+    assert np.array_equal(report.ode_populations, traj.state_at(report.times)[:, 0])
 
 
 def test_zero_density_is_trivial(ref1):
@@ -292,7 +313,7 @@ _TABLE_P0 = ag.TabulatedDensity(ages=(0.0, 1.0, 2.5, 4.0), values=(1.0, 0.8, 0.3
 GENERIC_CASES = {
     "non-separable": (_crowded_model(_TABLE_P0), 2.0, 0.02),
     "scalar-only": (_scalar_only_model(), 0.5, 0.1),
-    "one-node": (_crowded_model(_TABLE_P0), 0.01, 0.05),
+    "one-step": (_crowded_model(_TABLE_P0), 0.05, 0.05),
     "one-node-sigma": (_crowded_model(ag.ExponentialDensity(0.0, 1.0)), 1.0, 0.05),
 }
 

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from agestruct.errors import ParameterError
 from agestruct.quadrature import cumulative_trapezoid, simpson, trapezoid, uniform_grid
 
 
@@ -63,3 +65,24 @@ def test_uniform_grid_reaches_length():
     grid = uniform_grid(1.05, 0.1)
     assert grid.size == 12 and grid[-1] == 11 * 0.1
     assert np.array_equal(grid, np.linspace(0.0, 11 * 0.1, 12))
+
+
+@pytest.mark.parametrize(
+    "length, step, problem",
+    [
+        (1.0, 0.0, "needs a length >= 0 and a finite step > 0"),
+        (1.0, -0.1, "needs a length >= 0 and a finite step > 0"),
+        (1.0, math.inf, "needs a length >= 0 and a finite step > 0"),
+        (1.0, math.nan, "needs a length >= 0 and a finite step > 0"),
+        (-1.0, 0.1, "needs a length >= 0 and a finite step > 0"),
+        (math.nan, 0.1, "needs a length >= 0 and a finite step > 0"),
+        (math.inf, 0.1, "needs more than 10000000 nodes"),
+        (1e5, 1e-3, "needs more than 10000000 nodes"),
+    ],
+    ids=["zero-step", "negative-step", "infinite-step", "nan-step", "negative-length", "nan-length",
+         "infinite-length", "too-many-nodes"],
+)
+def test_uniform_grid_rejects_bad_sizes(length, step, problem):
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'age grid [0, {length!r}] at step {step!r} {problem}')}$"):
+        uniform_grid(length, step)
+

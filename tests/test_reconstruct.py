@@ -141,13 +141,13 @@ def test_jump_matches_branch_mismatch(ref1):
 
 
 def test_jump_reads_b0_from_the_dense_output(ref1):
-    # B(0) is the birth rate of the start state, whatever the first sample is
+    # B(0) is the birth rate of the start state, however many samples there are
     p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
     start = ag.density_moments(p0, ref1.params.rho, ref1.params.n)
     default = ag.integrate(start, ref1.params, ref1.feedback, 20.0)
-    late = ag.integrate(start, ref1.params, ref1.feedback, 20.0, sample_times=[5.0, 10.0, 20.0])
+    sparse = ag.integrate(start, ref1.params, ref1.feedback, 20.0, n_samples=3)
     jump = characteristic_jump(default, p0, 10.0)
-    assert characteristic_jump(late, p0, 10.0) == jump
+    assert characteristic_jump(sparse, p0, 10.0) == jump
     survival = math.exp(-0.5 * 10.0 - default.psi_integral_at(10.0))
     b0 = ag.birth_rate(start, ref1.params, ref1.feedback)
     assert jump == pytest.approx(survival * abs(1.65 - b0), rel=1e-12)
@@ -193,8 +193,9 @@ def test_reconstruct_rejects_out_of_range_times(ref1):
         reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, 1.5, [0.0, 1.0])
     with pytest.raises(TrajectoryRangeError):
         reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, -0.5, [0.0, 1.0])
-    with pytest.raises(ParameterError):
-        reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, math.inf, [0.0, 1.0])
+    for t in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, t, [0.0, 1.0])
 
 
 def test_reconstruct_rejects_other_models_than_the_trajectorys(ref1):
