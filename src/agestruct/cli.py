@@ -132,19 +132,8 @@ def _require_initial(cfg: RunConfig):
 def _run_trajectory(cfg: RunConfig) -> Trajectory:
     p0 = _require_initial(cfg)
     start = density_moments(p0, cfg.params.rho, cfg.params.n)
-    it = cfg.integrator
-    return integrate(
-        start,
-        cfg.params,
-        cfg.feedback,
-        t_end=it.t_end,
-        method=it.method,
-        h=it.h,
-        rtol=it.rtol,
-        atol=it.atol,
-        max_step=it.max_step,
-        n_samples=it.samples,
-    )
+    settings = asdict(cfg.integrator)  # every field but samples is an integrate keyword
+    return integrate(start, cfg.params, cfg.feedback, n_samples=settings.pop("samples"), **settings)
 
 
 def _cmd_steady(cfg: RunConfig, outdir: Path):

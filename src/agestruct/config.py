@@ -205,8 +205,9 @@ def _parse_integrator(doc: dict) -> IntegratorSettings:
         raise ConfigSchemaError("integrator.method: expected 'rk4' or 'rk45'")
     if it.method == "rk4" and it.h is None:
         raise ConfigSchemaError("integrator.h: required for method 'rk4'")
-    if it.method == "rk45" and it.h is not None:
-        raise ConfigSchemaError("integrator.h: only applies to method 'rk4'")
+    for name, owner in (("h", "rk4"), ("max_step", "rk45")):
+        if getattr(it, name) is not None and it.method != owner:
+            raise ConfigSchemaError(f"integrator.{name}: only applies to method {owner!r}")
     check_integrator(it.t_end, it.samples, it.rtol, it.atol, it.h, it.max_step, "integrator.")
     return it
 

@@ -374,7 +374,7 @@ def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> in
     """Number of dt steps in the oracle horizon, at least one.
 
     Raises ParameterError unless t_end > 0 and dt > 0 are finite, dt divides t_end to within
-    1e-9 * max(1, t_end) into at least one and fewer than MAX_GRID_NODES steps, tol > 0 and
+    1e-9 * t_end into at least one and fewer than MAX_GRID_NODES steps, tol > 0 and
     k_max >= 1. ``where`` prefixes each name in the message."""
     if not 0 < t_end < math.inf:
         raise ParameterError(f"{where}t_end must be positive and finite")
@@ -383,8 +383,8 @@ def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> in
     if not t_end / dt < MAX_GRID_NODES:
         raise ParameterError(f"{where}t_end / {where}dt needs more than {MAX_GRID_NODES} grid nodes")
     n_steps = round(t_end / dt)
-    slack = 1e-9 * max(1.0, t_end)
-    if n_steps < 1 or t_end < dt - slack:  # a single node
+    slack = 1e-9 * t_end
+    if t_end < dt - slack:  # below one step
         raise ParameterError(f"{where}t_end must be at least {where}dt")
     if abs(n_steps * dt - t_end) > slack:
         raise ParameterError(f"oracle dt={dt!r} must divide the horizon t_end={t_end!r} evenly")

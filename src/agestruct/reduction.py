@@ -6,10 +6,10 @@ algebraic readout of the state, and the system closes exactly because the
 fertility age profile is a polynomial times exp(-rho*a).
 
 One Runge-Kutta loop runs two methods: classical fixed-step RK4 and the
-adaptive embedded Dormand-Prince 5(4) pair. It integrates an extra channel
-for the running integral of the crowding mortality psi(p), which the density
-reconstruction needs, and keeps cubic-Hermite dense output between accepted
-steps.
+adaptive embedded Dormand-Prince 5(4) pair. The integrated vector appends
+Z, the running integral of the crowding mortality psi(p), which the density
+reconstruction needs, and the loop keeps cubic-Hermite dense output between
+accepted steps.
 """
 
 from __future__ import annotations
@@ -35,18 +35,19 @@ if TYPE_CHECKING:  # pragma: no cover
 NEGATIVE_SLACK = 1e-9
 
 
-def _clamp_undershoot(y: np.ndarray, error: type, where: str = "") -> int:
+def _clamp_undershoot(y: np.ndarray, error: type, where: str = "", slack: float = NEGATIVE_SLACK) -> int:
     """Apply the undershoot policy to the state entries ``y`` in place.
 
-    An entry below -NEGATIVE_SLACK or not finite raises ``error``; the
-    remaining negatives are set to zero. Returns how many were zeroed.
+    An entry below -slack or not finite raises ``error``; the remaining
+    negatives are set to zero. Returns how many were zeroed.
     """
-    lo, hi = y.min(), y.max()  # both propagate NaN
-    if not (lo >= -NEGATIVE_SLACK and hi < math.inf):
+    lo, hi = y.min(initial=0.0), y.max(initial=0.0)  # both propagate NaN; an empty y reads 0
+    if not (lo >= -slack and hi < math.inf):
         finite = np.isfinite(y)
         if not finite.all():
             raise error(f"state entry {float(y[~finite][0])!r}{where} is not finite")
-        raise error(f"state entry {float(lo)!r}{where} fell below the -1e-9 negativity slack")
+        shown = repr(float(slack)).replace("e-0", "e-")  # 1e-09 prints as 1e-9
+        raise error(f"state entry {float(lo)!r}{where} fell below the -{shown} negativity slack")
     if lo >= 0.0:
         return 0
     negative = y < 0.0
@@ -101,9 +102,9 @@ def _births(y: np.ndarray, params, feedback):
 
 
 def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
-    # y' = A(p) y: births r0 phi(p) beta.m enter p and p_1, p decays at
-    # mu0 + psi(p), each moment at rho + mu0 + psi(p), and p_i feeds p_{i+1}
-    # at rate i
+    # y = (p, p_1, ..., p_n, Z) and y' = A(p) y: births r0 phi(p) beta.m
+    # enter p and p_1, p decays at mu0 + psi(p), each moment at
+    # rho + mu0 + psi(p), and p_i feeds p_{i+1} at rate i; Z' = psi(p)
     p = y[0]
     psi = feedback.psi(max(p, 0.0))  # as in _births, psi sees max(p, 0)
     births = _births(y, params, feedback)
@@ -111,7 +112,8 @@ def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
     out[0] = -(params.mu0 + psi) * p + births
     out[1] += births
     if params.n > 1:
-        out[2:] += np.arange(1, params.n) * y[1:-1]
+        out[2:-1] += np.arange(1, params.n) * y[1:-2]
+    out[-1] = psi
     return out
 
 
@@ -120,7 +122,7 @@ def rhs(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> Stat
 
     The first component is the balance law p' = births - (mu0 + psi(p)) * p.
     """
-    d = _rhs_array(_state_array(state, params), params, feedback)
+    d = _rhs_array(np.append(_state_array(state, params), 0.0), params, feedback)[:-1]  # Z = 0 rides along
     out = object.__new__(StateVector)  # derivatives may be negative; skip clamping
     object.__setattr__(out, "p", float(d[0]))
     object.__setattr__(out, "moments", tuple(float(v) for v in d[1:]))
@@ -153,47 +155,61 @@ def _hermite_eval(t_arr: np.ndarray, kt: np.ndarray, ky: np.ndarray, kf: np.ndar
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the moment system plus dense-output knots.
+    """Solution of the moment system: dense-output knots and the samples read from them.
 
-    times/states/birth_rates/psi_integral are the user-facing samples;
-    the knot arrays hold every accepted integrator step (state augmented
-    with the psi integral) and its derivative for cubic-Hermite evaluation
-    at arbitrary times in [0, t_end].
+    The knots hold every accepted step of (p, p_1, ..., p_n, Z) and its
+    derivative, for cubic-Hermite evaluation at any time in [0, t_end]. The
+    samples at ``times`` come from the read behind ``state_at``,
+    ``psi_integral_at`` and ``birth_rate_at``; ``clamp_count`` counts the
+    entries zeroed at the knots and the samples.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    birth_rates: np.ndarray
-    psi_integral: np.ndarray
+    states: np.ndarray = field(init=False)
+    birth_rates: np.ndarray = field(init=False)
+    psi_integral: np.ndarray = field(init=False)
     params: "ModelParams"
     feedback: "FeedbackSpec"
     knot_times: np.ndarray = field(repr=False)
     knot_states: np.ndarray = field(repr=False)
     knot_derivs: np.ndarray = field(repr=False)
+    slack: float = NEGATIVE_SLACK  # of the undershoot policy at the knots and in every read
     clamp_count: int = 0
+
+    def __post_init__(self):
+        aug, clamped = self._read(self.times)
+        self.states = aug[:, :-1]
+        self.psi_integral = aug[:, -1]
+        self.birth_rates = _births(self.states, self.params, self.feedback)
+        self.clamp_count += clamped
 
     @property
     def t_end(self) -> float:
         return float(self.knot_times[-1])
 
-    def _check_range(self, t: np.ndarray):
-        slack = 1e-12 * max(1.0, self.t_end)
-        if not np.all((t >= -slack) & (t <= self.t_end + slack)):  # NaN fails both
-            raise TrajectoryRangeError(f"query time outside [0, {self.t_end!r}]")
+    def _read(self, t) -> tuple[np.ndarray, int]:
+        """Rows [p, moments..., max(Z, 0)] at time(s) t, and how many state entries were zeroed.
 
-    def _eval_aug(self, t) -> np.ndarray:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_range(t_arr)
-        return _hermite_eval(t_arr, self.knot_times, self.knot_states, self.knot_derivs)
+        A time outside [0, t_end], to within 1e-12 * max(1, t_end), raises
+        TrajectoryRangeError; the state entries follow the undershoot policy.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        edge = 1e-12 * max(1.0, self.t_end)
+        if not np.all((t >= -edge) & (t <= self.t_end + edge)):  # NaN fails both
+            raise TrajectoryRangeError(f"query time outside [0, {self.t_end!r}]")
+        aug = _hermite_eval(t, self.knot_times, self.knot_states, self.knot_derivs)
+        clamped = _clamp_undershoot(aug[:, :-1], NegativityError, " in the dense output", self.slack)
+        aug[:, -1] = np.maximum(aug[:, -1], 0.0)
+        return aug, clamped
 
     def state_at(self, t) -> np.ndarray:
-        """State rows [p, moments...] at time(s) t, clamped to nonnegative."""
-        out = np.maximum(self._eval_aug(t)[:, :-1], 0.0)
+        """State rows [p, moments...] at time(s) t, under the undershoot policy."""
+        out = self._read(t)[0][:, :-1]
         return out[0] if np.ndim(t) == 0 else out
 
     def psi_integral_at(self, t):
         """Running integral of psi(p) over [0, t]."""
-        out = np.maximum(self._eval_aug(t)[:, -1], 0.0)
+        out = self._read(t)[0][:, -1]
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def birth_rate_at(self, t):
@@ -229,12 +245,13 @@ _DP45_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22
 _METHODS = {"rk4": (_RK4_A, None), "rk45": (_DP45_A, _DP45_E)}
 
 
-def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, n_state):
+def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, slack):
     """Knot times, states and derivatives of one Runge-Kutta run, and the clamp count.
 
     With error weights the step adapts to rtol/atol; without them every step
     of h is accepted. A step that ends within 1e-12 * max(1, t_end) of t_end
-    ends on it.
+    ends on it. Each accepted step's state entries, all but the last (Z),
+    follow the undershoot policy at ``slack``.
     """
     land = 1e-12 * max(1.0, t_end)
     t, y = 0.0, y0.copy()
@@ -258,7 +275,7 @@ def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, n_
                 continue
         if err <= 1.0:
             t = t_end if t_end - (t + h) < land else t + h
-            clamped += _clamp_undershoot(y_new[:n_state], NegativityError, f" at t={t!r}")
+            clamped += _clamp_undershoot(y_new[:-1], NegativityError, f" at t={t!r}", slack)
             y = y_new
             ts.append(t)
             ys.append(y)
@@ -307,50 +324,43 @@ def integrate(
     the n_samples times np.linspace(0, t_end, n_samples), evaluated from the
     dense output; ``state_at``, ``birth_rate_at`` and ``psi_integral_at``
     read any other time in [0, t_end]. States are kept nonnegative per the
-    undershoot policy; the number of clamped entries is reported on the
-    trajectory. ``check_integrator`` checks the settings.
+    undershoot policy, whose slack for 'rk45' grows to sqrt(n + 2) * atol;
+    the number of clamped entries is reported on the trajectory. rk4 takes
+    no max_step and rk45 no h; ``check_integrator`` checks the settings.
     """
-    check_integrator(t_end, n_samples, rtol, atol, h, max_step)
-    y0 = np.append(_state_array(initial, params), 0.0)  # extra channel: integral of psi(p)
-    n_state = params.n + 1
-
-    def f(y):
-        out = np.empty_like(y)
-        out[:n_state] = _rhs_array(y[:n_state], params, feedback)
-        out[n_state] = feedback.psi(max(y[0], 0.0))
-        return out
-
     if not isinstance(method, str) or method not in _METHODS:
         raise ParameterError(f"unknown integration method {method!r}")
     stages, err_weights = _METHODS[method]
+    for name, step, owner in (("h", h, "rk4"), ("max_step", max_step, "rk45")):
+        if step is not None and method != owner:
+            raise ParameterError(f"{name}: only applies to method {owner!r}")
+    check_integrator(t_end, n_samples, rtol, atol, h, max_step)
+    y0 = np.append(_state_array(initial, params), 0.0)  # Z starts at 0
     if err_weights is None:
         if h is None:
             raise ParameterError("rk4 requires a positive step size h")
-        max_step = h
+        max_step, slack = h, NEGATIVE_SLACK
     else:
         if max_step is None:
             max_step = t_end / 20.0
         h = min(max_step, t_end / 100.0)
+        # a step passes at an RMS error of 1 over the y0.size entries, so one
+        # entry near zero may carry sqrt(y0.size) * atol of accepted error
+        slack = max(NEGATIVE_SLACK, math.sqrt(y0.size) * atol)
     kt, ky, kf, clamped = _integrate_rk(
-        f, y0, float(t_end), stages, err_weights, float(h), float(max_step), float(rtol), float(atol), n_state
+        lambda y: _rhs_array(y, params, feedback),
+        y0, float(t_end), stages, err_weights, float(h), float(max_step), float(rtol), float(atol), slack
     )
-
-    sample_times = np.linspace(0.0, t_end, n_samples)
-    aug = _hermite_eval(sample_times, kt, ky, kf)
-    states = aug[:, :n_state].copy()
-    clamped += _clamp_undershoot(states, NegativityError, " in the samples")
-    zint = np.maximum.accumulate(np.maximum(aug[:, n_state], 0.0))  # guard float-level dips
-    if clamped:
-        warnings.warn(f"integration clamped {clamped} slightly negative state entries", stacklevel=2)
-    return Trajectory(
-        times=sample_times,
-        states=states,
-        birth_rates=_births(states, params, feedback),
-        psi_integral=zint,
+    traj = Trajectory(
+        times=np.linspace(0.0, t_end, n_samples),
         params=params,
         feedback=feedback,
         knot_times=kt,
         knot_states=ky,
         knot_derivs=kf,
+        slack=slack,
         clamp_count=clamped,
     )
+    if traj.clamp_count:
+        warnings.warn(f"integration clamped {traj.clamp_count} slightly negative state entries", stacklevel=2)
+    return traj

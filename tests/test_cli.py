@@ -321,6 +321,19 @@ def test_simulate_undershoot_exits_4(tmp_path, capsys):
     assert "at t=0.5 fell below" in capsys.readouterr().err
 
 
+def test_simulate_dying_population_at_a_loose_atol(tmp_path):
+    # the undershoot slack grows with the atol that rk45 accepted, so p decays
+    # to about 2.7e-10 through a knot at -4.6e-9 (t = 67.2)
+    doc = ref1_doc()
+    doc["model"]["r0"] = 0.5
+    doc["integrator"] = {"t_end": 200, "rtol": 1e-6, "atol": 1e-8}
+    cfg = write_config(tmp_path, doc)
+    with pytest.warns(UserWarning, match="^integration clamped"):
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    assert len(rows) == 1001 and float(rows[-1][0]) == 200.0
+
+
 def test_simulate_from_a_steep_table(tmp_path):
     # a nonnegative table gives a nonnegative start state, so the run succeeds
     doc = ref1_doc()

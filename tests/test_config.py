@@ -138,6 +138,10 @@ SCHEMA_ROWS = {
     "integrator-samples-type": _schema({"integrator.samples": 10.5}, "integrator.samples: expected an integer"),
     "integrator-rk4-needs-h": _schema({"integrator.method": "rk4"}, "integrator.h: required for method 'rk4'"),
     "integrator-rk45-no-h": _schema({"integrator.h": 0.1}, "integrator.h: only applies to method 'rk4'"),
+    "integrator-rk4-no-max_step": _schema(
+        {"integrator.method": "rk4", "integrator.h": 0.01, "integrator.max_step": 0.5},
+        "integrator.max_step: only applies to method 'rk45'",
+    ),
     "integrator-t_end-range": _value({"integrator.t_end": -1.0}, "integrator.t_end must be positive and finite"),
     "integrator-samples-range": _value({"integrator.samples": 1}, "integrator.samples must be at least 2"),
     "integrator-rtol-range": _value(
@@ -199,6 +203,9 @@ SCHEMA_ROWS = {
     "oracle-dt-range": _value({"oracle.dt": 0.0}, "oracle.dt must be positive and finite"),
     "oracle-dt-divides": _value(
         {"oracle.dt": 0.03}, "oracle dt=0.03 must divide the horizon t_end=2.0 evenly"
+    ),
+    "oracle-dt-divides-tiny": _value(  # the divide slack scales with the horizon
+        {"oracle.t_end": 1.4e-10, "oracle.dt": 1e-10}, "oracle dt=1e-10 must divide the horizon t_end=1.4e-10 evenly"
     ),
     "oracle-k_max-range": _value(
         {"oracle.k_max": 0}, "oracle.tol must be positive and oracle.k_max at least 1"
@@ -274,11 +281,13 @@ def test_single_fault_documents(tmp_path, capsys, row):
 
 # the integrator, oracle and sweep value rows once more, through the solvers
 # that own each check: they refuse the same values in the same words,
-# without the section name
+# without the section name; so does integrate for a step setting that its
+# method ignores, which the config reader refuses as a schema error
 LIBRARY_ROWS = {
     key: row
     for key, row in SCHEMA_ROWS.items()
     if row[2] == 3 and key.split("-")[0] in ("integrator", "oracle", "sweep") and key != "oracle-gap-range"
+    or key in ("integrator-rk45-no-h", "integrator-rk4-no-max_step")
 }
 
 
@@ -298,7 +307,7 @@ def test_single_fault_values_through_the_library(key):
             ag.volterra_solve(ag.from_separable(cfg.params, cfg.feedback, cfg.initial), **settings)
         else:
             ag.bifurcation_sweep(cfg.params, cfg.feedback, settings["r0_values"])
-    assert str(caught.value) == message.removeprefix("invalid configuration value: ").replace(f"{section}.", "")
+    assert str(caught.value) == message.split(": ", 1)[1].replace(f"{section}.", "")
 
 
 def test_reconstruction_grid_faults_through_the_library():
@@ -366,10 +375,10 @@ def test_settings_round_trip():
     nonnegative = st.floats(min_value=0.0, max_value=1e3)
     integrator_keys = {
         "t_end": positive, "rtol": positive, "atol": nonnegative,
-        "samples": st.integers(2, 10**6), "max_step": positive,
+        "samples": st.integers(2, 10**6),
     }
     integrators = st.one_of(
-        st.fixed_dictionaries({}, optional=dict(integrator_keys, method=st.just("rk45"))),
+        st.fixed_dictionaries({}, optional=dict(integrator_keys, method=st.just("rk45"), max_step=positive)),
         st.fixed_dictionaries({"method": st.just("rk4"), "h": positive}, optional=integrator_keys),
     )
     reconstructions = st.fixed_dictionaries({}, optional={

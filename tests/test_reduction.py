@@ -103,21 +103,29 @@ def test_rk45_retries_a_rejected_step_from_the_accepted_point(ref1):
 
 def test_rhs_calls_per_step(ref1, monkeypatch):
     # one call at t = 0, then 4 per rk4 step and 6 per rk45 attempt: the
-    # last stage of an accepted step is the next step's first (FSAL)
+    # last stage of an accepted step is the next step's first (FSAL); psi
+    # runs once per call, since Z' = psi(p) comes out of the same call
     calls = []
+    psi_calls = []
     rhs_array = reduction._rhs_array
 
     def counted(*args):
         calls.append(args)
         return rhs_array(*args)
 
+    def counted_psi(x):
+        psi_calls.append(x)
+        return ref1.feedback.psi(x)
+
     monkeypatch.setattr(reduction, "_rhs_array", counted)
     start = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)
     # the stationary start rejects no step
     for kwargs, per_step in (({"method": "rk4", "h": 0.05}, 4), ({}, 6)):
         calls.clear()
-        traj = ag.integrate(start, ref1.params, ref1.feedback, t_end=20.0, **kwargs)
+        psi_calls.clear()
+        traj = ag.integrate(start, ref1.params, _with_psi(ref1, counted_psi), t_end=20.0, **kwargs)
         assert len(calls) == 1 + per_step * (traj.knot_times.size - 1)
+        assert len(psi_calls) == len(calls)
     calls.clear()
     traj = ag.integrate(start, ref1.params.with_r0(20.0), ref1.feedback, t_end=50.0)
     attempts, rest = divmod(len(calls) - 1, 6)
@@ -152,6 +160,12 @@ def test_trajectory_range_checks(ref1):
             with pytest.raises(TrajectoryRangeError, match=r"^query time outside \[0, 2\.0\]$"):
                 read(t)
     assert issubclass(TrajectoryRangeError, ParameterError)
+
+
+def test_readouts_of_no_times(ref1):
+    traj = ag.integrate(StateVector(p=1.0, moments=(0.75,)), ref1.params, ref1.feedback, t_end=2.0)
+    assert traj.state_at([]).shape == (0, 2)
+    assert traj.psi_integral_at([]).shape == traj.birth_rate_at([]).shape == (0,)
 
 
 def test_integrate_validates_arguments(ref1):
@@ -211,6 +225,10 @@ def test_birth_rate_reads_a_state_the_same_in_any_batch():
     for t, row, births in zip(traj.times, traj.states, traj.birth_rates):
         alone = ag.birth_rate(StateVector.from_array(row), params, feedback)
         assert alone == births == traj.birth_rate_at(t)
+    # one read behind the samples and the readouts: the same bits
+    np.testing.assert_array_equal(traj.states, traj.state_at(traj.times))
+    np.testing.assert_array_equal(traj.psi_integral, traj.psi_integral_at(traj.times))
+    np.testing.assert_array_equal(traj.birth_rates, traj.birth_rate_at(traj.times))
 
 
 # --- undershoot policy -------------------------------------------------------
@@ -260,6 +278,43 @@ def test_rk45_passes_p_through_zero(ref1):
             traj = ag.integrate(start, params, feedback, t_end=t_end)
         assert traj.t_end == t_end and traj.knot_times.size < 150  # 114 and 140 steps
         assert np.all(traj.states[-1] < 1e-10)
+
+
+def test_readout_below_the_slack_raises(ref1):
+    # knots at t = 0 and 1 with zero states and slopes -1 and +1: the cubic
+    # Hermite reads -0.25 at t = 0.5, far below the slack
+    derivs = np.zeros((2, ref1.params.n + 2))
+    derivs[:, 0] = (-1.0, 1.0)
+    traj = ag.Trajectory(
+        times=np.array([0.0, 1.0]),
+        params=ref1.params,
+        feedback=ref1.feedback,
+        knot_times=np.array([0.0, 1.0]),
+        knot_states=np.zeros((2, ref1.params.n + 2)),
+        knot_derivs=derivs,
+    )
+    assert traj.state_at(0.0).tolist() == [0.0, 0.0]
+    for read in (traj.state_at, traj.psi_integral_at, traj.birth_rate_at):
+        with pytest.raises(NegativityError, match=r"^state entry -0\.25 in the dense output fell below the -1e-9 "):
+            read(0.5)
+
+
+def test_rk45_slack_covers_the_accepted_error(ref1):
+    # a step passes at an RMS error of 1 over n + 2 entries, so an entry near
+    # zero may carry sqrt(n + 2) * atol: at atol = 1e-8 this dying population
+    # reaches -4.6e-9 at a knot at t = 67.2, below a fixed -1e-9 slack
+    params = ref1.params.with_r0(0.5)
+    start = ag.density_moments(ref1.p0, params.rho, params.n)
+    with pytest.warns(UserWarning, match=r"^integration clamped \d+ slightly negative state entries$"):
+        traj = ag.integrate(start, params, ref1.feedback, t_end=200.0, rtol=1e-6, atol=1e-8)
+    assert traj.t_end == 200.0 and traj.clamp_count > 0
+    assert traj.slack == math.sqrt(3) * 1e-8
+    assert np.all(traj.states[-1] < 1e-8)
+    with pytest.warns(UserWarning, match="^integration clamped"):
+        tight = ag.integrate(start, params, ref1.feedback, t_end=200.0)
+    assert tight.slack == 1e-9  # the default atol keeps the plain slack
+    with pytest.raises(NegativityError, match=r"fell below the -1\.73205080756887\d*e-8 negativity slack$"):
+        _clamp_undershoot(np.array([1.0, -2e-8]), NegativityError, slack=traj.slack)
 
 
 def test_undershoot_policy_function():
