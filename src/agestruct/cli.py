@@ -136,6 +136,11 @@ def _run_trajectory(cfg: RunConfig) -> Trajectory:
     return integrate(start, cfg.params, cfg.feedback, n_samples=settings.pop("samples"), **settings)
 
 
+def _clamp_note(traj: Trajectory) -> str:
+    """The summary's note of the state entries the undershoot policy zeroed, if any."""
+    return f"; clamped {traj.clamp_count} slightly negative state entries" if traj.clamp_count else ""
+
+
 def _cmd_steady(cfg: RunConfig, outdir: Path):
     doc = _equilibrium_doc(cfg)
     _write_json(outdir / "steady.json", doc)
@@ -152,7 +157,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path):
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     return 0, ["trajectory.csv"], (
         f"integrated to t = {traj.t_end!r} ({traj.times.size} samples, "
-        f"final p = {float(traj.states[-1, 0])!r})"
+        f"final p = {float(traj.states[-1, 0])!r}){_clamp_note(traj)}"
     )
 
 
@@ -177,7 +182,7 @@ def _cmd_reconstruct(cfg: RunConfig, outdir: Path):
     _write_json(outdir / "consistency.json", {"checks": checks})
     worst = max(c["relative_mass_error"] for c in checks)
     return 0, files + ["consistency.json"], (
-        f"reconstructed {len(settings.times)} profile(s); worst relative mass error {worst:.3e}"
+        f"reconstructed {len(settings.times)} profile(s); worst relative mass error {worst:.3e}{_clamp_note(traj)}"
     )
 
 

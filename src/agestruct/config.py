@@ -20,8 +20,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
-import numpy as np
-
 from .errors import ConfigSchemaError, ParameterError
 from .model import (
     _PHI_FAMILIES,
@@ -32,6 +30,7 @@ from .model import (
     ModelParams,
     TabulatedDensity,
     _check_size,
+    density_moments,
     normalize_betas,
 )
 from .oracle import DEFAULT_K_MAX, grid_steps
@@ -192,23 +191,13 @@ def _parse_initial(doc: dict, params: ModelParams) -> Optional[InitialDensity]:
     if "initial_density" not in doc:
         return None
     initial = _parse_family(doc["initial_density"], "initial_density", _INITIAL_KINDS, "kind")
-    with np.errstate(all="ignore"):  # the start state of every simulation
-        start = [initial.mass(), *(initial.weighted_moment(i, params.rho) for i in range(1, params.n + 1))]
-    if not all(math.isfinite(v) for v in start):
-        raise ParameterError("initial_density: its mass or a weighted moment is not finite")
+    density_moments(initial, params.rho, params.n, where="initial_density: ")  # every simulation's start state
     return initial
 
 
 def _parse_integrator(doc: dict) -> IntegratorSettings:
     it = _build(_section(doc, "integrator"), "integrator", IntegratorSettings)
-    if it.method not in ("rk4", "rk45"):
-        raise ConfigSchemaError("integrator.method: expected 'rk4' or 'rk45'")
-    if it.method == "rk4" and it.h is None:
-        raise ConfigSchemaError("integrator.h: required for method 'rk4'")
-    for name, owner in (("h", "rk4"), ("max_step", "rk45")):
-        if getattr(it, name) is not None and it.method != owner:
-            raise ConfigSchemaError(f"integrator.{name}: only applies to method {owner!r}")
-    check_integrator(it.t_end, it.samples, it.rtol, it.atol, it.h, it.max_step, "integrator.")
+    check_integrator(**asdict(it), where="integrator.", error=ConfigSchemaError)
     return it
 
 

@@ -417,12 +417,15 @@ class TabulatedDensity(InitialDensity):
         return float(self.ages[-1])
 
 
-def density_moments(p0: InitialDensity, rho: float, n: int) -> StateVector:
-    """Initial ODE state from a density: total mass plus the n weighted moments."""
+def density_moments(p0: InitialDensity, rho: float, n: int, where: str = "") -> StateVector:
+    """Initial ODE state from a density: total mass plus the n weighted moments.
+
+    A value beyond the float range raises ParameterError; ``where`` prefixes its message."""
     if not (rho > 0) or n < 1:
         raise ParameterError("density_moments requires rho > 0 and n >= 1")
-    return StateVector(
-        p=p0.mass(),
-        moments=tuple(p0.weighted_moment(i, rho) for i in range(1, n + 1)),
-    )
+    with np.errstate(all="ignore"):
+        start = [p0.mass(), *(p0.weighted_moment(i, rho) for i in range(1, n + 1))]
+    if not all(math.isfinite(v) for v in start):
+        raise ParameterError(f"{where}its mass or a weighted moment is not finite")
+    return StateVector.from_array(start)
 

@@ -37,6 +37,7 @@ come from window-table array passes and two matrix-vector products (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
@@ -85,8 +86,9 @@ class GeneralModel:
     and accepts any result that broadcasts to (R, W), such as a scalar or a
     size-only (R, 1) column. Scalar-only callables, which raise TypeError or
     ValueError on arrays, are evaluated entry by entry. ``separable`` is an
-    optional structural hint -- results are identical either way, only the
-    sweep cost changes.
+    optional structural hint that changes the sweep cost: both paths solve
+    the same discrete scheme, so their results agree to the fixed-point
+    tolerance, not bit for bit (the benchmark holds them to 1e-10).
     """
 
     mortality: Callable
@@ -374,8 +376,8 @@ def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> in
     """Number of dt steps in the oracle horizon, at least one.
 
     Raises ParameterError unless t_end > 0 and dt > 0 are finite, dt divides t_end to within
-    1e-9 * t_end into at least one and fewer than MAX_GRID_NODES steps, tol > 0 and
-    k_max >= 1. ``where`` prefixes each name in the message."""
+    1e-9 * t_end into at least one and fewer than MAX_GRID_NODES steps, tol > 0 is finite and
+    k_max >= 1 is an integer. ``where`` prefixes each name in the message."""
     if not 0 < t_end < math.inf:
         raise ParameterError(f"{where}t_end must be positive and finite")
     if not 0 < dt < math.inf:
@@ -390,6 +392,10 @@ def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> in
         raise ParameterError(f"oracle dt={dt!r} must divide the horizon t_end={t_end!r} evenly")
     if not (tol > 0 and k_max >= 1):
         raise ParameterError(f"{where}tol must be positive and {where}k_max at least 1")
+    if tol == math.inf:
+        raise ParameterError(f"{where}tol: must be finite")
+    if not isinstance(k_max, numbers.Integral):
+        raise ParameterError(f"{where}k_max: expected an integer")
     return n_steps
 
 

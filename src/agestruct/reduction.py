@@ -15,7 +15,7 @@ accepted steps.
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -285,18 +285,33 @@ def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, sl
     return np.array(ts), np.array(ys), np.array(fs), clamped
 
 
-def check_integrator(t_end, samples, rtol, atol, h=None, max_step=None, where: str = "") -> None:
-    """Raise ParameterError unless t_end, h and max_step (when given) are positive and finite,
-    t_end / h and t_end / max_step are below MAX_GRID_NODES, 2 <= samples <= MAX_GRID_NODES,
-    rtol > 0 and atol >= 0; ``where`` prefixes each name."""
+def check_integrator(
+    method, t_end, samples, rtol, atol, h=None, max_step=None, where: str = "", error: type = ParameterError
+) -> None:
+    """Raise ``error`` unless method is in _METHODS, rk4 has h and neither method has the other's step;
+    then ParameterError unless t_end, h and max_step (when given) are positive and finite, t_end / h and
+    t_end / max_step are below MAX_GRID_NODES, samples is an integer in [2, MAX_GRID_NODES], and
+    rtol > 0 and atol >= 0 are finite; ``where`` prefixes each name."""
+    if not isinstance(method, str) or method not in _METHODS:
+        raise error(f"{where}method: expected {' or '.join(map(repr, _METHODS))}")
+    if method == "rk4" and h is None:
+        raise error(f"{where}h: required for method 'rk4'")
+    for name, step, owner in (("h", h, "rk4"), ("max_step", max_step, "rk45")):
+        if step is not None and method != owner:
+            raise error(f"{where}{name}: only applies to method {owner!r}")
     if not 0 < t_end < math.inf:
         raise ParameterError(f"{where}t_end must be positive and finite")
     if samples < 2:
         raise ParameterError(f"{where}samples must be at least 2")
     if samples > MAX_GRID_NODES:
         raise ParameterError(f"{where}samples must be at most {MAX_GRID_NODES}")
+    if not isinstance(samples, numbers.Integral):
+        raise ParameterError(f"{where}samples: expected an integer")
     if not (rtol > 0 and atol >= 0):
         raise ParameterError(f"{where}rtol must be positive and {where}atol nonnegative")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if tol == math.inf:
+            raise ParameterError(f"{where}{name}: must be finite")
     for name, step in (("h", h), ("max_step", max_step)):
         if step is not None and not 0 < step < math.inf:
             raise ParameterError(f"{where}{name} must be positive and finite")
@@ -325,20 +340,13 @@ def integrate(
     dense output; ``state_at``, ``birth_rate_at`` and ``psi_integral_at``
     read any other time in [0, t_end]. States are kept nonnegative per the
     undershoot policy, whose slack for 'rk45' grows to sqrt(n + 2) * atol;
-    the number of clamped entries is reported on the trajectory. rk4 takes
+    the number of clamped entries is ``Trajectory.clamp_count``. rk4 takes
     no max_step and rk45 no h; ``check_integrator`` checks the settings.
     """
-    if not isinstance(method, str) or method not in _METHODS:
-        raise ParameterError(f"unknown integration method {method!r}")
+    check_integrator(method, t_end, n_samples, rtol, atol, h, max_step)
     stages, err_weights = _METHODS[method]
-    for name, step, owner in (("h", h, "rk4"), ("max_step", max_step, "rk45")):
-        if step is not None and method != owner:
-            raise ParameterError(f"{name}: only applies to method {owner!r}")
-    check_integrator(t_end, n_samples, rtol, atol, h, max_step)
     y0 = np.append(_state_array(initial, params), 0.0)  # Z starts at 0
     if err_weights is None:
-        if h is None:
-            raise ParameterError("rk4 requires a positive step size h")
         max_step, slack = h, NEGATIVE_SLACK
     else:
         if max_step is None:
@@ -351,7 +359,7 @@ def integrate(
         lambda y: _rhs_array(y, params, feedback),
         y0, float(t_end), stages, err_weights, float(h), float(max_step), float(rtol), float(atol), slack
     )
-    traj = Trajectory(
+    return Trajectory(
         times=np.linspace(0.0, t_end, n_samples),
         params=params,
         feedback=feedback,
@@ -361,6 +369,3 @@ def integrate(
         slack=slack,
         clamp_count=clamped,
     )
-    if traj.clamp_count:
-        warnings.warn(f"integration clamped {traj.clamp_count} slightly negative state entries", stacklevel=2)
-    return traj

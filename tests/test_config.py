@@ -9,8 +9,8 @@ import pytest
 
 import agestruct as ag
 from agestruct.cli import run
-from agestruct.config import parse_config
-from agestruct.errors import ParameterError
+from agestruct.config import IntegratorSettings, parse_config
+from agestruct.errors import ConfigSchemaError, ParameterError
 from agestruct.model import ExponentialDensity, TabulatedDensity
 from agestruct.quadrature import MAX_GRID_NODES, uniform_grid
 
@@ -279,22 +279,23 @@ def test_single_fault_documents(tmp_path, capsys, row):
         assert not out.exists()  # rejected before anything is computed
 
 
-# the integrator, oracle and sweep value rows once more, through the solvers
-# that own each check: they refuse the same values in the same words,
-# without the section name; so does integrate for a step setting that its
-# method ignores, which the config reader refuses as a schema error
+# the rows whose check a library function owns, once more through that
+# function: it refuses the same values in the same words, without the
+# section name. These are every integrator row but the reader's own type
+# and key rows, and the value rows of the start state, the oracle and the
+# sweep; gap_threshold is the config's own
 LIBRARY_ROWS = {
     key: row
     for key, row in SCHEMA_ROWS.items()
-    if row[2] == 3 and key.split("-")[0] in ("integrator", "oracle", "sweep") and key != "oracle-gap-range"
-    or key in ("integrator-rk45-no-h", "integrator-rk4-no-max_step")
+    if key.startswith("integrator-") and not key.endswith(("-type", "-unknown"))
+    or row[2] == 3 and key.split("-")[0] in ("initial", "oracle", "sweep") and key != "oracle-gap-range"
 }
 
 
 @pytest.mark.parametrize("key", LIBRARY_ROWS)
 def test_single_fault_values_through_the_library(key):
     _, edits, _, message = LIBRARY_ROWS[key]
-    section = key.split("-")[0]
+    section = {"initial": "initial_density"}.get(key.split("-")[0], key.split("-")[0])
     doc = edited(edits)
     settings = doc[section]
     cfg = parse_config({**doc, section: base_doc()[section]})
@@ -302,12 +303,57 @@ def test_single_fault_values_through_the_library(key):
         if section == "integrator":
             start = ag.density_moments(cfg.initial, cfg.params.rho, cfg.params.n)
             ag.integrate(start, cfg.params, cfg.feedback, n_samples=settings.pop("samples"), **settings)
+        elif section == "initial_density":
+            del settings["kind"]  # both rows edit the exponential density
+            ag.density_moments(ag.ExponentialDensity(**settings), cfg.params.rho, cfg.params.n)
         elif section == "oracle":
             del settings["gap_threshold"]
             ag.volterra_solve(ag.from_separable(cfg.params, cfg.feedback, cfg.initial), **settings)
         else:
             ag.bifurcation_sweep(cfg.params, cfg.feedback, settings["r0_values"])
-    assert str(caught.value) == message.split(": ", 1)[1].replace(f"{section}.", "")
+    words = message.split(": ", 1)[1].removeprefix(f"{section}: ")
+    assert str(caught.value) == words.replace(f"{section}.", "")
+
+
+def test_config_and_integrate_refuse_the_same_settings():
+    # well-typed, finite integrator sections with good and bad values: the
+    # config refuses one exactly when integrate refuses its settings, in the
+    # same words after the section name
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cfg = parse_config(base_doc())
+    start = ag.density_moments(cfg.initial, cfg.params.rho, cfg.params.n)
+    values = {
+        "method": st.sampled_from(["rk4", "rk45", "euler"]),
+        "t_end": st.sampled_from([0.5, 3.0, 0.0, -1.0]),
+        "rtol": st.sampled_from([1e-6, 1e-3, 0.0, -1.0]),
+        "atol": st.sampled_from([0.0, 1e-8, -1e-8]),
+        "samples": st.sampled_from([2, 21, 1, 0, MAX_GRID_NODES + 1]),
+        "h": st.sampled_from([0.1, 0.5, 0.0, -0.5, 1e-9]),
+        "max_step": st.sampled_from([0.1, 1.0, 0.0, -1.0, 1e-9]),
+    }
+
+    @hypothesis.given(st.fixed_dictionaries({}, optional=values))
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def check(section):
+        try:
+            parse_config({**base_doc(), "integrator": section})
+        except (ConfigSchemaError, ParameterError) as exc:
+            refused = str(exc).replace("integrator.", "")
+        else:
+            refused = None
+        settings = {**asdict(IntegratorSettings()), **section}
+        try:
+            ag.integrate(start, cfg.params, cfg.feedback, n_samples=settings.pop("samples"), **settings)
+        except ParameterError as exc:
+            assert str(exc) == refused
+        else:
+            assert refused is None
+        outcomes.add(refused)
+
+    outcomes = set()
+    check()
+    assert None in outcomes and len(outcomes) > 10  # accepted sections and many kinds of refusal
 
 
 def test_reconstruction_grid_faults_through_the_library():

@@ -89,6 +89,16 @@ def test_grid_validation(ref1):
         volterra_solve(model, 1.0, 0.1, tol=0.0)
     with pytest.raises(ParameterError):
         volterra_solve(model, 1.0, 0.1, k_max=0)
+    # the config reader refuses these as it reads them; the solver does so in
+    # the same words (an infinite tol would accept the first sweep)
+    for kwargs, message in (
+        ({"tol": math.inf}, "tol: must be finite"),
+        ({"k_max": 2.5}, "k_max: expected an integer"),
+        ({"k_max": math.inf}, "k_max: expected an integer"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            volterra_solve(model, 1.0, 0.1, **kwargs)
+    assert volterra_solve(model, 1.0, 0.1, k_max=np.int64(50)).iterations < 50  # numpy integers pass
 
 
 def test_survival_exponent_guard():
