@@ -7,7 +7,8 @@ Data files (CSV) are deterministic byte-for-byte for a given config; wall
 clock timings live only in the manifest and run summary.
 
 Exit codes: 0 success; 1 validation threshold failure; 2 config parse or
-schema error; 3 config invariant violation; 4 runtime solver error.
+schema error; 3 config invariant violation; 4 runtime solver error or an
+output directory that cannot be made or written.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def run(argv=None) -> int:
         # a section required by this subcommand is absent
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except AgestructError as exc:
+    except (AgestructError, OSError) as exc:  # OSError: the output directory or a write in it
         print(f"run failed: {exc}", file=sys.stderr)
         return 4
     print(message)

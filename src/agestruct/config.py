@@ -292,12 +292,8 @@ def _echo_feedback(feedback: FeedbackSpec) -> dict:
     if feedback == FeedbackSpec.linear():
         return {"linear_mode": True}
     doc = {"linear_mode": False}
-    for name, family, families in (
-        ("phi", feedback.phi_family, _PHI_FAMILIES),
-        ("psi", feedback.psi_family, _PSI_FAMILIES),
-    ):
-        label = next(key for key, cls in families.items() if type(family) is cls)
-        doc[name] = {"family": label, **asdict(family)}
+    for name, family in (("phi", feedback.phi_family), ("psi", feedback.psi_family)):
+        doc[name] = {"family": family.name, **asdict(family)}
     return doc
 
 

@@ -29,29 +29,51 @@ def _scalar_or_array(x, out):
 # feedback families
 
 
+class _Feedback:
+    """A feedback family: its config ``name``, its checks, and two array formulas, value(x) and slope(x).
+
+    Calls read x as a float array, and a scalar x as the one-element array,
+    whose entry they return as a float. A power beyond the float range reads
+    as its limit, inf or 0, without a warning.
+    """
+
+    def __call__(self, x):
+        return self._evaluate(self.value, x)
+
+    def derivative(self, x):
+        return self._evaluate(self.slope, x)
+
+    @staticmethod
+    def _evaluate(formula, x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):
+            out = formula(np.atleast_1d(x))
+        return float(out[0]) if x.ndim == 0 else out
+
+
 @dataclass(frozen=True)
-class ExponentialPhi:
+class ExponentialPhi(_Feedback):
     """Fertility damping exp(-x / k): 1 at zero crowding, vanishing at infinity."""
 
+    name = "exponential"
     k: float
 
     def __post_init__(self):
         if not (self.k > 0):
             raise ParameterError("phi exponential family: k must be > 0")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, np.exp(-x / self.k))
+    def value(self, x):
+        return np.exp(-x / self.k)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, -np.exp(-x / self.k) / self.k)
+    def slope(self, x):
+        return -np.exp(-x / self.k) / self.k
 
 
 @dataclass(frozen=True)
-class HillPhi:
+class HillPhi(_Feedback):
     """Fertility damping 1 / (1 + (x/k)**m) with half-saturation k and slope m >= 1."""
 
+    name = "hill"
     k: float
     m: float = 1.0
 
@@ -61,40 +83,39 @@ class HillPhi:
         if not (self.m >= 1):
             raise ParameterError("phi hill family: m must be >= 1")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, 1.0 / (1.0 + (x / self.k) ** self.m))
+    def value(self, x):
+        return 1.0 / (1.0 + (x / self.k) ** self.m)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
+    def slope(self, x):
         u = (x / self.k) ** self.m
-        d = -(self.m / self.k) * (x / self.k) ** (self.m - 1.0) / (1.0 + u) ** 2
-        return _scalar_or_array(x, d)
+        with np.errstate(invalid="ignore"):  # inf / inf where u overflows, whose limit is -0
+            d = -(self.m / self.k) * (x / self.k) ** (self.m - 1.0) / (1.0 + u) ** 2
+        return np.where(np.isinf(u), -0.0, d)
 
 
 @dataclass(frozen=True)
-class LinearPsi:
+class LinearPsi(_Feedback):
     """Crowding mortality c * x."""
 
+    name = "linear"
     c: float
 
     def __post_init__(self):
         if not (self.c > 0):
             raise ParameterError("psi linear family: c must be > 0")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, self.c * x)
+    def value(self, x):
+        return self.c * x
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, np.full_like(x, self.c))
+    def slope(self, x):
+        return np.full_like(x, self.c)
 
 
 @dataclass(frozen=True)
-class PowerPsi:
+class PowerPsi(_Feedback):
     """Crowding mortality c * x**gamma with gamma >= 1."""
 
+    name = "power"
     c: float
     gamma: float
 
@@ -104,35 +125,24 @@ class PowerPsi:
         if not (self.gamma >= 1):
             raise ParameterError("psi power family: gamma must be >= 1")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, self.c * x ** self.gamma)
+    def value(self, x):
+        return self.c * x ** self.gamma
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, self.c * self.gamma * x ** (self.gamma - 1.0))
+    def slope(self, x):
+        return self.c * self.gamma * x ** (self.gamma - 1.0)
 
 
 @dataclass(frozen=True)
-class _ZeroPsi:
-    """No crowding mortality: psi == 0, with derivative 0."""
+class _Constant(_Feedback):
+    """A feedback that crowding does not move: ``level`` everywhere, with slope 0."""
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, np.zeros_like(x))
+    level: float
 
-    derivative = __call__
+    def value(self, x):
+        return np.full_like(x, self.level)
 
-
-@dataclass(frozen=True)
-class _UnitPhi:
-    """No fertility damping: phi == 1, with derivative 0."""
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(x, np.ones_like(x))
-
-    derivative = _ZeroPsi.__call__
+    def slope(self, x):
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ class FeedbackSpec:
 
     @classmethod
     def linear(cls) -> "FeedbackSpec":
-        return cls(phi_family=_UnitPhi(), psi_family=_ZeroPsi())
+        return cls(phi_family=_Constant(1.0), psi_family=_Constant(0.0))
 
     def phi(self, x):
         return self.phi_family(x)
@@ -163,8 +173,8 @@ class FeedbackSpec:
         return self.psi_family.derivative(x)
 
 
-_PHI_FAMILIES = {"exponential": ExponentialPhi, "hill": HillPhi}
-_PSI_FAMILIES = {"linear": LinearPsi, "power": PowerPsi}
+_PHI_FAMILIES = {cls.name: cls for cls in (ExponentialPhi, HillPhi)}
+_PSI_FAMILIES = {cls.name: cls for cls in (LinearPsi, PowerPsi)}
 
 
 def make_phi(family: str, **params):

@@ -68,15 +68,7 @@ _WINDOW_SPAN = 0.15
 _WINDOW_MIN_ROWS = 16
 
 
-@dataclass(frozen=True)
-class SeparableParts:
-    """Structured coefficients that unlock the convolution fast path."""
-
-    params: ModelParams
-    feedback: FeedbackSpec
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GeneralModel:
     """Age-and-size dependent vital rates plus the starting age profile.
 
@@ -85,37 +77,37 @@ class GeneralModel:
     sweep of a window with ages of shape (1, W) and sizes of shape (R, 1),
     and accepts any result that broadcasts to (R, W), such as a scalar or a
     size-only (R, 1) column. Scalar-only callables, which raise TypeError or
-    ValueError on arrays, are evaluated entry by entry. ``separable`` is an
-    optional structural hint that changes the sweep cost: both paths solve
-    the same discrete scheme, so their results agree to the fixed-point
-    tolerance, not bit for bit (the benchmark holds them to 1e-10).
+    ValueError on arrays, are evaluated entry by entry. Such a model takes
+    the generic path; ``from_separable`` builds one that takes the fast path.
+    Both paths solve the same discrete scheme, so their results agree to the
+    fixed-point tolerance, not bit for bit (the benchmark holds them to 1e-10).
     """
 
     mortality: Callable
     fertility: Callable
     initial_density: InitialDensity
-    separable: Optional[SeparableParts] = None
+    separable = False
 
 
-def from_separable(params: ModelParams, feedback: FeedbackSpec, p0: InitialDensity) -> GeneralModel:
-    """Wrap separable-model ingredients as a GeneralModel.
+@dataclass(frozen=True, eq=False)
+class SeparableModel:
+    """The separable model: mortality mu0 + psi(P) and fertility r0 * phi(P) times the age profile."""
 
-    The mortality evaluator is mu0 + psi(P); the fertility evaluator is
-    r0 * phi(P) times the polynomial-exponential age profile.
-    """
+    params: ModelParams
+    feedback: FeedbackSpec
+    initial_density: InitialDensity
+    separable = True
 
-    def mortality(a, p):
-        return params.mu0 + feedback.psi(p)
+    def mortality(self, a, p):
+        return self.params.mu0 + self.feedback.psi(p)
 
-    def fertility(a, p):
-        return params.r0 * feedback.phi(p) * fertility_age_profile(a, params)
+    def fertility(self, a, p):
+        return self.params.r0 * self.feedback.phi(p) * fertility_age_profile(a, self.params)
 
-    return GeneralModel(
-        mortality=mortality,
-        fertility=fertility,
-        initial_density=p0,
-        separable=SeparableParts(params=params, feedback=feedback),
-    )
+
+def from_separable(params: ModelParams, feedback: FeedbackSpec, p0: InitialDensity) -> SeparableModel:
+    """The separable model of these ingredients; the oracle's fast path reads its params and feedback."""
+    return SeparableModel(params, feedback, p0)
 
 
 def _eval_rates(fn: Callable, ages, sizes, what: str) -> np.ndarray:
@@ -204,13 +196,9 @@ def _damped_conv_integrals(
     return out
 
 
-def _sigma_grid(p0: InitialDensity, dt: float) -> np.ndarray:
-    return uniform_grid(p0.support_end(), dt)
-
-
 def _initial_cohorts(p0: InitialDensity, dt: float) -> tuple:
     """The ages sigma of the initial cohorts, p0 at them, and its trapezoid mass."""
-    sigma = _sigma_grid(p0, dt)
+    sigma = uniform_grid(p0.support_end(), dt)
     p0_vals = np.asarray(p0.evaluate(sigma), dtype=float)
     return sigma, p0_vals, trapezoid(p0_vals, dt)
 
@@ -224,12 +212,12 @@ class _SeparableSweep:
     ``e`` are 0 and N.
     """
 
-    def __init__(self, model: GeneralModel, times: np.ndarray, dt: float):
+    def __init__(self, model: SeparableModel, times: np.ndarray, dt: float):
         self.times = times
         self.dt = dt
         self.window_rows = times.size
-        self.params = pr = model.separable.params
-        self.feedback = model.separable.feedback
+        self.params = pr = model.params
+        self.feedback = model.feedback
         self.survival = np.exp(-pr.mu0 * times)
         # renewal kernel (all fertility terms at once) and survival kernel
         self.kernels = np.stack((fertility_age_profile(times, pr) * self.survival, self.survival))
@@ -400,7 +388,7 @@ def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> in
 
 
 def volterra_solve(
-    model: GeneralModel,
+    model: GeneralModel | SeparableModel,
     t_end: float,
     dt: float,
     tol: float = 1e-10,

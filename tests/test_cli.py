@@ -120,6 +120,14 @@ def package_env():
     return env
 
 
+def run_subprocess(tmp_path, command, doc, out):
+    """A subcommand in a fresh interpreter, where numpy warnings reach the real stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "agestruct", command, "--config", write_config(tmp_path, doc), "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=60,
+    )
+
+
 def test_sweep_huge_r0_terminates(tmp_path):
     # roots far beyond where float spacing exceeds the bisection width; a
     # subprocess with a timeout turns a hang into a failure
@@ -355,17 +363,25 @@ def test_damaged_manifest_is_kept_and_reported(tmp_path, damage):
     out = tmp_path / "out"
     out.mkdir()
     (out / "manifest.json").write_bytes(damage)
-    proc = subprocess.run(
-        [sys.executable, "-m", "agestruct", "steady", "--config", write_config(tmp_path, ref1_doc()),
-         "--out", str(out)],
-        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=60,
-    )
+    proc = run_subprocess(tmp_path, "steady", ref1_doc(), out)
     assert proc.returncode == 4
     assert proc.stderr.startswith(f"run failed: {out / 'manifest.json'}: damaged manifest")
     assert "Traceback" not in proc.stderr
     assert (out / "manifest.json").read_bytes() == damage
     # the manifest is checked before the solve, so nothing else was written
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_unusable_output_directory_exits_4(tmp_path, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / below if below else blocker
+    proc = run_subprocess(tmp_path, "steady", ref1_doc(), out)
+    assert proc.returncode == 4
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("run failed: [Errno ") and line.endswith(f"'{out}'")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("name", ["validate.json", "consistency.json"])
@@ -422,16 +438,36 @@ def test_extreme_model_values_exit_cleanly(tmp_path, capsys, command, model, cod
 
 def test_huge_betas_print_one_line(tmp_path):
     # numpy warnings reach a real stderr only outside pytest's capture
-    cfg = write_config(tmp_path, _model_doc(**HUGE_BETAS))
-    proc = subprocess.run(
-        [sys.executable, "-m", "agestruct", "steady", "--config", cfg, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=60,
-    )
+    proc = run_subprocess(tmp_path, "steady", _model_doc(**HUGE_BETAS), tmp_path / "out")
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
         "invalid configuration value: the zero-crowding reproduction number "
         "r0 * K(betas, rho + mu0) overflows the float range"
     ]
+
+
+HILL_2000 = {"family": "hill", "k": 0.5, "m": 2000}
+
+
+@pytest.mark.parametrize(
+    "command, feedback, code, err",
+    [
+        # steady's bracket doubling evaluates psi at 2**k ...
+        ("steady", {"psi": {"family": "power", "c": 1, "gamma": 2000}}, 0, ""),
+        # ... and a run above p = 0.5 meets (p / 0.5)**2000; the oracle stalls
+        # on so steep a damping, and says only that
+        ("simulate", {"phi": HILL_2000}, 0, ""),
+        ("validate", {"phi": HILL_2000}, 4, "run failed: fixed-point iteration stalled after 20 sweeps"),
+    ],
+    ids=["steady-power", "simulate-hill", "validate-hill"],
+)
+def test_overflowing_feedback_powers_run_quietly(tmp_path, command, feedback, code, err):
+    doc = ref1_doc()
+    doc["feedback"].update(feedback)
+    doc["oracle"]["k_max"] = 20
+    proc = run_subprocess(tmp_path, command, doc, tmp_path / "out")
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == (1 if err else 0), proc.stderr
 
 
 def _leaf_keys(section):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,46 @@ def test_linear_mode_switches_feedback_off():
     np.testing.assert_array_equal(fb.psi(x), np.zeros_like(x))
     np.testing.assert_array_equal(fb.phi_prime(x), np.zeros_like(x))
     np.testing.assert_array_equal(fb.psi_prime(x), np.zeros_like(x))
+
+
+def test_family_calls_follow_one_rule():
+    # a scalar call is a float with the bits of the one-element array call
+    # (numpy's scalar power and its array power can differ in the last bit),
+    # and a power beyond the float range reads as its limit: no NaN, no warning
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    scale = st.floats(min_value=1e-3, max_value=1e3)
+    exponent = st.floats(min_value=1.0, max_value=3000.0)
+    families = st.one_of(
+        st.builds(lambda k: ag.make_phi("exponential", k=k), scale),
+        st.builds(lambda k, m: ag.make_phi("hill", k=k, m=m), scale, exponent),
+        st.builds(lambda c: ag.make_psi("linear", c=c), scale),
+        st.builds(lambda c, g: ag.make_psi("power", c=c, gamma=g), scale, exponent),
+        st.sampled_from([ag.FeedbackSpec.linear().phi_family, ag.FeedbackSpec.linear().psi_family]),
+    )
+    sizes = st.one_of(st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=0.0, max_value=1e300))
+
+    @hypothesis.given(family=families, x=sizes)
+    @hypothesis.example(family=ag.make_phi("hill", k=1.0, m=2000.0), x=2.0)
+    @hypothesis.example(family=ag.make_phi("hill", k=1.9, m=393.84375), x=1.5)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def check(family, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (family, family.derivative):
+                value, row = call(x), call(np.array([x]))
+                assert type(value) is float and not math.isnan(value)
+                assert np.float64(value).tobytes() == row.tobytes()
+
+    check()
+
+
+def test_hill_slope_reads_its_limit_where_the_power_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = ag.make_phi("hill", k=1.0, m=2000.0).derivative(2.0)
+    assert slope == 0.0 and math.copysign(1.0, slope) == -1.0
 
 
 # --- normalization and parameters -------------------------------------------

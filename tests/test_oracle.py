@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -15,12 +16,11 @@ from agestruct.oracle import (
     _eval_rates,
     _GenericSweep,
     _SeparableSweep,
-    _sigma_grid,
     cross_validate,
     from_separable,
     volterra_solve,
 )
-from agestruct.quadrature import trapezoid
+from agestruct.quadrature import trapezoid, uniform_grid
 
 from conftest import make_linear
 
@@ -261,7 +261,7 @@ class _DirectGenericSweep:
         self.model = model
         self.times = times
         self.dt = dt
-        self.sigma = _sigma_grid(model.initial_density, dt)
+        self.sigma = uniform_grid(model.initial_density.support_end(), dt)
         self.p0_vals = np.asarray(model.initial_density.evaluate(self.sigma), dtype=float)
         self.mass0 = trapezoid(self.p0_vals, dt)
 
@@ -381,6 +381,22 @@ def _generic_twin(fixture):
     # the separable model's evaluators without the separable hint
     model = from_separable(fixture.params, fixture.feedback, fixture.p0)
     return GeneralModel(model.mortality, model.fertility, model.initial_density)
+
+
+def test_separable_model_is_one_object(ref1):
+    # its rates come from the ingredients the fast path reads, and no other
+    # model can carry a separable hint beside its own callables
+    model = from_separable(ref1.params, ref1.feedback, ref1.p0)
+    twin = _generic_twin(ref1)
+    assert (model.separable, twin.separable) == (True, False)
+    a, p = np.array([[0.0, 1.5]]), np.array([[0.5], [2.0]])
+    np.testing.assert_array_equal(model.mortality(a, p), 0.5 + ref1.feedback.psi(p))
+    np.testing.assert_array_equal(model.fertility(a, p), 4.0 * ref1.feedback.phi(p) * np.exp(-0.5 * a))
+    for target in (model, twin):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            target.separable = not target.separable
+    with pytest.raises(TypeError):
+        GeneralModel(model.mortality, model.fertility, ref1.p0, separable=True)
 
 
 @pytest.mark.parametrize("case", [*GENERIC_CASES, "ref1", "ref2"])

@@ -227,20 +227,20 @@ def test_birth_rates_consistent_with_states(ref2):
 
 def test_birth_rate_reads_a_state_the_same_in_any_batch():
     # the n = 4 model of the ref2_families case in tools/compare_outputs.py:
-    # with four terms in beta.m, the order of the sum shows in the last digit
+    # with four terms in beta.m, the order of the sum shows in the last digit;
+    # a Hill phi with m = 2.5 reads (p/k)**m on one state as on a batch
     params = ag.ModelParams(n=4, betas=(0.3, 0.7, 0.2, 0.05), rho=0.5, mu0=0.5, r0=6.0)
-    feedback = ag.FeedbackSpec(
-        phi_family=ag.make_phi("exponential", k=2.0), psi_family=ag.make_psi("power", c=0.5, gamma=1.5)
-    )
-    start = ag.density_moments(ag.ExponentialDensity(1.65, 1.5), params.rho, params.n)
-    traj = ag.integrate(start, params, feedback, t_end=20.0, n_samples=201)
-    for t, row, births in zip(traj.times, traj.states, traj.birth_rates):
-        alone = ag.birth_rate(StateVector.from_array(row), params, feedback)
-        assert alone == births == traj.birth_rate_at(t)
-    # one read behind the samples and the readouts: the same bits
-    np.testing.assert_array_equal(traj.states, traj.state_at(traj.times))
-    np.testing.assert_array_equal(traj.psi_integral, traj.psi_integral_at(traj.times))
-    np.testing.assert_array_equal(traj.birth_rates, traj.birth_rate_at(traj.times))
+    for phi in (ag.make_phi("exponential", k=2.0), ag.make_phi("hill", k=1.0, m=2.5)):
+        feedback = ag.FeedbackSpec(phi_family=phi, psi_family=ag.make_psi("power", c=0.5, gamma=1.5))
+        start = ag.density_moments(ag.ExponentialDensity(1.65, 1.5), params.rho, params.n)
+        traj = ag.integrate(start, params, feedback, t_end=20.0, n_samples=201)
+        for t, row, births in zip(traj.times, traj.states, traj.birth_rates):
+            alone = ag.birth_rate(StateVector.from_array(row), params, feedback)
+            assert alone == births == traj.birth_rate_at(t)
+        # one read behind the samples and the readouts: the same bits
+        np.testing.assert_array_equal(traj.states, traj.state_at(traj.times))
+        np.testing.assert_array_equal(traj.psi_integral, traj.psi_integral_at(traj.times))
+        np.testing.assert_array_equal(traj.birth_rates, traj.birth_rate_at(traj.times))
 
 
 # --- undershoot policy -------------------------------------------------------
