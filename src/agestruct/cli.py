@@ -43,12 +43,6 @@ MANIFEST_NAME = "manifest.json"
 SUMMARY_NAME = "run_summary.json"
 
 
-def _outdir(args, cfg: RunConfig) -> Path:
-    path = Path(args.out or os.environ.get("AGESTRUCT_OUTDIR") or cfg.output_dir or "out")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -277,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, blurb) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
-        cmd.add_argument("--out", help="output directory (overrides AGESTRUCT_OUTDIR and config)")
+        cmd.add_argument("--out", default="out", help="output directory (default: ./out)")
     return parser
 
 
@@ -294,7 +288,8 @@ def run(argv=None) -> int:
         return 3
     command, _ = _COMMANDS[args.command]
     try:
-        outdir = _outdir(args, cfg)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         _load_manifest(outdir)  # a damaged manifest stops the run before it solves
         started = time.perf_counter()
         code, files, message = command(cfg, outdir)

@@ -146,7 +146,6 @@ class RunConfig:
     reconstruction: ReconstructionSettings
     oracle: OracleSettings
     sweep_r0: Optional[tuple]
-    output_dir: Optional[str]
     resolved: dict = field(repr=False, default_factory=dict)
 
 
@@ -241,7 +240,6 @@ _TOP_KEYS = {
     "reconstruction",
     "oracle",
     "sweep",
-    "output_dir",
 }
 
 
@@ -256,7 +254,6 @@ def parse_config(doc: Any) -> RunConfig:
     reconstruction = _parse_reconstruction(doc, integrator.t_end)
     oracle = _parse_oracle(doc)
     sweep_r0 = _parse_sweep(doc, params)
-    output_dir = _read(doc, "config", "output_dir", "str")
 
     resolved = {
         "model": {
@@ -273,7 +270,6 @@ def parse_config(doc: Any) -> RunConfig:
         "oracle": asdict(oracle),
         "sweep": {"r0_values": list(sweep_r0)} if sweep_r0 is not None else None,
         "initial_density": doc.get("initial_density"),
-        "output_dir": output_dir,
     }
     return RunConfig(
         params=params,
@@ -283,7 +279,6 @@ def parse_config(doc: Any) -> RunConfig:
         reconstruction=reconstruction,
         oracle=oracle,
         sweep_r0=sweep_r0,
-        output_dir=output_dir,
         resolved=resolved,
     )
 

@@ -332,8 +332,8 @@ class InitialDensity(ABC):
         """Density value at age(s) a; zero outside the support."""
 
     @abstractmethod
-    def mass(self) -> float:
-        """Total initial population, the integral of the density over all ages."""
+    def mass(self, beyond: float = 0.0) -> float:
+        """Initial population aged above ``beyond``: the total by default."""
 
     @abstractmethod
     def weighted_moment(self, i: int, rho: float) -> float:
@@ -362,8 +362,8 @@ class ExponentialDensity(InitialDensity):
         vals = np.where(a_arr >= 0, self.coefficient * np.exp(-self.decay * np.maximum(a_arr, 0.0)), 0.0)
         return _scalar_or_array(a, vals)
 
-    def mass(self) -> float:
-        return self.coefficient / self.decay
+    def mass(self, beyond: float = 0.0) -> float:
+        return self.coefficient / self.decay * math.exp(-self.decay * beyond)
 
     def weighted_moment(self, i: int, rho: float) -> float:
         if i < 1:
@@ -407,9 +407,14 @@ class TabulatedDensity(InitialDensity):
         vals = np.where(inside, vals, 0.0)
         return _scalar_or_array(a, vals)
 
-    def mass(self) -> float:
+    def mass(self, beyond: float = 0.0) -> float:
+        ages, values = self.ages, self.values
+        if beyond > ages[0]:  # the table clipped at ``beyond``
+            keep = ages > beyond
+            ages = np.append(beyond, ages[keep])
+            values = np.append(np.interp(beyond, self.ages, self.values), values[keep])
         # the trapezoid rule is exact for a piecewise-linear density
-        return float(np.sum(0.5 * np.diff(self.ages) * (self.values[1:] + self.values[:-1])))
+        return float(np.sum(0.5 * np.diff(ages) * (values[1:] + values[:-1])))
 
     def weighted_moment(self, i: int, rho: float) -> float:
         if i < 1:

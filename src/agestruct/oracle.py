@@ -73,12 +73,12 @@ class GeneralModel:
     """Age-and-size dependent vital rates plus the starting age profile.
 
     ``mortality`` and ``fertility`` are callables of (age, population size)
-    and should vectorize over numpy arrays. The oracle calls each once per
-    sweep of a window with ages of shape (1, W) and sizes of shape (R, 1),
-    and accepts any result that broadcasts to (R, W), such as a scalar or a
-    size-only (R, 1) column. Scalar-only callables, which raise TypeError or
-    ValueError on arrays, are evaluated entry by entry. Such a model takes
-    the generic path; ``from_separable`` builds one that takes the fast path.
+    over numpy arrays. The oracle calls each once per sweep of a window with
+    ages of shape (1, W) and sizes of shape (R, 1), and accepts any result
+    that broadcasts to (R, W), such as a scalar or a size-only (R, 1)
+    column; a callable that rejects arrays raises ParameterError. Such a
+    model takes the generic path; ``from_separable`` builds one that takes
+    the fast path.
     Both paths solve the same discrete scheme, so their results agree to the
     fixed-point tolerance, not bit for bit (the benchmark holds them to 1e-10).
     """
@@ -111,27 +111,28 @@ def from_separable(params: ModelParams, feedback: FeedbackSpec, p0: InitialDensi
 
 
 def _eval_rates(fn: Callable, ages, sizes, what: str) -> np.ndarray:
-    """Evaluate rate(age, size) on broadcast-compatible arrays.
+    """Evaluate rate(age, size) in one call on broadcast-compatible arrays.
 
-    Tries one vectorized call first and accepts any result that broadcasts
-    to the shape of ``ages`` and ``sizes`` together (a scalar, a size-only or
-    an age-only array); falls back to elementwise evaluation for scalar-only
-    callables. The result is validated finite and nonnegative and returned
-    as a read-only view broadcast to that shape.
+    Any result that broadcasts to the shape of ``ages`` and ``sizes``
+    together (a scalar, a size-only or an age-only array) is accepted,
+    validated finite and nonnegative, and returned as a read-only view
+    broadcast to that shape. A callable that rejects arrays, or a result
+    of another shape, raises ParameterError naming the evaluator.
     """
     ages = np.asarray(ages, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     shape = np.broadcast_shapes(ages.shape, sizes.shape)
     try:
         out = np.asarray(fn(ages, sizes), dtype=float)
-        if np.broadcast_shapes(out.shape, shape) != shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        out = np.vectorize(fn, otypes=[float])(ages, sizes)
+        table = np.broadcast_to(out, shape)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(
+            f"{what} evaluator must take arrays and return a result that broadcasts to {shape} ({exc})"
+        ) from exc
     # min and max propagate NaN, so the two reductions check every entry
     if not (out.min() >= 0.0 and out.max() < math.inf):
         raise ParameterError(f"{what} evaluator produced negative or non-finite values")
-    return np.broadcast_to(out, shape)
+    return table
 
 
 @dataclass(frozen=True)
@@ -463,7 +464,6 @@ class CrossValidationReport:
 
     p_gap: float
     b_gap: float
-    times: np.ndarray
     oracle: OracleSolution
     ode_populations: np.ndarray
     ode_birth_rates: np.ndarray
@@ -507,7 +507,6 @@ def cross_validate(
     return CrossValidationReport(
         p_gap=float(np.max(np.abs(ode_p - oracle.populations))),
         b_gap=float(np.max(np.abs(ode_b - oracle.birth_rates))),
-        times=oracle.times,
         oracle=oracle,
         ode_populations=ode_p,
         ode_birth_rates=ode_b,

@@ -125,48 +125,48 @@ class ConsistencyReport:
     reference_mass: float
 
 
-def consistency_check(
-    field: DensityField,
-    traj: Trajectory,
-    p0: InitialDensity | None = None,
-) -> ConsistencyReport:
+def consistency_check(field: DensityField, traj: Trajectory, p0: InitialDensity) -> ConsistencyReport:
     """Compare the integrated age profile with the trajectory's P(t).
 
-    Integration is composite Simpson over the grid; when the initial
-    density is supplied and the characteristic a = t crosses the grid, the
-    integral is split there so the (possibly discontinuous) kink does not
-    degrade the quadrature. Beyond the last grid age the renewal branch is
-    extended with a frozen exponential rate mu0 + psi(P(t - a_max)) and
-    reported as tail mass. A grid mass that is not finite raises
-    ParameterError.
+    Integration is composite Simpson over the grid; when the characteristic
+    a = t lies past the first grid age and not past the last, the integral
+    is split there so the (possibly discontinuous) kink does not degrade
+    the quadrature. The mass beyond the last grid age a_max is reported as
+    tail mass: the renewal branch up to a = t, extended with a frozen
+    exponential rate mu0 + psi(P(t - a_max)), and the initial cohorts older
+    than max(a_max, t), counted when they start below ``p0.support_end()``.
+    A grid mass that is not finite raises ParameterError.
     """
     t = field.time
     ages = field.age_grid
+    a_max = float(ages[-1])
     p_ref = float(traj.state_at(t)[0])
+    survival = _survival(traj, t)
 
     with np.errstate(all="ignore"):  # a mass beyond the float range is refused below
-        if p0 is not None and ages[0] < t < ages[-1]:
-            survival = _survival(traj, t)
-            left_limit = traj.birth_rate_at(0.0) * survival
-            right_limit = float(p0.evaluate(0.0)) * survival
+        if ages[0] < t <= a_max:
             young = ages < t
             old = ages > t  # a grid node exactly at t is replaced by the two limits
             left_ages = np.append(ages[young], t)
-            left_vals = np.append(field.values[young], left_limit)
-            right_ages = np.insert(ages[old], 0, t)
-            right_vals = np.insert(field.values[old], 0, right_limit)
-            grid_mass = simpson(left_vals, left_ages) + simpson(right_vals, right_ages)
+            left_vals = np.append(field.values[young], traj.birth_rate_at(0.0) * survival)
+            grid_mass = simpson(left_vals, left_ages)
+            if np.any(old):
+                right_ages = np.insert(ages[old], 0, t)
+                right_vals = np.insert(field.values[old], 0, float(p0.evaluate(0.0)) * survival)
+                grid_mass += simpson(right_vals, right_ages)
         else:
             grid_mass = field.mass()
     if not math.isfinite(grid_mass):  # e.g. Simpson's spacing products overflow on a huge age step
         raise ParameterError(f"the mass of the age profile at t={t!r} is not finite")
 
     tail_mass = 0.0
-    if ages[-1] < t:
-        history_p = float(traj.state_at(t - ages[-1])[0])
+    if a_max < t:
+        history_p = float(traj.state_at(t - a_max)[0])
         rate = traj.params.mu0 + float(traj.feedback.psi(history_p))
-        if rate > 0.0 and field.values[-1] > 0.0:
-            tail_mass = float(field.values[-1]) / rate
+        tail_mass = float(field.values[-1]) / rate * -math.expm1(-rate * (t - a_max))
+    oldest = max(a_max, t) - t  # initial cohorts that started older are past the grid
+    if oldest < p0.support_end():
+        tail_mass += survival * p0.mass(oldest)
 
     err = abs(grid_mass + tail_mass - p_ref) / max(p_ref, MASS_FLOOR)
     return ConsistencyReport(

@@ -190,11 +190,11 @@ class Trajectory:
     def _read(self, t) -> tuple[np.ndarray, int]:
         """Rows [p, moments..., max(Z, 0)] at time(s) t, and how many state entries were zeroed.
 
-        A time outside [0, t_end], to within 1e-12 * max(1, t_end), raises
+        A time outside [0, t_end], to within 1e-12 * t_end, raises
         TrajectoryRangeError; the state entries follow the undershoot policy.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        edge = 1e-12 * max(1.0, self.t_end)
+        edge = 1e-12 * self.t_end
         if not np.all((t >= -edge) & (t <= self.t_end + edge)):  # NaN fails both
             raise TrajectoryRangeError(f"query time outside [0, {self.t_end!r}]")
         aug = _hermite_eval(t, self.knot_times, self.knot_states, self.knot_derivs)
@@ -249,18 +249,19 @@ def _integrate_rk(f, y0, t_end, stages, err_weights, h, max_step, rtol, atol, sl
     """Knot times, states and derivatives of one Runge-Kutta run, and the clamp count.
 
     With error weights the step adapts to rtol/atol; without them every step
-    of h is accepted. A step that ends within 1e-12 * max(1, t_end) of t_end
-    ends on it. Each accepted step's state entries, all but the last (Z),
+    of h is accepted. A step that ends within 1e-12 * t_end of t_end ends on
+    it; one below 1e-14 * t_end, or too small to move t, raises
+    StepSizeError. Each accepted step's state entries, all but the last (Z),
     follow the undershoot policy at ``slack``.
     """
-    land = 1e-12 * max(1.0, t_end)
+    land = 1e-12 * t_end
     t, y = 0.0, y0.copy()
     ts, ys, fs = [t], [y], [f(y)]
     k = np.empty((len(stages) + 1, y0.size))
     clamped = 0
     while t < t_end:
         h = min(h, t_end - t, max_step)
-        if h < 1e-14 * max(t_end, 1.0):
+        if h < 1e-14 * t_end or t + h == t:  # the second holds where the first underflows
             raise StepSizeError(f"step size underflow at t={t!r}; problem too stiff")
         k[0] = fs[-1]  # the last accepted derivative, never a rejected trial's stage
         for i, row in enumerate(stages, 1):

@@ -225,27 +225,23 @@ def test_report_aggregates_outputs(tmp_path):
     assert {"steady", "validate", "report"} <= set(summary["timings"])
 
 
-def test_outdir_precedence(tmp_path, monkeypatch):
-    doc = ref1_doc()
-    doc["output_dir"] = str(tmp_path / "from_config")
-    cfg = write_config(tmp_path, doc)
-
+def test_outdir_precedence(tmp_path, monkeypatch, capsys):
+    # --out names the output directory, else ./out; the config names none
+    cfg = write_config(tmp_path, ref1_doc())
     monkeypatch.chdir(tmp_path)
-    assert run(["steady", "--config", cfg]) == 0
-    assert (tmp_path / "from_config" / "steady.json").exists()
-
-    monkeypatch.setenv("AGESTRUCT_OUTDIR", str(tmp_path / "from_env"))
-    assert run(["steady", "--config", cfg]) == 0
-    assert (tmp_path / "from_env" / "steady.json").exists()
-
     assert run(["steady", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
     assert (tmp_path / "from_flag" / "steady.json").exists()
+    assert not (tmp_path / "out").exists()
 
-    monkeypatch.delenv("AGESTRUCT_OUTDIR")
-    plain = ref1_doc()
-    cfg2 = write_config(tmp_path, plain, name="plain.json")
-    assert run(["steady", "--config", cfg2]) == 0
+    assert run(["steady", "--config", cfg]) == 0
     assert (tmp_path / "out" / "steady.json").exists()  # documented fallback
+
+    doc = ref1_doc()
+    doc["output_dir"] = str(tmp_path / "from_config")
+    capsys.readouterr()
+    assert run(["steady", "--config", write_config(tmp_path, doc, name="keyed.json")]) == 2
+    assert capsys.readouterr().err == "config error: config.output_dir: unknown key\n"
+    assert not (tmp_path / "from_config").exists()
 
 
 def test_schema_errors_exit_2(tmp_path):

@@ -61,7 +61,7 @@ INF = float("inf")
 SCHEMA_ROWS = {
     # top level
     "top-unknown": _schema({"extra": 1}, "config.extra: unknown key"),
-    "top-output_dir-type": _schema({"output_dir": 5}, "config.output_dir: expected a string"),
+    "top-output_dir-type": _schema({"output_dir": 5}, "config.output_dir: unknown key"),
     # model
     "model-missing": _schema({"model": DELETE}, "model: required section"),
     "model-type": _schema({"model": [1]}, "model: expected an object"),

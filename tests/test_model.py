@@ -189,6 +189,21 @@ def test_tabulated_density_interpolation_and_mass():
         ag.TabulatedDensity(ages=[1.0, 0.5], values=[1.0, 1.0])
 
 
+def test_density_mass_beyond_an_age():
+    exponential = ag.ExponentialDensity(1.5, 1.5)
+    assert exponential.mass(0.0) == exponential.mass() == 1.0
+    assert math.isclose(exponential.mass(2.0), math.exp(-3.0), rel_tol=1e-15)
+    table = ag.TabulatedDensity(ages=(0.5, 1.0, 2.5, 6.0), values=(0.4, 1.2, 0.6, 0.0))
+    # at or below the first table age: the whole table, to the bit
+    assert table.mass(0.0) == table.mass(0.5) == table.mass()
+    assert math.isclose(table.mass(), 0.4 + 1.35 + 1.05, rel_tol=1e-15)
+    # the table clipped at a node, between nodes, and past its end
+    assert math.isclose(table.mass(1.0), 1.35 + 1.05, rel_tol=1e-15)
+    assert math.isclose(table.mass(1.75), 0.75 * (0.9 + 0.6) / 2 + 1.05, rel_tol=1e-15)
+    assert math.isclose(table.mass(5.0), 0.5 * 0.6 / 3.5, rel_tol=1e-15)
+    assert table.mass(6.0) == table.mass(7.0) == 0.0
+
+
 _EXP = ag.ExponentialDensity(1.5, 1.5)
 _TAB = ag.TabulatedDensity(ages=[0.0, 1.0], values=[1.0, 0.0])
 

@@ -65,9 +65,8 @@ def test_cross_validate_samples_the_oracle_grid(ref1, monkeypatch, t_end, dt):
     monkeypatch.setattr(oracle, "integrate", recorded)
     report = cross_validate(ref1.params, ref1.feedback, ref1.p0, t_end, dt)
     (traj,) = trajectories
-    assert report.times is report.oracle.times
-    assert np.array_equal(traj.times, report.times)
-    assert np.array_equal(report.ode_populations, traj.state_at(report.times)[:, 0])
+    assert np.array_equal(traj.times, report.oracle.times)
+    assert np.array_equal(report.ode_populations, traj.state_at(report.oracle.times)[:, 0])
 
 
 def test_zero_density_is_trivial(ref1):
@@ -309,20 +308,10 @@ def _crowded_model(p0):
     )
 
 
-def _scalar_only_model():
-    # math.exp rejects arrays, so both sweeps evaluate entry by entry
-    return GeneralModel(
-        mortality=lambda a, p: 0.3 + 0.2 * math.exp(-a * p),
-        fertility=lambda a, p: 1.2 * a * math.exp(-a) / (1.0 + p),
-        initial_density=ag.TabulatedDensity(ages=(0.0, 0.4, 1.0), values=(1.0, 0.6, 0.0)),
-    )
-
-
 _TABLE_P0 = ag.TabulatedDensity(ages=(0.0, 1.0, 2.5, 4.0), values=(1.0, 0.8, 0.3, 0.0))
 
 GENERIC_CASES = {
     "non-separable": (_crowded_model(_TABLE_P0), 2.0, 0.02),
-    "scalar-only": (_scalar_only_model(), 0.5, 0.1),
     "one-step": (_crowded_model(_TABLE_P0), 0.05, 0.05),
     "one-node-sigma": (_crowded_model(ag.ExponentialDensity(0.0, 1.0)), 1.0, 0.05),
 }
@@ -490,6 +479,26 @@ def test_broadcast_rates_are_validated():
     model = GeneralModel(lambda a, p: 1.0 - p, lambda a, p: 0.0 * a, ag.ExponentialDensity(1.0, 1.0))
     with pytest.raises(ParameterError, match="mortality"):
         _GenericSweep(model, times, 0.1)(np.ones(11), np.full(11, 2.0))
+    # a result that does not broadcast to the (sizes x ages) table
+    model = GeneralModel(lambda a, p: 0.5, lambda a, p: np.ones(3), ag.ExponentialDensity(1.0, 1.0))
+    with pytest.raises(ParameterError, match=r"^fertility evaluator must take arrays and return a result"):
+        _GenericSweep(model, times, 0.1)(np.ones(11), np.ones(11))
+
+
+@pytest.mark.parametrize("scalar_only", ["mortality", "fertility"])
+def test_scalar_only_evaluator_is_refused(scalar_only):
+    # math.exp rejects arrays, and the oracle calls each evaluator once on arrays
+    rates = {
+        "mortality": lambda a, p: 0.3 + 0.2 * np.exp(-a * p),
+        "fertility": lambda a, p: 1.2 * a * np.exp(-a) / (1.0 + p),
+    }
+    rates[scalar_only] = {
+        "mortality": lambda a, p: 0.3 + 0.2 * math.exp(-a * p),
+        "fertility": lambda a, p: 1.2 * a * math.exp(-a) / (1.0 + p),
+    }[scalar_only]
+    p0 = ag.TabulatedDensity(ages=(0.0, 0.4, 1.0), values=(1.0, 0.6, 0.0))
+    with pytest.raises(ParameterError, match=f"^{scalar_only} evaluator must take arrays"):
+        volterra_solve(GeneralModel(**rates, initial_density=p0), 0.5, 0.1)
 
 
 def test_generic_and_separable_paths_agree_on_random_models():
@@ -578,6 +587,6 @@ def test_cross_validate_ref1_perturbed(ref1):
     report = cross_validate(ref1.params, ref1.feedback, p0, 6.0, 0.002)
     assert report.p_gap <= 1e-4
     assert report.b_gap <= 1e-4
-    assert report.times.shape == report.oracle.populations.shape
-    assert report.ode_populations.shape == report.times.shape
+    assert report.oracle.times.shape == report.oracle.populations.shape
+    assert report.ode_populations.shape == report.oracle.times.shape
     assert report.max_gap == max(report.p_gap, report.b_gap)

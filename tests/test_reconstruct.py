@@ -6,6 +6,7 @@ import pytest
 
 import agestruct as ag
 from agestruct.errors import ParameterError, TrajectoryRangeError
+from agestruct.quadrature import uniform_grid
 from agestruct.reconstruct import (
     DensityField,
     characteristic_jump,
@@ -87,8 +88,38 @@ def test_consistency_splits_at_characteristic(ref1):
     assert report.relative_mass_error <= 1e-6
 
     # without the split the density jump at a = t degrades the quadrature
-    blunt = consistency_check(field, traj)
-    assert report.relative_mass_error < blunt.relative_mass_error
+    blunt = abs(field.mass() + report.tail_mass - report.reference_mass) / report.reference_mass
+    assert report.relative_mass_error < blunt
+
+
+# ref1 from a bumped start, checked at t = 2 on grids that end at t, just
+# below it, well below it (where the frozen-rate tail is an extrapolation)
+# and past it, and on the default grid
+@pytest.mark.parametrize(
+    "age_max, bound",
+    [(2.0, 1e-8), (1.99, 1e-6), (1.0, 1e-3), (5.0, 1e-8), (None, 1e-8)],
+    ids=["ends-at-t", "just-below-t", "below-t", "past-t", "default"],
+)
+def test_consistency_counts_the_cohorts_beyond_the_grid(ref1, age_max, bound):
+    p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
+    start = ag.density_moments(p0, ref1.params.rho, ref1.params.n)
+    traj = ag.integrate(start, ref1.params, ref1.feedback, 20.0)
+    grid = default_age_grid(traj, p0) if age_max is None else uniform_grid(age_max, 0.01)
+    field = reconstruct_density(traj, p0, ref1.params, ref1.feedback, 2.0, grid)
+    assert consistency_check(field, traj, p0).relative_mass_error <= bound
+
+
+def test_consistency_counts_a_tabulated_start_beyond_the_grid(ref1):
+    # at t = 3 the initial cohorts reach age 9, past the grid's 8
+    p0 = ag.TabulatedDensity(ages=(0.0, 1.0, 2.5, 6.0), values=(0.4, 1.2, 0.6, 0.0))
+    start = ag.density_moments(p0, ref1.params.rho, ref1.params.n)
+    traj = ag.integrate(start, ref1.params, ref1.feedback, 20.0)
+    field = reconstruct_density(traj, p0, ref1.params, ref1.feedback, 3.0, uniform_grid(8.0, 0.01))
+    report = consistency_check(field, traj, p0)
+    assert report.relative_mass_error <= 1e-8
+    # the survivors of the initial ages (5, 6], where p0 falls linearly from 0.6 / 3.5 to 0
+    survival = math.exp(-ref1.params.mu0 * 3.0 - traj.psi_integral_at(3.0))
+    assert report.tail_mass == pytest.approx(survival * 0.3 / 3.5, rel=1e-14)
 
 
 def test_zero_population_is_exactly_consistent(ref1):

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,39 @@ def test_rk4_is_fourth_order(linear_fixture):
         traj = ag.integrate(start, fx.params, fx.feedback, t_end=1.0, method="rk4", h=h)
         errs.append(abs(traj.states[-1, 1] - exact))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+@pytest.mark.parametrize("t_end", [1e-13, 1e-300])
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_tiny_horizons_end_on_t_end(linear_fixture, method, t_end):
+    # the landing rule, the read edge and the step floor scale with t_end
+    fx = linear_fixture
+    start = ag.density_moments(fx.p0, fx.params.rho, fx.params.n)
+    kwargs = {"method": "rk4", "h": t_end / 50} if method == "rk4" else {}
+    traj = ag.integrate(start, fx.params, fx.feedback, t_end, **kwargs)
+    assert traj.t_end == t_end and traj.knot_times.size > 2
+    np.testing.assert_allclose(traj.states[:, 1], 0.75 * np.exp(traj.times), rtol=1e-14)
+    with pytest.raises(TrajectoryRangeError):
+        traj.state_at(2 * t_end)
+
+
+def test_a_step_that_cannot_move_t_raises():
+    # at t_end = 5e-324 the first rk45 step, t_end / 100, is 0; a subprocess
+    # with a timeout turns a loop that never moves t into a failure
+    code = (
+        "import agestruct as ag\n"
+        "from agestruct.errors import StepSizeError\n"
+        "params = ag.ModelParams(n=1, betas=(1.0,), rho=0.5, mu0=0.5, r0=2.0, normalized=True)\n"
+        "start = ag.density_moments(ag.ExponentialDensity(1.5, 1.5), 0.5, 1)\n"
+        "try:\n"
+        "    ag.integrate(start, params, ag.FeedbackSpec.linear(), 5e-324)\n"
+        "except StepSizeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(ag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "step size underflow at t=0.0; problem too stiff\n", "")
 
 
 def test_rk45_retries_a_rejected_step_from_the_accepted_point(ref1):

@@ -17,7 +17,12 @@ betas, exponential phi, power psi, a sweep), ``ref1_subcritical`` (r0 =
 reconstructed past ``age_max``, so the tail mass is used) and
 ``ref1_r0_20`` (``validate`` only, on the bumped ref1 at r0 = 20 to
 t = 10, whose separable oracle sweeps cut up to 14 FFT blocks with ends
-that move between sweeps, where the ref configs keep 2 or 3). An override
+that move between sweeps, where the ref configs keep 2 or 3). Two more
+run one subcommand at an edge: ``ref1_short_grid`` (``reconstruct`` on the
+bumped ref1 at t = 2 on an age grid that ends at 2, so the mass check
+splits at its last node and counts every initial cohort as tail mass) and
+``ref1_tiny_horizon`` (``simulate`` to t_end = 1e-13, where the step rules
+scale with the horizon). An override
 section that names a ``kind``, or that the base config lacks, replaces or
 adds that section whole; any other override updates the section's keys.
 Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
@@ -63,6 +68,8 @@ CASES = {
         "initial_density": {"kind": "tabulated", "ages": [0.0, 1.0, 2.5, 6.0], "values": [0.4, 1.2, 0.6, 0.0]},
         "reconstruction": {"times": [0.5, 3.0, 20.0], "age_max": 8.0},
     }, COMMANDS),
+    "ref1_short_grid": ("ref1", {**BUMPED, "reconstruction": {"times": [2.0], "age_max": 2.0}}, ("reconstruct",)),
+    "ref1_tiny_horizon": ("ref1", {"integrator": {"t_end": 1e-13}}, ("simulate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
 
@@ -78,7 +85,6 @@ def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
             doc[section] = dict(settings)
     (workdir / "run.json").write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    env.pop("AGESTRUCT_OUTDIR", None)
     items = {}
     for command in commands:
         proc = subprocess.run(
