@@ -43,11 +43,10 @@ def atomic_open(path):
 
 
 def write_lines(path, rows: Iterable[str]) -> Path:
-    """One line per row."""
+    """One line per row, written in one call; no rows make an empty file."""
     path = Path(path)
     with atomic_open(path) as fh:
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("".join(row + "\n" for row in rows))
     return path
 
 

@@ -172,6 +172,12 @@ class FeedbackSpec:
     def psi_prime(self, x):
         return self.psi_family.derivative(x)
 
+    def phi_psi(self, x: float) -> tuple[float, float]:
+        """(phi(x), psi(x)) of one size from one one-element array: the bits of the two scalar calls."""
+        x = np.array([x], dtype=float)
+        with np.errstate(over="ignore"):
+            return float(self.phi_family.value(x)[0]), float(self.psi_family.value(x)[0])
+
 
 _PHI_FAMILIES = {cls.name: cls for cls in (ExponentialPhi, HillPhi)}
 _PSI_FAMILIES = {cls.name: cls for cls in (LinearPsi, PowerPsi)}

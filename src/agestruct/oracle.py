@@ -18,11 +18,13 @@ Z the integrated crowding mortality, one with the whole fertility kernel
 and one with the survival kernel. FFT round-off is eps times the largest
 input, and exp(Z) may reach exp(600) under the overflow guard (which
 stays), so one transform over the whole grid would bury the early values.
-The grid is cut into blocks, each rescaled so that its inputs stay within
-exp(4) of one another, which keeps the error near exp(4) * eps of the local
-size (see ``_damped_conv_integrals``). A block [s, e) transforms the
-kernels cut to [:e] at FFT length nfft, so each sweep keeps those spectra
-by (e, nfft) and the next reuses the ones whose block layout still holds.
+The kernels absorb the least rate c at which Z climbs (mu0 + c, psi - c),
+and the grid is cut into blocks, each rescaled so that its inputs
+exp(Z - c t) * B stay within exp(4) of one another, which keeps the error
+near exp(4) * eps of the local size (see ``_damped_conv_integrals``). A
+block [s, e) transforms the tilted kernels cut to [:e] at the least 5-smooth
+length nfft >= 2e - 1 - s, so each sweep keeps those spectra by
+(c, e, nfft) and the next reuses the ones whose tilt and layout still hold.
 Arbitrary ``mu(a, P)`` / ``beta(a, P)`` evaluators fall back to a dense
 sweep over short windows.
 A sweep of window [s, e) calls each evaluator once, on the ages alive by
@@ -31,7 +33,8 @@ that broadcasts to that table. A strided view reads the table along
 characteristics (cohorts), and the survival exponents of row s - 1 are
 carried over from the window before, so survival and both renewal integrals
 come from window-table array passes and two matrix-vector products (see
-``_GenericSweep``).
+``_GenericSweep``). The exponent table lives in a buffer that every sweep
+of a solve reuses, and a mortality of size alone adds one sum per row.
 """
 
 from __future__ import annotations
@@ -157,42 +160,67 @@ class OracleSolution:
     sweep_log: tuple[str, ...]
 
 
+def _fft_length(n: int) -> int:
+    """The least 5-smooth number 2^a 3^b 5^c at least n >= 1, a fast FFT length."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the least power-of-two multiple of p35 at least n
+            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), 3 * p35
+        p5 *= 5
+    return best
+
+
 def _damped_conv_integrals(
     kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt: float, spectra: dict
 ) -> np.ndarray:
     """Trapezoid values of integral(0..t_m) k(t_m - s) exp(z(s) - z(t_m)) b(s) ds.
 
-    One output row per kernel row; ``z`` must be nondecreasing and ``b``
-    nonnegative. Blocks [s, e) of targets end where level_m = max_{j<=m}
-    (z_j + log b_j), the log of the largest entry of exp(z) * b so far,
-    crosses a multiple of ``_BLOCK_SPAN``; a growing b needs this as much as
-    a growing z. Each block convolves exp(z_j - z_s) * b_j for j < e, all
-    within exp(_BLOCK_SPAN) of the block's starting level, and scales the
-    outputs back by exp(z_s - z_m) <= 1. Kernels are cut to [:e] and the FFT
-    is at least 2e - 1 - s long, so the circular wrap never lands in [s, e).
-    The exact sums have nonnegative terms, so outputs are clipped at zero.
+    One output row per kernel row, on n >= 2 nodes; ``z`` must be
+    nondecreasing and ``b`` nonnegative. The kernels absorb the rate c, the
+    largest multiple of ``_BLOCK_SPAN`` / T (T the horizon) at or below the
+    least slope of z: r_j = z_j - c j dt is nondecreasing, and
+    exp(z_j - z_m) = exp(-c (m - j) dt) exp(r_j - r_m) makes the kernels
+    k(l dt) exp(-c l dt). Blocks [s, e) of targets end where level_m =
+    max_{j<=m} (r_j + log b_j), the log of the largest entry of exp(r) * b
+    so far, crosses a multiple of ``_BLOCK_SPAN``; a growing b needs this as
+    much as a growing r. Each block convolves exp(r_j - r_s) * b_j for
+    j < e, all within exp(_BLOCK_SPAN) of the block's starting level, and
+    scales the outputs back by exp(r_s - r_m) <= 1. The tilted kernels are
+    cut to [:e] and the FFT length is the least 5-smooth number at least
+    2e - 1 - s, so the circular wrap never lands in [s, e). The exact sums
+    have nonnegative terms, so outputs are clipped at zero.
 
-    A block's kernel spectrum rfft(kernels[:, :e], nfft) depends only on
-    (e, nfft). ``spectra`` maps those keys to spectra from earlier calls
-    with the same kernels (empty at first); a block whose key it holds
-    reuses that spectrum, and on return it holds exactly this call's keys.
+    A block's tilted kernels, spectrum and product buffer depend only on
+    (c, e, nfft); ``spectra`` maps keys of earlier calls with these kernels
+    to them, a block reuses those of its key, and it ends with this call's.
     """
     n = b.size
+    unit = _BLOCK_SPAN / ((n - 1) * dt)
+    c = unit * max(math.floor(float(np.min(np.diff(z))) / dt / unit), 0)
+    r = z - c * dt * np.arange(n)
     out = np.empty_like(kernels)
     with np.errstate(divide="ignore"):
-        level = np.maximum.accumulate(z + np.log(b))
-    bins = np.floor(level / _BLOCK_SPAN)
+        bins = np.floor(np.maximum.accumulate(r + np.log(b)) / _BLOCK_SPAN)
     starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
-    keys = [(e, 1 << (2 * e - 2 - s).bit_length()) for s, e in zip(starts, [*starts[1:], n])]
+    keys = [(c, e, _fft_length(2 * e - 1 - s)) for s, e in zip(starts, [*starts[1:], n])]
     for stale in spectra.keys() - set(keys):
         del spectra[stale]
-    for s, (e, nfft) in zip(starts, keys):
-        if (e, nfft) not in spectra:
-            spectra[e, nfft] = np.fft.rfft(kernels[:, :e], nfft)
-        g = np.exp(z[:e] - z[s]) * b[:e]
-        full = np.fft.irfft(spectra[e, nfft] * np.fft.rfft(g, nfft), nfft)[:, s:e]
-        full -= 0.5 * (kernels[:, s:e] * g[0] + kernels[:, :1] * g[s:e])
-        full *= dt * np.exp(z[s] - z[s:e])
+    for s, key in zip(starts, keys):
+        e, nfft = key[1:]
+        if key not in spectra:
+            tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
+            spectrum = np.fft.rfft(tilted, nfft)
+            spectra[key] = tilted, spectrum, np.empty_like(spectrum)
+        tilted, spectrum, product = spectra[key]
+        g = np.exp(r[:e] - r[s]) * b[:e]
+        np.multiply(spectrum, np.fft.rfft(g, nfft), out=product)
+        full = np.fft.irfft(product, nfft)[:, s:e]
+        ends = np.multiply(tilted[:, s:e], g[0], out=out[:, s:e])  # scratch until the clip below
+        ends += kernels[:, :1] * g[s:e]
+        ends *= 0.5
+        full -= ends
+        full *= dt * np.exp(r[s] - r[s:e])
         np.maximum(full, 0.0, out=out[:, s:e])
     return out
 
@@ -222,7 +250,7 @@ class _SeparableSweep:
         self.survival = np.exp(-pr.mu0 * times)
         # renewal kernel (all fertility terms at once) and survival kernel
         self.kernels = np.stack((fertility_age_profile(times, pr) * self.survival, self.survival))
-        self.spectra = {}  # the kernel spectra of the last sweep's blocks
+        self.spectra = {}  # the tilted kernels and spectra of the last sweep's blocks
         sigma, p0_vals, self.mass0 = _initial_cohorts(model.initial_density, dt)
         weighted = p0_vals * np.exp(-pr.rho * sigma)
         tail_moments = [trapezoid(sigma**j * weighted, dt) for j in range(pr.n)]
@@ -238,16 +266,17 @@ class _SeparableSweep:
         psi_int = cumulative_trapezoid(np.asarray(self.feedback.psi(p), dtype=float), self.dt)
         if psi_int[-1] + pr.mu0 * self.times[-1] > _EXP_GUARD:
             raise ParameterError("survival exponent overflow on the separable fast path")
+
+        # shrink and phi come after the transforms, so fewer arrays are alive while those run
+        renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt, self.spectra)
         shrink = np.exp(-psi_int)
         phi_vals = pr.r0 * np.asarray(self.feedback.phi(p), dtype=float)
-
-        renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt, self.spectra)
         renewal *= phi_vals
 
         survive0 = self.survival * shrink
-        f_vals = phi_vals * survive0 * self.decay * self.poly
-        g_vals = survive0 * self.mass0
-        return renewal + f_vals, p_integral + g_vals
+        renewal += phi_vals * survive0 * self.decay * self.poly
+        p_integral += survive0 * self.mass0
+        return renewal, p_integral
 
 
 def _characteristic_rows(table: np.ndarray) -> np.ndarray:
@@ -303,10 +332,8 @@ class _GenericSweep:
             self.p0_weights[[0, -1]] *= 0.5
         self.window_rows = max(_WINDOW_MIN_ROWS, round(_WINDOW_SPAN / dt))
         self.start, self.carry, self.last_row = 0, None, None
-
-    def _table(self, fn: Callable, width: int, sizes: np.ndarray, what: str) -> np.ndarray:
-        """rate(a_l, P) for l < width as a C-contiguous (sizes, width) array."""
-        return np.ascontiguousarray(_eval_rates(fn, self.ages[:, :width], sizes[:, None], what))
+        # the exponent table that every sweep reuses, sized for the last, widest window
+        self.expo_flat = np.empty(min(self.window_rows + 1, times.size) * self.ages.shape[1])
 
     def __call__(self, b: np.ndarray, p: np.ndarray, s: int = 0, e: Optional[int] = None):
         """B and P with new values on the nodes [s, e), by default the whole grid."""
@@ -316,22 +343,29 @@ class _GenericSweep:
             self.start, self.carry = s, self.last_row
         lo = max(s - 1, 0)
         rows, width = e - lo, e - 1 + self.n_sigma
-        mu = self._table(self.model.mortality, width, p[lo:e], "mortality")
+        ages, sizes = self.ages[:, :width], p[lo:e, None]
+        mu = _eval_rates(self.model.mortality, ages, sizes, "mortality")
         # expo[r, k] accumulates mu[r - 1] + mu[r] along characteristic k
         # from the exponents of the characteristics alive at row lo, the
         # last k; cohorts not yet born hold +inf, so their survival is 0.
         # At t = 0 the initial cohorts and the one born then start at 0.
-        expo = np.empty_like(mu)
+        if self.expo_flat.size < rows * width:  # a wider call, such as the whole grid at once
+            self.expo_flat = np.empty(rows * width)
+        expo = self.expo_flat[: rows * width].reshape(rows, width)
         alive_lo = self.carry if s else np.zeros(self.n_sigma)
         expo[0, : width - alive_lo.size] = np.inf
         expo[0, width - alive_lo.size :] = alive_lo
-        skew = _characteristic_rows(mu)
         # row lo in characteristic order: only cohorts born by then (k >= rows - 1)
         first = np.zeros(width)
         first[rows - 1 :] = mu[0, : width - rows + 1]
-        np.add(skew[:1], first, out=expo[1:2])
-        np.add(skew[1:], skew[:-1], out=expo[2:])
-        del mu, skew
+        if mu.strides[1]:  # rates that vary with age, read along the characteristics
+            skew = _characteristic_rows(np.ascontiguousarray(mu))
+            np.add(skew[:1], first, out=expo[1:2])
+            np.add(skew[1:], skew[:-1], out=expo[2:])
+        else:  # a rate of size alone: each row adds one sum to every characteristic
+            np.add(mu[1, 0], first, out=expo[1])
+            expo[2:] = mu[2:, :1] + mu[1:-1, :1]
+        del mu
         for r in range(1, rows):
             expo[r] += expo[r - 1]
             expo[r, rows - 1 - r] = 0.0
@@ -350,7 +384,7 @@ class _GenericSweep:
         new_p = p.copy()
         new_p[s:e] = alive @ weights - 0.5 * dt * b[s:e]
 
-        beta = self._table(self.model.fertility, width, p[lo:e], "fertility")
+        beta = np.ascontiguousarray(_eval_rates(self.model.fertility, ages, sizes, "fertility"))
         if s == 0:
             alive[1:] *= _characteristic_rows(beta)
             alive[0, rows - 1 :] *= beta[0, : width - rows + 1]  # row 0, as for mu

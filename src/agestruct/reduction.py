@@ -106,8 +106,8 @@ def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
     # enter p and p_1, p decays at mu0 + psi(p), each moment at
     # rho + mu0 + psi(p), and p_i feeds p_{i+1} at rate i; Z' = psi(p)
     p = y[0]
-    psi = feedback.psi(max(p, 0.0))  # as in _births, psi sees max(p, 0)
-    births = _births(y, params, feedback)
+    phi, psi = feedback.phi_psi(max(p, 0.0))  # as in _births, the feedbacks see max(p, 0)
+    births = params.r0 * phi * _beta_sum(y, params.betas)
     out = -(params.rho + params.mu0 + psi) * y
     out[0] = -(params.mu0 + psi) * p + births
     out[1] += births

@@ -204,19 +204,55 @@ def test_damped_convolution_follows_growing_births(ref1):
         assert np.all(np.abs(got - want) <= 1e-12 * b)
 
 
-def _block_keys(z, b):
-    """The (e, nfft) of each block of ``_damped_conv_integrals``, by its stated rule."""
+def test_damped_convolution_absorbs_the_least_crowding_rate(ref1):
+    # z climbs at a rate of at least 37 everywhere, so the kernels take a
+    # tilt c > 0 and the blocks follow the rest of z
+    n, dt = 401, 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    kernels = _separable_kernels(ref1, times, dt)
+    z = 40.0 * times + 3.0 * (1.0 - np.cos(times))
+    assert _tilt(z, dt) > 0
+    for b in (1.0 + 0.5 * np.sin(3.0 * times), np.exp(5.0 * times)):
+        for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+            want = _direct_damped_integrals(kernel, z, b, dt)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def test_fft_length_is_the_least_5_smooth_number_above():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    for n in range(1, 5001):
+        got = oracle._fft_length(n)
+        assert got >= n and smooth(got)
+        assert not any(smooth(m) for m in range(n, got))
+
+
+def _tilt(z, dt):
+    """The kernel tilt c of ``_damped_conv_integrals``, by its stated rule."""
+    unit = oracle._BLOCK_SPAN / ((z.size - 1) * dt)
+    return unit * max(math.floor(float(np.min(np.diff(z))) / dt / unit), 0)
+
+
+def _block_keys(z, b, dt):
+    """The (c, e, nfft) of each block of ``_damped_conv_integrals``, by its stated rule."""
+    c = _tilt(z, dt)
     with np.errstate(divide="ignore"):
-        bins = np.floor(np.maximum.accumulate(z + np.log(b)) / oracle._BLOCK_SPAN)
+        level = np.maximum.accumulate(z - c * dt * np.arange(z.size) + np.log(b))
+    bins = np.floor(level / oracle._BLOCK_SPAN)
     starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
     ends = [*starts[1:], b.size]
-    return {(e, 1 << (2 * e - 2 - s).bit_length()) for s, e in zip(starts, ends)}
+    return {(c, e, oracle._fft_length(2 * e - 1 - s)) for s, e in zip(starts, ends)}
 
 
 def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
-    # r0 = 20 from a bumped start moves the block ends between sweeps (up to
-    # 14 blocks), so sweeps both reuse kernel spectra and transform new ones;
-    # every bit must match a solve that transforms each spectrum afresh
+    # r0 = 20 from a bumped start moves the block ends and the kernel tilt
+    # between sweeps (up to 12 blocks), so sweeps both reuse kernel spectra
+    # and transform new ones; every bit must match a solve that transforms
+    # each spectrum afresh
     p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
     model = from_separable(ref1.params.with_r0(20.0), ref1.feedback, p0)
     damped = oracle._damped_conv_integrals
@@ -224,7 +260,7 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
 
     def keeping(kernels, z, b, dt, spectra):
         nonlocal reused
-        keys = _block_keys(z, b)
+        keys = _block_keys(z, b, dt)
         reused += len(spectra.keys() & keys)
         out = damped(kernels, z, b, dt, spectra)
         assert spectra.keys() == keys  # exactly this sweep's spectra
@@ -235,7 +271,8 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
     kept = volterra_solve(model, 10.0, 0.002)
     monkeypatch.setattr(oracle, "_damped_conv_integrals", lambda k, z, b, dt, spectra: damped(k, z, b, dt, {}))
     fresh = volterra_solve(model, 10.0, 0.002)
-    assert max(map(len, layouts)) == 14 and len(set(layouts)) > 1 and reused > 0
+    assert max(map(len, layouts)) == 12 and len(set(layouts)) > 1 and reused > 0
+    assert len({c for keys in layouts for c, _, _ in keys}) > 1
     np.testing.assert_array_equal(kept.birth_rates, fresh.birth_rates)
     np.testing.assert_array_equal(kept.populations, fresh.populations)
     assert kept.sweep_log == fresh.sweep_log
@@ -350,6 +387,23 @@ def test_generic_sweep_matches_direct_reference(case):
     residual = _DirectGenericSweep(model, sol.times, dt)(sol.birth_rates, sol.populations)
     assert np.max(np.abs(residual[0] - sol.birth_rates)) <= 1e-10
     assert np.max(np.abs(residual[1] - sol.populations)) <= 1e-10
+
+
+def test_generic_sweep_reads_no_stale_buffer_entry():
+    # a whole-grid sweep grows the exponent buffer past any window's table
+    # and leaves its own entries there (overwritten with NaN to make any read
+    # of them show); a sweep of the first window must equal a fresh object's
+    model, t_end, dt = GENERIC_CASES["non-separable"]
+    times = np.linspace(0.0, t_end, oracle.grid_steps(t_end, dt) + 1)
+    b = 1.0 + 0.5 * np.sin(3.0 * times)
+    p = 1.0 + 0.3 * np.cos(2.0 * times)
+    used = _GenericSweep(model, times, dt)
+    used(b, p)
+    used.expo_flat.fill(np.nan)
+    w = used.window_rows
+    assert w < times.size
+    for got, want in zip(used(b, p, 0, w), _GenericSweep(model, times, dt)(b, p, 0, w)):
+        np.testing.assert_array_equal(got, want)
 
 
 def _tight_direct_solution(model, t_end, dt):

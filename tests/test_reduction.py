@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -149,9 +150,12 @@ def test_rhs_calls_per_step(ref1, monkeypatch):
         calls.append(args)
         return rhs_array(*args)
 
-    def counted_psi(x):
-        psi_calls.append(x)
-        return ref1.feedback.psi(x)
+    class CountedPsi(type(ref1.feedback.psi_family)):
+        def value(self, x):
+            psi_calls.append(x)
+            return super().value(x)
+
+    counted_psi = CountedPsi(*dataclasses.astuple(ref1.feedback.psi_family))
 
     monkeypatch.setattr(reduction, "_rhs_array", counted)
     start = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)

@@ -16,14 +16,14 @@ betas, exponential phi, power psi, a sweep), ``ref1_subcritical`` (r0 =
 0.8, no nontrivial equilibrium), ``ref1_tabulated`` (a tabulated start,
 reconstructed past ``age_max``, so the tail mass is used) and
 ``ref1_r0_20`` (``validate`` only, on the bumped ref1 at r0 = 20 to
-t = 10, whose separable oracle sweeps cut up to 14 FFT blocks with ends
-that move between sweeps, where the ref configs keep 2 or 3). Two more
-run one subcommand at an edge: ``ref1_short_grid`` (``reconstruct`` on the
-bumped ref1 at t = 2 on an age grid that ends at 2, so the mass check
-splits at its last node and counts every initial cohort as tail mass) and
-``ref1_tiny_horizon`` (``simulate`` to t_end = 1e-13, where the step rules
-scale with the horizon). An override
-section that names a ``kind``, or that the base config lacks, replaces or
+t = 10, whose separable oracle sweeps cut up to 12 FFT blocks with ends
+and a kernel tilt that move between sweeps, where the ref configs keep
+1 to 3). Two more run one subcommand at an edge: ``ref1_short_grid``
+(``reconstruct`` on the bumped ref1 at t = 2 on an age grid that ends at
+2, so the mass check splits at its last node and counts every initial
+cohort as tail mass) and ``ref1_tiny_horizon`` (``simulate`` to t_end =
+1e-13, where the step rules scale with the horizon). An override section
+that names a ``kind``, or that the base config lacks, replaces or
 adds that section whole; any other override updates the section's keys.
 Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
 defaults to the tree holding this script.
@@ -33,6 +33,9 @@ of every subcommand and every output file are compared; ``timings`` is
 dropped from manifest.json and run_summary.json first. Prints SAME or
 DIFF per item, with both trees' codes on each exit item, then a count of
 the nonzero exits, so a command that fails in both trees still shows.
+A DIFF'd ``.csv`` whose two sides parse to float tables of one shape also
+shows the largest relative difference of a cell, |a - b| / max(|a|, |b|),
+so that round-off (about 1e-14) reads apart from a real change.
 Exits 1 on any DIFF.
 """
 
@@ -106,6 +109,25 @@ def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
     return items
 
 
+def _largest_relative_difference(before: bytes, after: bytes):
+    """Largest |a - b| / max(|a|, |b|) over the cells of two CSVs below their header, or None.
+
+    None unless every cell of both parses as a float and the two tables have one shape.
+    """
+    tables = []
+    for data in (before, after):
+        try:
+            tables.append([[float(cell) for cell in line.split(",")] for line in data.decode().splitlines()[1:]])
+        except ValueError:
+            return None
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return None
+    return max(
+        (abs(a - b) / max(abs(a), abs(b)) for rows in zip(*tables) for a, b in zip(*rows) if a != b),
+        default=0.0,
+    )
+
+
 def main(argv) -> int:
     if not 1 <= len(argv) <= 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -130,6 +152,9 @@ def main(argv) -> int:
                     codes = (before[name].decode(), after[name].decode())
                     failed += codes.count("0") < 2
                     label += f" {codes[0]} / {codes[1]}"
+                elif verdict == "DIFF" and name.endswith(".csv"):
+                    rel = _largest_relative_difference(before[name], after[name])
+                    label += "" if rel is None else f" (largest relative difference {rel:.1e})"
                 same, diff = (same + 1, diff) if verdict == "SAME" else (same, diff + 1)
                 print(f"{verdict} {case}: {label}")
     print(f"{same} SAME, {diff} DIFF; {failed} commands exited nonzero in a tree")
