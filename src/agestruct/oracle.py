@@ -16,12 +16,14 @@ polynomial-times-exponential fertility profile) take a fast path with one
 window, the whole grid: each sweep is two FFT convolutions of exp(Z) * B,
 Z the integrated crowding mortality, one with the whole fertility kernel
 and one with the survival kernel. FFT round-off is eps times the largest
-input, and exp(Z) may reach exp(600) under the overflow guard (which
-stays), so one transform over the whole grid would bury the early values.
-The kernels absorb the least rate c at which Z climbs (mu0 + c, psi - c),
-and the grid is cut into blocks, each rescaled so that its inputs
-exp(Z - c t) * B stay within exp(4) of one another, which keeps the error
-near exp(4) * eps of the local size (see ``_damped_conv_integrals``). A
+input, and exp(Z) * B may span the whole float range, so one transform
+over the whole grid would bury the early values. The kernels absorb the
+least rate c at which Z climbs (mu0 + c, psi - c), and the grid is cut
+into blocks, each forming its inputs exp(Z - c t) * B from logarithms
+within exp(4) of one another, which keeps the error near exp(4) * eps of
+the local size and every input finite (see ``_damped_conv_integrals``).
+The path refuses only dt * r0 * betas[0] / 2 >= 1, where the trapezoid
+node equation loses its one root (Linz 1985, ch. 7). A
 block [s, e) transforms the tilted kernels cut to [:e] at the least 5-smooth
 length nfft >= 2e - 1 - s, so each sweep keeps those spectra by
 (c, e, nfft) and the next reuses the ones whose tilt and layout still hold.
@@ -61,8 +63,6 @@ from .reduction import integrate
 
 #: iteration cap used when callers do not specify one
 DEFAULT_K_MAX = 200
-#: largest survival exponent the separable fast path will exponentiate
-_EXP_GUARD = 600.0
 #: rise of the log convolution input allowed inside one rescaled FFT block
 _BLOCK_SPAN = 4.0
 #: time span of one window of the generic path, and its fewest rows: a
@@ -184,8 +184,8 @@ def _damped_conv_integrals(
     k(l dt) exp(-c l dt). Blocks [s, e) of targets end where level_m =
     max_{j<=m} (r_j + log b_j), the log of the largest entry of exp(r) * b
     so far, crosses a multiple of ``_BLOCK_SPAN``; a growing b needs this as
-    much as a growing r. Each block convolves exp(r_j - r_s) * b_j for
-    j < e, all within exp(_BLOCK_SPAN) of the block's starting level, and
+    much as a growing r. Each block convolves exp(r_j + log b_j - r_s) for
+    j < e, at most exp(_BLOCK_SPAN) times its start level, hence max b, and
     scales the outputs back by exp(r_s - r_m) <= 1. The tilted kernels are
     cut to [:e] and the FFT length is the least 5-smooth number at least
     2e - 1 - s, so the circular wrap never lands in [s, e). The exact sums
@@ -201,7 +201,8 @@ def _damped_conv_integrals(
     r = z - c * dt * np.arange(n)
     out = np.empty_like(kernels)
     with np.errstate(divide="ignore"):
-        bins = np.floor(np.maximum.accumulate(r + np.log(b)) / _BLOCK_SPAN)
+        logs = r + np.log(b)
+    bins = np.floor(np.maximum.accumulate(logs) / _BLOCK_SPAN)
     starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
     keys = [(c, e, _fft_length(2 * e - 1 - s)) for s, e in zip(starts, [*starts[1:], n])]
     for stale in spectra.keys() - set(keys):
@@ -213,7 +214,7 @@ def _damped_conv_integrals(
             spectrum = np.fft.rfft(tilted, nfft)
             spectra[key] = tilted, spectrum, np.empty_like(spectrum)
         tilted, spectrum, product = spectra[key]
-        g = np.exp(r[:e] - r[s]) * b[:e]
+        g = np.exp(logs[:e] - r[s])
         np.multiply(spectrum, np.fft.rfft(g, nfft), out=product)
         full = np.fft.irfft(product, nfft)[:, s:e]
         ends = np.multiply(tilted[:, s:e], g[0], out=out[:, s:e])  # scratch until the clip below
@@ -238,7 +239,8 @@ class _SeparableSweep:
     A sweep maps the iterates (b, p) to new ones, updated on the nodes
     [s, e) of one window of ``window_rows`` nodes from the final values
     before s. This one has a single window, the whole grid, so ``s`` and
-    ``e`` are 0 and N.
+    ``e`` are 0 and N. ParameterError unless dt * r0 * betas[0] / 2 < 1,
+    which, as phi <= phi(0) = 1, gives every node equation one root.
     """
 
     def __init__(self, model: SeparableModel, times: np.ndarray, dt: float):
@@ -246,6 +248,8 @@ class _SeparableSweep:
         self.dt = dt
         self.window_rows = times.size
         self.params = pr = model.params
+        if not 0.5 * dt * pr.r0 * pr.betas[0] < 1.0:
+            raise ParameterError(f"oracle dt={dt!r} must be below 2 / (r0 * betas[0]) = {2.0 / (pr.r0 * pr.betas[0])!r}")
         self.feedback = model.feedback
         self.survival = np.exp(-pr.mu0 * times)
         # renewal kernel (all fertility terms at once) and survival kernel
@@ -264,8 +268,8 @@ class _SeparableSweep:
     def __call__(self, b: np.ndarray, p: np.ndarray, s: int = 0, e: Optional[int] = None):
         pr = self.params
         psi_int = cumulative_trapezoid(np.asarray(self.feedback.psi(p), dtype=float), self.dt)
-        if psi_int[-1] + pr.mu0 * self.times[-1] > _EXP_GUARD:
-            raise ParameterError("survival exponent overflow on the separable fast path")
+        if not psi_int[-1] < math.inf:
+            raise ParameterError("the crowding mortality integral leaves the float range on the separable fast path")
 
         # shrink and phi come after the transforms, so fewer arrays are alive while those run
         renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt, self.spectra)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import FeedbackSpec, InitialDensity, ModelParams
-from .quadrature import simpson, uniform_grid
+from .quadrature import simpson, uniform_grid, uniform_steps
 from .reduction import Trajectory
 
 #: floor used in the relative-error denominator so an all-zero population
@@ -57,15 +57,19 @@ def _survival(traj: Trajectory, t: float) -> float:
     return math.exp(-traj.params.mu0 * t - traj.psi_integral_at(t))
 
 
-def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -> np.ndarray:
-    """Age grid [0, a_max] wide enough that the ignored tail is below 1e-10.
+def _renewal(traj: Trajectory, t: float, a: np.ndarray) -> np.ndarray:
+    """Renewal branch B(t - a) * exp(-mu0*a - [Z(t) - Z(t - a)]) at ages 0 <= a <= t."""
+    z_gap = traj.psi_integral_at(t) - traj.psi_integral_at(t - a)
+    return traj.birth_rate_at(t - a) * np.exp(-traj.params.mu0 * a - np.maximum(z_gap, 0.0))
 
-    The cutoff solves exp(-mu0 * a_max) * (initial mass + sup B) < 1e-10,
-    using the bare mortality floor as the (conservative) decay rate.
+
+def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -> np.ndarray:
+    """Age grid [0, t_end + p0.support_end()] at ``step``, at least one step long.
+
+    At any t <= t_end the ages past t + support_end hold only initial
+    cohorts, at most TAIL_TOL of their mass, whatever the rates.
     """
-    amplitude = p0.mass() + float(np.max(traj.birth_rates))
-    a_max = math.log(amplitude / 1e-10) / traj.params.mu0 if amplitude > 0.0 else 0.0
-    return uniform_grid(max(a_max, 10.0 * step), step)
+    return uniform_grid(max(traj.t_end + p0.support_end(), step), step)
 
 
 def reconstruct_density(
@@ -89,19 +93,10 @@ def reconstruct_density(
         raise ParameterError("params and feedback must be the trajectory's own")
     ages = np.asarray(age_grid, dtype=float)
     t = float(t)
-    z_t = traj.psi_integral_at(t)  # range-checks t as a side effect
-
-    values = np.empty_like(ages)
     old = ages >= t
-    if np.any(old):
-        values[old] = p0.evaluate(ages[old] - t) * _survival(traj, t)
-    young = ~old
-    if np.any(young):
-        a = ages[young]
-        birth_times = t - a
-        b = np.atleast_1d(traj.birth_rate_at(birth_times))
-        z_birth = np.atleast_1d(traj.psi_integral_at(birth_times))
-        values[young] = b * np.exp(-traj.params.mu0 * a - np.maximum(z_t - z_birth, 0.0))
+    values = np.empty_like(ages)
+    values[old] = p0.evaluate(ages[old] - t) * _survival(traj, t)  # range-checks t
+    values[~old] = _renewal(traj, t, ages[~old])
     return DensityField(age_grid=ages, time=t, values=values)
 
 
@@ -132,9 +127,9 @@ def consistency_check(field: DensityField, traj: Trajectory, p0: InitialDensity)
     a = t lies past the first grid age and not past the last, the integral
     is split there so the (possibly discontinuous) kink does not degrade
     the quadrature. The mass beyond the last grid age a_max is reported as
-    tail mass: the renewal branch up to a = t, extended with a frozen
-    exponential rate mu0 + psi(P(t - a_max)), and the initial cohorts older
-    than max(a_max, t), counted when they start below ``p0.support_end()``.
+    tail mass: the renewal branch over [a_max, t], by Simpson at the grid's
+    last step, and the initial cohorts older than max(a_max, t), counted
+    when they start below ``p0.support_end()``.
     A grid mass that is not finite raises ParameterError.
     """
     t = field.time
@@ -161,9 +156,8 @@ def consistency_check(field: DensityField, traj: Trajectory, p0: InitialDensity)
 
     tail_mass = 0.0
     if a_max < t:
-        history_p = float(traj.state_at(t - a_max)[0])
-        rate = traj.params.mu0 + float(traj.feedback.psi(history_p))
-        tail_mass = float(field.values[-1]) / rate * -math.expm1(-rate * (t - a_max))
+        tail = np.linspace(a_max, t, uniform_steps(t - a_max, a_max - ages[-2], "renewal tail ") + 1)
+        tail_mass = simpson(_renewal(traj, t, tail), tail)
     oldest = max(a_max, t) - t  # initial cohorts that started older are past the grid
     if oldest < p0.support_end():
         tail_mass += survival * p0.mass(oldest)

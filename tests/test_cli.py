@@ -303,11 +303,11 @@ def test_runtime_errors_exit_4(tmp_path):
 
 
 def test_non_finite_profile_mass_exits_4(tmp_path, capsys):
-    # Simpson's spacing products overflow on an age step of 1e300, so the
-    # profile's mass is NaN; it is refused, and no numpy warning is printed
+    # Simpson's spacing products overflow on an age step of 1e300 (ten steps),
+    # so the profile's mass is NaN; it is refused, and no numpy warning is printed
     doc = ref1_doc()
     doc["integrator"] = {"t_end": 2.0, "samples": 21}
-    doc["reconstruction"] = {"times": [1.0], "age_step": 1e300}
+    doc["reconstruction"] = {"times": [1.0], "age_step": 1e300, "age_max": 1e301}
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -419,13 +419,17 @@ HUGE_BETAS = {"n": 2, "betas": [1e308, 1e308], "normalize_betas": False}
         ("sweep", UNDERFLOW, 3, "generation integral underflows to 0"),
         # ... and r0 times it overflows when the betas are not normalized
         ("steady", HUGE_BETAS, 3, "r0 * K(betas, rho + mu0) overflows the float range"),
-        # the default age grid reaches log(amplitude / 1e-10) / mu0, about 5e98 here
-        ("reconstruct", {"mu0": 4.7820559487979494e-98}, 4, "run failed: age grid [0, "),
+        # the default age grid reaches t_end + the start's support, about 3.2e7
+        # here, which needs more than 10^7 steps of 0.01
+        ("reconstruct", {}, 4, "run failed: age grid [0, "),
     ],
     ids=["overflow-steady", "overflow-sweep", "underflow-steady", "underflow-sweep", "huge-betas", "age-grid"],
 )
 def test_extreme_model_values_exit_cleanly(tmp_path, capsys, command, model, code, message):
-    cfg = write_config(tmp_path, _model_doc(**model))
+    doc = _model_doc(**model)
+    if command == "reconstruct":  # a start of unit mass spread over ages of order 10^6
+        doc["initial_density"].update(coefficient=1e-6, decay=1e-6)
+    cfg = write_config(tmp_path, doc)
     with np.errstate(all="ignore"):
         assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err

@@ -101,14 +101,56 @@ def test_grid_validation(ref1):
 
 
 def test_survival_exponent_guard():
+    # mu0 = 400 takes the survival exponent to 800 by t = 2; the scheme
+    # solves it, and refuses only a dt with dt * r0 * betas[0] / 2 >= 1,
+    # where the node equation has no unique root (dt = 0.5 sits on it)
     params = ag.ModelParams(n=1, betas=(1.0,), rho=0.5, mu0=400.0, r0=4.0)
     feedback = ag.FeedbackSpec(
         phi_family=ag.make_phi("hill", k=1.0, m=1.0),
         psi_family=ag.make_psi("linear", c=1.0),
     )
     model = from_separable(params, feedback, ag.ExponentialDensity(1.5, 1.5))
-    with pytest.raises(ParameterError, match="overflow"):
+    generic = GeneralModel(model.mortality, model.fertility, model.initial_density)
+    fast, slow = volterra_solve(model, 2.0, 0.25), volterra_solve(generic, 2.0, 0.25)
+    np.testing.assert_allclose(fast.birth_rates, slow.birth_rates, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fast.populations, slow.populations, rtol=0, atol=1e-12)
+    with pytest.raises(ParameterError, match=r"^oracle dt=0\.5 must be below 2 / \(r0 \* betas\[0\]\) = 0\.5$"):
         volterra_solve(model, 2.0, 0.5)
+
+
+def test_unsolvable_grid_is_refused_before_any_sweep(ref1, monkeypatch):
+    # r0 = 400 at dt = 0.01: dt * r0 * betas[0] / 2 = 2
+    calls = []
+    monkeypatch.setattr(oracle, "_damped_conv_integrals", lambda *args: calls.append(args))
+    model = from_separable(ref1.params.with_r0(400.0), ref1.feedback, ref1.p0)
+    with pytest.raises(ParameterError, match="dt=0.01 must be below .* = 0.005$"):
+        volterra_solve(model, 10.0, 0.01)
+    assert calls == []
+
+
+def test_crowded_start_solves(ref1):
+    # P0 = 2000/3: the first sweeps hold P near P0, so their crowding
+    # integral reaches about 1300 by t = 2 while their births collapse; both
+    # paths solve one scheme, and the cross-check keeps its second order
+    p0 = ag.ExponentialDensity(coefficient=1e3, decay=1.5)
+    fast = from_separable(ref1.params, ref1.feedback, p0)
+    slow = GeneralModel(fast.mortality, fast.fertility, p0)
+    a, b = volterra_solve(fast, 2.0, 0.01), volterra_solve(slow, 2.0, 0.01)
+    np.testing.assert_allclose(a.birth_rates, b.birth_rates, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(a.populations, b.populations, rtol=0, atol=1e-10)
+    coarse, fine = (cross_validate(ref1.params, ref1.feedback, p0, 0.5, dt).max_gap for dt in (2.5e-4, 1.25e-4))
+    assert 1.8 <= math.log2(coarse / fine) <= 2.2
+
+
+def test_crowding_integral_beyond_the_float_range_is_refused(ref1):
+    # a power psi of a population near 1e300 reads inf
+    feedback = ag.FeedbackSpec(
+        phi_family=ag.make_phi("exponential", k=1.0),
+        psi_family=ag.make_psi("power", c=1.0, gamma=2.0),
+    )
+    model = from_separable(ref1.params, feedback, ag.ExponentialDensity(1e300, 1.5))
+    with pytest.raises(ParameterError, match="float range"):
+        volterra_solve(model, 5.0, 0.01)
 
 
 # --- solution quality -------------------------------------------------------------
@@ -178,8 +220,8 @@ def _separable_kernels(fixture, times, dt):
 
 
 def test_damped_convolution_matches_direct_sum(ref1):
-    # the survival exponent climbs to just under the overflow guard, where a
-    # single FFT of exp(+z) * b would lose everything below exp(590) * eps
+    # the survival exponent climbs to 590, where a single FFT of
+    # exp(+z) * b would lose everything below exp(590) * eps
     n, dt = 401, 0.01
     times = np.linspace(0.0, (n - 1) * dt, n)
     kernels = _separable_kernels(ref1, times, dt)
@@ -202,6 +244,23 @@ def test_damped_convolution_follows_growing_births(ref1):
     for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
         want = _direct_damped_integrals(kernel, z, b, dt)
         assert np.all(np.abs(got - want) <= 1e-12 * b)
+
+
+def test_damped_convolution_follows_a_collapse(ref1):
+    # births fall as fast as z climbs past the float range of exp(z): the
+    # block inputs come from log levels, so none overflows, and every output
+    # in the normal float range matches the direct sum
+    n, dt = 401, 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    kernels = _separable_kernels(ref1, times, dt)
+    z = 1000.0 * (1.0 - np.exp(-3.0 * times))
+    b = np.exp(-z) * (1.0 + 0.5 * np.sin(3.0 * times))
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+        want = _direct_damped_integrals(kernel, z, b, dt)
+        normal = want >= np.finfo(float).tiny
+        assert normal.sum() >= 40
+        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+        assert np.all(np.abs(got - want) <= 1e-12 * dt * np.max(b))
 
 
 def test_damped_convolution_absorbs_the_least_crowding_rate(ref1):

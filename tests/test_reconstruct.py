@@ -6,6 +6,7 @@ import pytest
 
 import agestruct as ag
 from agestruct.errors import ParameterError, TrajectoryRangeError
+from agestruct.model import TAIL_TOL, normalize_betas
 from agestruct.quadrature import uniform_grid
 from agestruct.reconstruct import (
     DensityField,
@@ -93,20 +94,21 @@ def test_consistency_splits_at_characteristic(ref1):
 
 
 # ref1 from a bumped start, checked at t = 2 on grids that end at t, just
-# below it, well below it (where the frozen-rate tail is an extrapolation)
-# and past it, and on the default grid
+# below it, well below it (where the renewal tail is read from the
+# trajectory) and past it, and on the default grid: every grid closes the
+# balance alike
 @pytest.mark.parametrize(
-    "age_max, bound",
-    [(2.0, 1e-8), (1.99, 1e-6), (1.0, 1e-3), (5.0, 1e-8), (None, 1e-8)],
-    ids=["ends-at-t", "just-below-t", "below-t", "past-t", "default"],
+    "age_max",
+    [2.0, 1.99, 1.0, 0.5, 5.0, None],
+    ids=["ends-at-t", "just-below-t", "below-t", "quarter-t", "past-t", "default"],
 )
-def test_consistency_counts_the_cohorts_beyond_the_grid(ref1, age_max, bound):
+def test_consistency_counts_the_cohorts_beyond_the_grid(ref1, age_max):
     p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
     start = ag.density_moments(p0, ref1.params.rho, ref1.params.n)
     traj = ag.integrate(start, ref1.params, ref1.feedback, 20.0)
     grid = default_age_grid(traj, p0) if age_max is None else uniform_grid(age_max, 0.01)
     field = reconstruct_density(traj, p0, ref1.params, ref1.feedback, 2.0, grid)
-    assert consistency_check(field, traj, p0).relative_mass_error <= bound
+    assert consistency_check(field, traj, p0).relative_mass_error <= 1e-8
 
 
 def test_consistency_counts_a_tabulated_start_beyond_the_grid(ref1):
@@ -127,7 +129,7 @@ def test_zero_population_is_exactly_consistent(ref1):
     start = ag.density_moments(p0, ref1.params.rho, ref1.params.n)
     traj = ag.integrate(start, ref1.params, ref1.feedback, 1.0)
     grid = default_age_grid(traj, p0)
-    assert grid[-1] == pytest.approx(0.1)  # falls back to ten steps
+    assert grid[-1] == pytest.approx(2.0)  # the horizon plus the start's support
     field = reconstruct_density(traj, p0, ref1.params, ref1.feedback, 0.05, grid)
     assert np.all(field.values == 0.0)
     report = consistency_check(field, traj, p0)
@@ -135,8 +137,8 @@ def test_zero_population_is_exactly_consistent(ref1):
 
 
 def test_tail_compensates_short_grid(ref1):
-    # stationary run cut off at age 5: the frozen-rate tail equals the
-    # missing exponential mass exactly, so the balance still closes
+    # stationary run cut off at age 5: the renewal tail read from the
+    # trajectory is the missing exponential mass, so the balance still closes
     traj = _run(ref1, 60.0)
     ages = np.linspace(0.0, 5.0, 501)
     field = reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, 60.0, ages)
@@ -188,17 +190,35 @@ def test_jump_reads_b0_from_the_dense_output(ref1):
 
 
 def test_default_age_grid_covers_tail(ref1):
+    # past t + support_end only initial cohorts live, at most TAIL_TOL of them
     traj = _run(ref1, 10.0)
     grid = default_age_grid(traj, ref1.p0)
     assert grid[0] == 0.0
     np.testing.assert_allclose(np.diff(grid), 0.01, rtol=1e-9)
-    amplitude = ref1.p0.mass() + float(np.max(traj.birth_rates))
-    assert math.exp(-0.5 * grid[-1]) * amplitude <= 1.001e-10
+    assert 0.0 <= grid[-1] - (10.0 + ref1.p0.support_end()) < 0.01
+    assert ref1.p0.mass(grid[-1] - 10.0) <= TAIL_TOL * ref1.p0.mass()
+    for t in (2.0, 10.0):
+        field = reconstruct_density(traj, ref1.p0, ref1.params, ref1.feedback, t, grid)
+        assert consistency_check(field, traj, ref1.p0).tail_mass <= TAIL_TOL * ref1.p0.mass()
 
     coarse = default_age_grid(traj, ref1.p0, step=0.5)
     np.testing.assert_allclose(np.diff(coarse), 0.5, rtol=1e-9)
     with pytest.raises(ParameterError):
         default_age_grid(traj, ref1.p0, step=0.0)
+
+
+def test_default_age_grid_reads_no_rate(ref1):
+    # a bare mortality of 2.6e-4 once sized this grid at 10^7 nodes; it now
+    # reads only the horizon and the start's support
+    mu0 = 2.6e-4
+    params = ag.ModelParams(n=1, betas=normalize_betas((1.0,), 0.5, mu0), rho=0.5, mu0=mu0, r0=4.0, normalized=True)
+    start = ag.density_moments(ref1.p0, params.rho, params.n)
+    traj = ag.integrate(start, params, ref1.feedback, 2.0, n_samples=11)
+    grid = default_age_grid(traj, ref1.p0)
+    assert grid.size == 2351
+    for t in (1.0, 2.0):
+        field = reconstruct_density(traj, ref1.p0, params, ref1.feedback, t, grid)
+        assert consistency_check(field, traj, ref1.p0).relative_mass_error <= 1e-7
 
 
 def test_density_field_validation():

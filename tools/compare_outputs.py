@@ -22,7 +22,12 @@ and a kernel tilt that move between sweeps, where the ref configs keep
 (``reconstruct`` on the bumped ref1 at t = 2 on an age grid that ends at
 2, so the mass check splits at its last node and counts every initial
 cohort as tail mass) and ``ref1_tiny_horizon`` (``simulate`` to t_end =
-1e-13, where the step rules scale with the horizon). An override section
+1e-13, where the step rules scale with the horizon). Two run ``validate``
+where the separable oracle refuses or solves at its limits:
+``ref1_crowded_start`` (ref1 from (1e3, 1.5), P0 about 667, whose births
+collapse while the crowding integral climbs past 600) and
+``ref1_coarse_oracle`` (r0 = 400 on dt = 0.01 to t = 10, beyond the
+trapezoid scheme's bound dt < 2 / (r0 * betas[0])). An override section
 that names a ``kind``, or that the base config lacks, replaces or
 adds that section whole; any other override updates the section's keys.
 Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
@@ -73,6 +78,8 @@ CASES = {
     }, COMMANDS),
     "ref1_short_grid": ("ref1", {**BUMPED, "reconstruction": {"times": [2.0], "age_max": 2.0}}, ("reconstruct",)),
     "ref1_tiny_horizon": ("ref1", {"integrator": {"t_end": 1e-13}}, ("simulate",)),
+    "ref1_crowded_start": ("ref1", {"initial_density": {"coefficient": 1e3, "decay": 1.5}}, ("validate",)),
+    "ref1_coarse_oracle": ("ref1", {"model": {"r0": 400.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
 
