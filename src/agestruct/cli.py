@@ -118,15 +118,8 @@ def _equilibrium_doc(cfg: RunConfig) -> dict:
     return doc
 
 
-def _require_initial(cfg: RunConfig):
-    if cfg.initial is None:
-        raise ConfigSchemaError("initial_density: required for this subcommand")
-    return cfg.initial
-
-
 def _run_trajectory(cfg: RunConfig) -> Trajectory:
-    p0 = _require_initial(cfg)
-    start = density_moments(p0, cfg.params.rho, cfg.params.n)
+    start = density_moments(cfg.initial, cfg.params.rho, cfg.params.n)
     settings = asdict(cfg.integrator)  # every field but samples is an integrate keyword
     return integrate(start, cfg.params, cfg.feedback, n_samples=settings.pop("samples"), **settings)
 
@@ -157,7 +150,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path):
 
 
 def _cmd_reconstruct(cfg: RunConfig, outdir: Path):
-    p0 = _require_initial(cfg)
+    p0 = cfg.initial
     traj = _run_trajectory(cfg)
     settings = cfg.reconstruction
     if settings.age_max is not None:
@@ -182,8 +175,6 @@ def _cmd_reconstruct(cfg: RunConfig, outdir: Path):
 
 
 def _cmd_sweep(cfg: RunConfig, outdir: Path):
-    if cfg.sweep_r0 is None:
-        raise ConfigSchemaError("sweep: required section with explicit r0_values")
     points = steady.bifurcation_sweep(cfg.params, cfg.feedback, cfg.sweep_r0)
     write_sweep_csv(outdir / "sweep.csv", points)
     existing = sum(1 for pt in points if pt.exists)
@@ -191,13 +182,12 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path):
 
 
 def _cmd_validate(cfg: RunConfig, outdir: Path):
-    p0 = _require_initial(cfg)
     settings = cfg.oracle
     try:
         report = cross_validate(
             cfg.params,
             cfg.feedback,
-            p0,
+            cfg.initial,
             t_end=settings.t_end,
             dt=settings.dt,
             tol=settings.tol,
@@ -249,15 +239,18 @@ def _cmd_report(cfg: RunConfig, outdir: Path):
     return 0, [SUMMARY_NAME], f"wrote {SUMMARY_NAME} covering {len(manifest['files'])} output file(s)"
 
 
-# each subcommand computes and writes its outputs, then returns
-# (exit code, the file names it wrote, its summary for stdout)
+# each subcommand computes and writes its outputs, then returns (exit code,
+# the file names it wrote, its summary for stdout); the tuple names the
+# config sections it runs on beyond model and feedback
 _COMMANDS = {
-    "steady": (_cmd_steady, "solve for the equilibrium and classify its stability"),
-    "simulate": (_cmd_simulate, "integrate the reduced moment system and write trajectory.csv"),
-    "reconstruct": (_cmd_reconstruct, "rebuild age profiles from a simulation and check mass balance"),
-    "sweep": (_cmd_sweep, "tabulate the equilibrium branch over a grid of r0 values"),
-    "validate": (_cmd_validate, "cross-check the ODE reduction against the integral-equation solver"),
-    "report": (_cmd_report, "aggregate prior outputs into run_summary.json"),
+    "steady": (_cmd_steady, (), "solve for the equilibrium and classify its stability"),
+    "simulate": (_cmd_simulate, ("initial_density",), "integrate the reduced moment system and write trajectory.csv"),
+    "reconstruct": (_cmd_reconstruct, ("initial_density", "reconstruction"),
+                    "rebuild age profiles from a simulation and check mass balance"),
+    "sweep": (_cmd_sweep, ("sweep",), "tabulate the equilibrium branch over a grid of r0 values"),
+    "validate": (_cmd_validate, ("initial_density", "oracle"),
+                 "cross-check the ODE reduction against the integral-equation solver"),
+    "report": (_cmd_report, (), "aggregate prior outputs into run_summary.json"),
 }
 
 
@@ -268,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"agestruct {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, blurb) in _COMMANDS.items():
+    for name, (_, _, blurb) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
         cmd.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -278,15 +271,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    command, sections, _ = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, sections)
     except ConfigSchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ParameterError as exc:
         print(f"invalid configuration value: {exc}", file=sys.stderr)
         return 3
-    command, _ = _COMMANDS[args.command]
     try:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -294,10 +287,6 @@ def run(argv=None) -> int:
         started = time.perf_counter()
         code, files, message = command(cfg, outdir)
         _register(outdir, args.command, files, time.perf_counter() - started)
-    except ConfigSchemaError as exc:
-        # a section required by this subcommand is absent
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (AgestructError, OSError) as exc:  # OSError: the output directory or a write in it
         print(f"run failed: {exc}", file=sys.stderr)
         return 4

@@ -5,7 +5,11 @@ unknown keys anywhere are rejected with the offending path, and wrong
 types are schema errors (exit code 2), while well-typed values that break
 a model invariant, non-finite numbers among them, surface as parameter
 errors (exit code 3). Defaults are filled here so downstream code sees a
-fully resolved configuration.
+fully resolved configuration. A key repeated within one object is a
+schema error too. Every section is read and checked; of the sections the
+caller names as the ones it runs on, ``initial_density`` and ``sweep``
+must be present, and the checks that tie a section to others run only for
+those (the default age grid's size, the oracle step's bound).
 
 Each settings section, feedback family and initial density is declared
 once, by its dataclass: field names are the allowed keys, annotations
@@ -33,8 +37,9 @@ from .model import (
     density_moments,
     normalize_betas,
 )
-from .oracle import DEFAULT_K_MAX, grid_steps
+from .oracle import DEFAULT_K_MAX, check_solvable, grid_steps
 from .quadrature import uniform_steps
+from .reconstruct import default_age_length
 from .reduction import check_integrator
 
 _INITIAL_KINDS = {"exponential": ExponentialDensity, "tabulated": TabulatedDensity}
@@ -186,10 +191,10 @@ def _parse_feedback(doc: dict) -> FeedbackSpec:
     return FeedbackSpec(phi_family=parsed["phi"], psi_family=parsed["psi"])
 
 
-def _parse_initial(doc: dict, params: ModelParams) -> Optional[InitialDensity]:
-    if "initial_density" not in doc:
+def _parse_initial(doc: dict, params: ModelParams, required: bool) -> Optional[InitialDensity]:
+    if "initial_density" not in doc and not required:
         return None
-    initial = _parse_family(doc["initial_density"], "initial_density", _INITIAL_KINDS, "kind")
+    initial = _parse_family(_section(doc, "initial_density", required), "initial_density", _INITIAL_KINDS, "kind")
     density_moments(initial, params.rho, params.n, where="initial_density: ")  # every simulation's start state
     return initial
 
@@ -222,10 +227,10 @@ def _parse_oracle(doc: dict) -> OracleSettings:
     return settings
 
 
-def _parse_sweep(doc: dict, params: ModelParams) -> Optional[tuple]:
-    if "sweep" not in doc:
+def _parse_sweep(doc: dict, params: ModelParams, required: bool) -> Optional[tuple]:
+    if "sweep" not in doc and not required:
         return None
-    section = _section(doc, "sweep")
+    section = _section(doc, "sweep", required)
     _reject_unknown(section, "sweep", {"r0_values"})
     values = _read(section, "sweep", "r0_values", "tuple", required=True)
     params.check_r0_range(values, "sweep.r0_values")
@@ -243,17 +248,23 @@ _TOP_KEYS = {
 }
 
 
-def parse_config(doc: Any) -> RunConfig:
-    """Validate a parsed JSON document and resolve defaults."""
+def parse_config(doc: Any, sections: tuple = ()) -> RunConfig:
+    """Validate a parsed JSON document for a caller that runs on ``sections`` (``reconstruction``
+    only with ``initial_density``, whose support sizes the default age grid); resolve defaults."""
     doc = _require_mapping(doc, "config")
     _reject_unknown(doc, "config", _TOP_KEYS)
     params = _parse_model(doc)
     feedback = _parse_feedback(doc)
-    initial = _parse_initial(doc, params)
+    initial = _parse_initial(doc, params, "initial_density" in sections)
     integrator = _parse_integrator(doc)
     reconstruction = _parse_reconstruction(doc, integrator.t_end)
     oracle = _parse_oracle(doc)
-    sweep_r0 = _parse_sweep(doc, params)
+    sweep_r0 = _parse_sweep(doc, params, "sweep" in sections)
+    if "reconstruction" in sections and reconstruction.age_max is None:
+        step = reconstruction.age_step
+        uniform_steps(default_age_length(integrator.t_end, initial, step), step, "reconstruction.age_step: ")
+    if "oracle" in sections:
+        check_solvable(params, oracle.dt, "oracle.")
 
     resolved = {
         "model": {
@@ -292,15 +303,25 @@ def _echo_feedback(feedback: FeedbackSpec) -> dict:
     return doc
 
 
-def load_config(path) -> RunConfig:
-    """Read, parse, and validate a JSON config file."""
+def _unique_keys(pairs) -> dict:
+    """One JSON object's members; a repeated key is a schema error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigSchemaError(f"{key}: repeated key")
+        obj[key] = value
+    return obj
+
+
+def load_config(path, sections: tuple = ()) -> RunConfig:
+    """Read, parse, and validate a JSON config file for a caller that runs on ``sections``."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigSchemaError(f"{path}: cannot read config file ({exc})") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigSchemaError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(doc)
+    return parse_config(doc, sections)

@@ -239,8 +239,7 @@ class _SeparableSweep:
     A sweep maps the iterates (b, p) to new ones, updated on the nodes
     [s, e) of one window of ``window_rows`` nodes from the final values
     before s. This one has a single window, the whole grid, so ``s`` and
-    ``e`` are 0 and N. ParameterError unless dt * r0 * betas[0] / 2 < 1,
-    which, as phi <= phi(0) = 1, gives every node equation one root.
+    ``e`` are 0 and N. ParameterError where ``check_solvable`` refuses dt.
     """
 
     def __init__(self, model: SeparableModel, times: np.ndarray, dt: float):
@@ -248,8 +247,7 @@ class _SeparableSweep:
         self.dt = dt
         self.window_rows = times.size
         self.params = pr = model.params
-        if not 0.5 * dt * pr.r0 * pr.betas[0] < 1.0:
-            raise ParameterError(f"oracle dt={dt!r} must be below 2 / (r0 * betas[0]) = {2.0 / (pr.r0 * pr.betas[0])!r}")
+        check_solvable(pr, dt)
         self.feedback = model.feedback
         self.survival = np.exp(-pr.mu0 * times)
         # renewal kernel (all fertility terms at once) and survival kernel
@@ -397,6 +395,14 @@ class _GenericSweep:
         new_b = b.copy()
         new_b[s:e] = alive @ weights - 0.5 * dt * b[s:e] * beta[s - lo :, 0]
         return new_b, new_p
+
+
+def check_solvable(params: ModelParams, dt: float, where: str = "oracle ") -> None:
+    """ParameterError, naming ``where`` + dt, unless dt * r0 * betas[0] / 2 < 1, which, as
+    phi <= phi(0) = 1, gives every node equation of the separable trapezoid scheme one root."""
+    if not 0.5 * dt * params.r0 * params.betas[0] < 1.0:
+        bound = 2.0 / (params.r0 * params.betas[0])
+        raise ParameterError(f"{where}dt={dt!r} must be below 2 / (r0 * betas[0]) = {bound!r}")
 
 
 def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> int:

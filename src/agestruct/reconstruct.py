@@ -63,13 +63,18 @@ def _renewal(traj: Trajectory, t: float, a: np.ndarray) -> np.ndarray:
     return traj.birth_rate_at(t - a) * np.exp(-traj.params.mu0 * a - np.maximum(z_gap, 0.0))
 
 
-def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -> np.ndarray:
-    """Age grid [0, t_end + p0.support_end()] at ``step``, at least one step long.
+def default_age_length(t_end: float, p0: InitialDensity, step: float) -> float:
+    """Length t_end + p0.support_end() of the default age grid, at least one step.
 
     At any t <= t_end the ages past t + support_end hold only initial
     cohorts, at most TAIL_TOL of their mass, whatever the rates.
     """
-    return uniform_grid(max(traj.t_end + p0.support_end(), step), step)
+    return max(t_end + p0.support_end(), step)
+
+
+def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -> np.ndarray:
+    """Age grid [0, default_age_length(traj.t_end, p0, step)] at ``step``."""
+    return uniform_grid(default_age_length(traj.t_end, p0, step), step)
 
 
 def reconstruct_density(

@@ -287,6 +287,66 @@ def test_invariant_errors_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o3").exists()
 
 
+COMMANDS = ("steady", "simulate", "reconstruct", "sweep", "validate", "report")
+
+
+def _drop(section):
+    return lambda doc: doc.pop(section)
+
+
+def _update(**sections):
+    def edit(doc):
+        for name, values in sections.items():
+            doc.setdefault(name, {}).update(values)
+    return edit
+
+
+# a fault, and the subcommands it stops with (exit code, stderr prefix);
+# the others run on a config whose every section is still checked
+SECTION_FAULTS = {
+    "no-start": (_drop("initial_density"), {
+        command: (2, "config error: initial_density: required section")
+        for command in ("simulate", "reconstruct", "validate")
+    }),
+    "no-sweep": (_drop("sweep"), {"sweep": (2, "config error: sweep: required section")}),
+    # r0 = 400 at dt = 0.01: dt * r0 * betas[0] / 2 = 2
+    "oracle-bound": (_update(model={"r0": 400.0}, oracle={"t_end": 10.0}), {
+        "validate": (3, "invalid configuration value: oracle.dt=0.01 must be below 2 / (r0 * betas[0]) = 0.005"),
+    }),
+    # the default age grid [0, 5 + the start's support, about 26.5] at 1e-6
+    "default-age-grid": (_update(reconstruction={"age_step": 1e-6}), {
+        "reconstruct": (3, "invalid configuration value: reconstruction.age_step: age grid [0, 26.49"),
+    }),
+    "ragged-oracle": (_update(oracle={"dt": 0.03}), {
+        command: (3, "invalid configuration value: oracle dt=0.03 must divide the horizon") for command in COMMANDS
+    }),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fault", [*SECTION_FAULTS, "repeated-key"])
+def test_config_faults_stop_before_output(tmp_path, capsys, fault, command):
+    # a config fault exits 2 or 3 before --out is made, and only for the
+    # subcommands that run on the faulty section
+    doc = ref1_doc()
+    doc["sweep"] = {"r0_values": [1.0, 4.0]}
+    if fault == "repeated-key":
+        text = json.dumps(doc).replace('"r0": 4.0', '"r0": 4.0, "r0": 9.0')
+        refused = {name: (2, "config error: r0: repeated key") for name in COMMANDS}
+    else:
+        edit, refused = SECTION_FAULTS[fault]
+        edit(doc)
+        text = json.dumps(doc)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, message = refused.get(command, (0, ""))
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == (1 if code else 0), err
+    assert out.exists() == (code == 0)
+
+
 def test_runtime_errors_exit_4(tmp_path):
     doc = ref1_doc()
     doc["integrator"] = {"t_end": 2.0, "samples": 21}
@@ -420,8 +480,8 @@ HUGE_BETAS = {"n": 2, "betas": [1e308, 1e308], "normalize_betas": False}
         # ... and r0 times it overflows when the betas are not normalized
         ("steady", HUGE_BETAS, 3, "r0 * K(betas, rho + mu0) overflows the float range"),
         # the default age grid reaches t_end + the start's support, about 3.2e7
-        # here, which needs more than 10^7 steps of 0.01
-        ("reconstruct", {}, 4, "run failed: age grid [0, "),
+        # here, which needs more than 10^7 steps of 0.01: refused before the solve
+        ("reconstruct", {}, 3, "invalid configuration value: reconstruction.age_step: age grid [0, "),
     ],
     ids=["overflow-steady", "overflow-sweep", "underflow-steady", "underflow-sweep", "huge-betas", "age-grid"],
 )

@@ -27,9 +27,14 @@ where the separable oracle refuses or solves at its limits:
 ``ref1_crowded_start`` (ref1 from (1e3, 1.5), P0 about 667, whose births
 collapse while the crowding integral climbs past 600) and
 ``ref1_coarse_oracle`` (r0 = 400 on dt = 0.01 to t = 10, beyond the
-trapezoid scheme's bound dt < 2 / (r0 * betas[0])). An override section
-that names a ``kind``, or that the base config lacks, replaces or
-adds that section whole; any other override updates the section's keys.
+trapezoid scheme's bound dt < 2 / (r0 * betas[0])). Two more hold a
+config fault that only some subcommands meet: ``ref1_no_start``
+(``simulate``, ``reconstruct`` and ``validate`` on ref1 without
+``initial_density``) and ``ref1_wide_start`` (``simulate`` and
+``reconstruct`` on ref1 from (1e-6, 1e-6), whose default age grid needs
+more than 10^7 nodes). An override section of None removes that section;
+one that names a ``kind``, or that the base config lacks, replaces or
+adds it whole; any other override updates the section's keys.
 Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
 defaults to the tree holding this script.
 Each run works in a fresh temporary directory with relative paths, so
@@ -80,6 +85,8 @@ CASES = {
     "ref1_tiny_horizon": ("ref1", {"integrator": {"t_end": 1e-13}}, ("simulate",)),
     "ref1_crowded_start": ("ref1", {"initial_density": {"coefficient": 1e3, "decay": 1.5}}, ("validate",)),
     "ref1_coarse_oracle": ("ref1", {"model": {"r0": 400.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
+    "ref1_no_start": ("ref1", {"initial_density": None}, ("simulate", "reconstruct", "validate")),
+    "ref1_wide_start": ("ref1", {"initial_density": {"coefficient": 1e-6, "decay": 1e-6}}, ("simulate", "reconstruct")),
 }
 TIMED = ("manifest.json", "run_summary.json")
 
@@ -89,7 +96,9 @@ def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
     config, overrides, commands = CASES[case]
     doc = json.loads((tree / "configs" / f"{config}.json").read_text(encoding="utf-8"))
     for section, settings in overrides.items():
-        if section in doc and "kind" not in settings:
+        if settings is None:
+            doc.pop(section)
+        elif section in doc and "kind" not in settings:
             doc[section].update(settings)
         else:
             doc[section] = dict(settings)
