@@ -9,7 +9,8 @@ fully resolved configuration. A key repeated within one object is a
 schema error too. Every section is read and checked; of the sections the
 caller names as the ones it runs on, ``initial_density`` and ``sweep``
 must be present, and the checks that tie a section to others run only for
-those (the default age grid's size, the oracle step's bound).
+those (the default age grid's size, the oracle step's bound, the oracle's
+initial-cohort grid).
 
 Each settings section, feedback family and initial density is declared
 once, by its dataclass: field names are the allowed keys, annotations
@@ -37,7 +38,7 @@ from .model import (
     density_moments,
     normalize_betas,
 )
-from .oracle import DEFAULT_K_MAX, check_solvable, grid_steps
+from .oracle import DEFAULT_K_MAX, check_solvable, grid_steps, initial_cohort_steps
 from .quadrature import uniform_steps
 from .reconstruct import default_age_length
 from .reduction import check_integrator
@@ -250,7 +251,8 @@ _TOP_KEYS = {
 
 def parse_config(doc: Any, sections: tuple = ()) -> RunConfig:
     """Validate a parsed JSON document for a caller that runs on ``sections`` (``reconstruction``
-    only with ``initial_density``, whose support sizes the default age grid); resolve defaults."""
+    and ``oracle`` only with ``initial_density``, whose support sizes the default age grid and
+    the oracle's initial cohorts); resolve defaults."""
     doc = _require_mapping(doc, "config")
     _reject_unknown(doc, "config", _TOP_KEYS)
     params = _parse_model(doc)
@@ -265,6 +267,7 @@ def parse_config(doc: Any, sections: tuple = ()) -> RunConfig:
         uniform_steps(default_age_length(integrator.t_end, initial, step), step, "reconstruction.age_step: ")
     if "oracle" in sections:
         check_solvable(params, oracle.dt, "oracle.")
+        initial_cohort_steps(initial, oracle.dt, "oracle.dt: ")
 
     resolved = {
         "model": {

@@ -27,6 +27,11 @@ node equation loses its one root (Linz 1985, ch. 7). A
 block [s, e) transforms the tilted kernels cut to [:e] at the least 5-smooth
 length nfft >= 2e - 1 - s, so each sweep keeps those spectra by
 (c, e, nfft) and the next reuses the ones whose tilt and layout still hold.
+A block does only what depends on it: its inputs, one forward and one
+inverse transform, and the outputs on [s, e) with the values of its start
+that each of its nodes needs. The trapezoid end terms, the rescale and the
+clip at zero then run once over the grid, in scratch rows that every sweep
+of a solve reuses.
 Arbitrary ``mu(a, P)`` / ``beta(a, P)`` evaluators fall back to a dense
 sweep over short windows.
 A sweep of window [s, e) calls each evaluator once, on the ages alive by
@@ -41,6 +46,7 @@ of a solve reuses, and a mortality of size alone adds one sum per row.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,7 +64,7 @@ from .model import (
     density_moments,
     fertility_age_profile,
 )
-from .quadrature import MAX_GRID_NODES, cumulative_trapezoid, trapezoid, uniform_grid
+from .quadrature import MAX_GRID_NODES, cumulative_trapezoid, trapezoid, uniform_steps
 from .reduction import integrate
 
 #: iteration cap used when callers do not specify one
@@ -160,6 +166,7 @@ class OracleSolution:
     sweep_log: tuple[str, ...]
 
 
+@functools.lru_cache(maxsize=4096)
 def _fft_length(n: int) -> int:
     """The least 5-smooth number 2^a 3^b 5^c at least n >= 1, a fast FFT length."""
     best, p5 = 1 << (n - 1).bit_length(), 1
@@ -169,6 +176,24 @@ def _fft_length(n: int) -> int:
             best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), 3 * p35
         p5 *= 5
     return best
+
+
+def _grid_scratch(kernels: np.ndarray) -> np.ndarray:
+    """Scratch rows over the kernels' n nodes for ``_damped_conv_integrals``: the node numbers
+    0..n-1, then r, log levels, the running level and then g_0, the block input, g_m and r_s,
+    and one row per kernel for the transform outputs."""
+    scratch = np.empty((7 + kernels.shape[0], kernels.shape[1]))
+    scratch[0] = np.arange(kernels.shape[1])
+    return scratch
+
+
+class _Spectra(dict):
+    """The block spectra that ``_damped_conv_integrals`` keeps between calls, by (c, e, nfft),
+    and the scratch rows it writes on every call; a plain dict keeps spectra only."""
+
+    def __init__(self, kernels: np.ndarray):
+        super().__init__()
+        self.scratch = _grid_scratch(kernels)
 
 
 def _damped_conv_integrals(
@@ -184,25 +209,33 @@ def _damped_conv_integrals(
     k(l dt) exp(-c l dt). Blocks [s, e) of targets end where level_m =
     max_{j<=m} (r_j + log b_j), the log of the largest entry of exp(r) * b
     so far, crosses a multiple of ``_BLOCK_SPAN``; a growing b needs this as
-    much as a growing r. Each block convolves exp(r_j + log b_j - r_s) for
-    j < e, at most exp(_BLOCK_SPAN) times its start level, hence max b, and
-    scales the outputs back by exp(r_s - r_m) <= 1. The tilted kernels are
-    cut to [:e] and the FFT length is the least 5-smooth number at least
-    2e - 1 - s, so the circular wrap never lands in [s, e). The exact sums
-    have nonnegative terms, so outputs are clipped at zero.
+    much as a growing r. A block convolves g_j = exp(r_j + log b_j - r_s)
+    for j < e, at most exp(_BLOCK_SPAN) times its start level, hence max b,
+    with the tilted kernels cut to [:e], at the least 5-smooth FFT length
+    nfft >= 2e - 1 - s, so the circular wrap never lands in [s, e), the
+    nodes it writes. The rest depends on a node m only through its block's
+    r_s and g_0, which each block fills in with g_m, and runs once over all
+    nodes: the trapezoid end terms (tilted_m g_0 + k_0 g_m) / 2 come off,
+    the rescale dt exp(r_s - r_m) <= 1 goes on, and as the exact sums have
+    nonnegative terms, the outputs are clipped at zero.
 
     A block's tilted kernels, spectrum and product buffer depend only on
     (c, e, nfft); ``spectra`` maps keys of earlier calls with these kernels
     to them, a block reuses those of its key, and it ends with this call's.
+    A ``_Spectra`` also lends its scratch rows, which no returned array shares.
     """
     n = b.size
+    scratch = spectra.scratch if isinstance(spectra, _Spectra) else _grid_scratch(kernels)
+    steps, r, logs, g_0, g, g_m, r_s = scratch[:7]
+    sums = scratch[7:]  # each kernel's transform output on the nodes of its block
     unit = _BLOCK_SPAN / ((n - 1) * dt)
-    c = unit * max(math.floor(float(np.min(np.diff(z))) / dt / unit), 0)
-    r = z - c * dt * np.arange(n)
-    out = np.empty_like(kernels)
+    c = unit * max(math.floor(float(np.subtract(z[1:], z[:-1], out=r[1:]).min()) / dt / unit), 0)
+    np.subtract(z, np.multiply(steps, c * dt, out=r), out=r)
     with np.errstate(divide="ignore"):
-        logs = r + np.log(b)
-    bins = np.floor(np.maximum.accumulate(logs) / _BLOCK_SPAN)
+        np.log(b, out=logs)
+    logs += r
+    level = np.maximum.accumulate(logs, out=g_0)  # g_0 is written once the blocks are cut
+    bins = np.floor(np.divide(level, _BLOCK_SPAN, out=level), out=level)
     starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
     keys = [(c, e, _fft_length(2 * e - 1 - s)) for s, e in zip(starts, [*starts[1:], n])]
     for stale in spectra.keys() - set(keys):
@@ -214,21 +247,33 @@ def _damped_conv_integrals(
             spectrum = np.fft.rfft(tilted, nfft)
             spectra[key] = tilted, spectrum, np.empty_like(spectrum)
         tilted, spectrum, product = spectra[key]
-        g = np.exp(logs[:e] - r[s])
-        np.multiply(spectrum, np.fft.rfft(g, nfft), out=product)
-        full = np.fft.irfft(product, nfft)[:, s:e]
-        ends = np.multiply(tilted[:, s:e], g[0], out=out[:, s:e])  # scratch until the clip below
-        ends += kernels[:, :1] * g[s:e]
+        np.exp(np.subtract(logs[:e], r[s], out=g[:e]), out=g[:e])
+        np.multiply(spectrum, np.fft.rfft(g[:e], nfft), out=product)
+        sums[:, s:e] = np.fft.irfft(product, nfft)[:, s:e]
+        g_0[s:e], g_m[s:e], r_s[s:e] = g[0], g[s:e], r[s]
+
+    # once over the grid, with the last block's tilted kernels, which span it; the
+    # output comes after the transforms, so fewer arrays are alive while those run
+    out = np.empty_like(kernels)
+    for row, full, tilted_row, k_0 in zip(out, sums, tilted, kernels[:, 0]):
+        ends = np.multiply(tilted_row, g_0, out=g)
+        ends += np.multiply(g_m, k_0, out=logs)
         ends *= 0.5
-        full -= ends
-        full *= dt * np.exp(r[s] - r[s:e])
-        np.maximum(full, 0.0, out=out[:, s:e])
-    return out
+        np.subtract(full, ends, out=row)
+    out *= np.multiply(np.exp(np.subtract(r_s, r, out=r_s), out=r_s), dt, out=r_s)
+    return np.maximum(out, 0.0, out=out)
+
+
+def initial_cohort_steps(p0: InitialDensity, dt: float, where: str = "") -> int:
+    """Steps of dt over the initial cohorts' ages [0, p0.support_end()]; ParameterError, prefixed
+    by ``where``, where those need more than MAX_GRID_NODES nodes (see ``uniform_steps``)."""
+    return uniform_steps(p0.support_end(), dt, where)
 
 
 def _initial_cohorts(p0: InitialDensity, dt: float) -> tuple:
     """The ages sigma of the initial cohorts, p0 at them, and its trapezoid mass."""
-    sigma = uniform_grid(p0.support_end(), dt)
+    n = initial_cohort_steps(p0, dt)
+    sigma = np.linspace(0.0, n * dt, n + 1)
     p0_vals = np.asarray(p0.evaluate(sigma), dtype=float)
     return sigma, p0_vals, trapezoid(p0_vals, dt)
 
@@ -252,7 +297,7 @@ class _SeparableSweep:
         self.survival = np.exp(-pr.mu0 * times)
         # renewal kernel (all fertility terms at once) and survival kernel
         self.kernels = np.stack((fertility_age_profile(times, pr) * self.survival, self.survival))
-        self.spectra = {}  # the tilted kernels and spectra of the last sweep's blocks
+        self.spectra = _Spectra(self.kernels)  # the last sweep's block spectra, and the scratch
         sigma, p0_vals, self.mass0 = _initial_cohorts(model.initial_density, dt)
         weighted = p0_vals * np.exp(-pr.rho * sigma)
         tail_moments = [trapezoid(sigma**j * weighted, dt) for j in range(pr.n)]
@@ -269,15 +314,19 @@ class _SeparableSweep:
         if not psi_int[-1] < math.inf:
             raise ParameterError("the crowding mortality integral leaves the float range on the separable fast path")
 
-        # shrink and phi come after the transforms, so fewer arrays are alive while those run
+        # survival and phi come after the transforms, so fewer arrays are alive while those
+        # run; psi_int and phi_vals are this sweep's own, so the products land in them
         renewal, p_integral = _damped_conv_integrals(self.kernels, psi_int, b, self.dt, self.spectra)
-        shrink = np.exp(-psi_int)
+        survive0 = np.exp(np.negative(psi_int, out=psi_int), out=psi_int)
+        survive0 *= self.survival
         phi_vals = pr.r0 * np.asarray(self.feedback.phi(p), dtype=float)
         renewal *= phi_vals
-
-        survive0 = self.survival * shrink
-        renewal += phi_vals * survive0 * self.decay * self.poly
-        p_integral += survive0 * self.mass0
+        phi_vals *= survive0
+        phi_vals *= self.decay
+        phi_vals *= self.poly
+        renewal += phi_vals
+        survive0 *= self.mass0
+        p_integral += survive0
         return renewal, p_integral
 
 

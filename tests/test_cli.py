@@ -317,6 +317,12 @@ SECTION_FAULTS = {
     "default-age-grid": (_update(reconstruction={"age_step": 1e-6}), {
         "reconstruct": (3, "invalid configuration value: reconstruction.age_step: age grid [0, 26.49"),
     }),
+    # a start whose support ends near 3.2e7: the default age grid and the
+    # oracle's initial cohorts both need more than 10^7 nodes
+    "wide-start": (_update(initial_density={"coefficient": 1e-6, "decay": 1e-6}), {
+        "reconstruct": (3, "invalid configuration value: reconstruction.age_step: age grid [0, 32236"),
+        "validate": (3, "invalid configuration value: oracle.dt: age grid [0, 32236191.3"),
+    }),
     "ragged-oracle": (_update(oracle={"dt": 0.03}), {
         command: (3, "invalid configuration value: oracle dt=0.03 must divide the horizon") for command in COMMANDS
     }),

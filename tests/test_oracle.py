@@ -20,9 +20,9 @@ from agestruct.oracle import (
     from_separable,
     volterra_solve,
 )
-from agestruct.quadrature import trapezoid, uniform_grid
+from agestruct.quadrature import cumulative_trapezoid, trapezoid, uniform_grid
 
-from conftest import make_linear
+from conftest import make_linear, make_ref1
 
 
 # --- grid handling and degenerate inputs -----------------------------------------
@@ -335,6 +335,91 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
     np.testing.assert_array_equal(kept.birth_rates, fresh.birth_rates)
     np.testing.assert_array_equal(kept.populations, fresh.populations)
     assert kept.sweep_log == fresh.sweep_log
+
+
+def _per_block_integrals(kernels, z, b, dt):
+    """``_damped_conv_integrals`` with every step done block by block, fresh spectra each time.
+
+    Each block forms its inputs, transforms them, and takes off the end
+    terms, rescales and clips on its own nodes; the one pass over the grid
+    must give every bit of this.
+    """
+    n = b.size
+    c = _tilt(z, dt)
+    r = z - c * dt * np.arange(n)
+    with np.errstate(divide="ignore"):
+        logs = r + np.log(b)
+    bins = np.floor(np.maximum.accumulate(logs) / oracle._BLOCK_SPAN)
+    starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
+    out = np.empty_like(kernels)
+    for s, e in zip(starts, [*starts[1:], n]):
+        nfft = oracle._fft_length(2 * e - 1 - s)
+        tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
+        g = np.exp(logs[:e] - r[s])
+        full = np.fft.irfft(np.fft.rfft(tilted, nfft) * np.fft.rfft(g, nfft), nfft)[:, s:e]
+        ends = 0.5 * (tilted[:, s:e] * g[0] + kernels[:, :1] * g[s:e])
+        out[:, s:e] = np.maximum((full - ends) * (dt * np.exp(r[s] - r[s:e])), 0.0)
+    return out
+
+
+def _many_block_input(case):
+    """Kernels, z, b and dt that cut at least 20 blocks."""
+    if case == "growing":  # births growing by e^80 over the grid, no crowding
+        fixture = make_ref1()
+        n, dt = 401, 0.01
+        times = np.linspace(0.0, (n - 1) * dt, n)
+        return _separable_kernels(fixture, times, dt), np.zeros(n), np.exp(20.0 * times), dt
+    # ref1 at r0 = 100 after its seeding sweep and three more, as volterra_solve runs them
+    fixture = make_ref1(100.0)
+    n, dt = 1001, 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    sweep = _SeparableSweep(from_separable(fixture.params, fixture.feedback, fixture.p0), times, dt)
+    b, p = np.zeros(n), np.full(n, sweep.mass0)
+    for _ in range(4):
+        b, p = sweep(b, p)
+    return sweep.kernels, cumulative_trapezoid(fixture.feedback.psi(p), dt), b, dt
+
+
+@pytest.mark.parametrize("case", ["growing", "r0=100"])
+def test_many_blocks_keep_the_per_block_bits(case):
+    # the grid pass over all nodes and the kept scratch give the bits of a
+    # block-by-block pass, on a fresh dict and on kept spectra and scratch
+    kernels, z, b, dt = _many_block_input(case)
+    assert len(_block_keys(z, b, dt)) >= 20
+    want = _per_block_integrals(kernels, z, b, dt)
+    kept = oracle._Spectra(kernels)
+    for spectra in ({}, kept, kept):
+        np.testing.assert_array_equal(_damped_conv_integrals(kernels, z, b, dt, spectra), want)
+
+
+@pytest.mark.parametrize("case", ["growing", "r0=100"])
+def test_many_blocks_match_direct_sum(case):
+    kernels, z, b, dt = _many_block_input(case)
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+        want = _direct_damped_integrals(kernel, z, b, dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        normal = want >= np.finfo(float).tiny
+        assert normal.sum() == b.size - 1  # every node but the first
+        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+
+
+def test_separable_sweep_scratch_is_safe():
+    # one sweep object reuses its scratch on every call: iterates A, B, then
+    # A again give the first result bit for bit, and no returned array
+    # shares memory with the scratch, as volterra_solve holds b and b_next
+    _, _, b, dt = _many_block_input("r0=100")
+    fixture = make_ref1(100.0)
+    times = np.linspace(0.0, (b.size - 1) * dt, b.size)
+    sweep = _SeparableSweep(from_separable(fixture.params, fixture.feedback, fixture.p0), times, dt)
+    p = np.full(b.size, sweep.mass0)
+    first = sweep(b, p)
+    other = sweep(np.ones(b.size), 1.0 + 0.5 * np.sin(times))
+    again = sweep(b, p)
+    for got, want in zip(again, first):
+        np.testing.assert_array_equal(got, want)
+    for got in (*first, *other, *again):
+        assert not np.shares_memory(got, sweep.spectra.scratch)
+    assert not any(np.shares_memory(x, y) for x in first for y in again)
 
 
 def test_long_horizon_cross_validation(ref1):

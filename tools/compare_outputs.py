@@ -22,17 +22,19 @@ and a kernel tilt that move between sweeps, where the ref configs keep
 (``reconstruct`` on the bumped ref1 at t = 2 on an age grid that ends at
 2, so the mass check splits at its last node and counts every initial
 cohort as tail mass) and ``ref1_tiny_horizon`` (``simulate`` to t_end =
-1e-13, where the step rules scale with the horizon). Two run ``validate``
-where the separable oracle refuses or solves at its limits:
-``ref1_crowded_start`` (ref1 from (1e3, 1.5), P0 about 667, whose births
-collapse while the crowding integral climbs past 600) and
+1e-13, where the step rules scale with the horizon). Three run
+``validate`` where the separable oracle refuses, solves or stalls at its
+limits: ``ref1_crowded_start`` (ref1 from (1e3, 1.5), P0 about 667, whose
+births collapse while the crowding integral climbs past 600),
 ``ref1_coarse_oracle`` (r0 = 400 on dt = 0.01 to t = 10, beyond the
-trapezoid scheme's bound dt < 2 / (r0 * betas[0])). Two more hold a
-config fault that only some subcommands meet: ``ref1_no_start``
-(``simulate``, ``reconstruct`` and ``validate`` on ref1 without
-``initial_density``) and ``ref1_wide_start`` (``simulate`` and
-``reconstruct`` on ref1 from (1e-6, 1e-6), whose default age grid needs
-more than 10^7 nodes). An override section of None removes that section;
+trapezoid scheme's bound dt < 2 / (r0 * betas[0])) and ``ref1_r0_100``
+(r0 = 100 on the same grid, whose Picard sweeps stall after 200 sweeps of
+up to 60 FFT blocks, 21 on average). Two more hold a config fault that
+only some subcommands meet: ``ref1_no_start`` (``simulate``,
+``reconstruct`` and ``validate`` on ref1 without ``initial_density``) and
+``ref1_wide_start`` (the same three on ref1 from (1e-6, 1e-6), whose
+default age grid and oracle initial cohorts need more than 10^7 nodes).
+An override section of None removes that section;
 one that names a ``kind``, or that the base config lacks, replaces or
 adds it whole; any other override updates the section's keys.
 Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
@@ -86,7 +88,9 @@ CASES = {
     "ref1_crowded_start": ("ref1", {"initial_density": {"coefficient": 1e3, "decay": 1.5}}, ("validate",)),
     "ref1_coarse_oracle": ("ref1", {"model": {"r0": 400.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
     "ref1_no_start": ("ref1", {"initial_density": None}, ("simulate", "reconstruct", "validate")),
-    "ref1_wide_start": ("ref1", {"initial_density": {"coefficient": 1e-6, "decay": 1e-6}}, ("simulate", "reconstruct")),
+    "ref1_wide_start": ("ref1", {"initial_density": {"coefficient": 1e-6, "decay": 1e-6}},
+                        ("simulate", "reconstruct", "validate")),
+    "ref1_r0_100": ("ref1", {"model": {"r0": 100.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
 
