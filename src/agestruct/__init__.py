@@ -48,7 +48,7 @@ from .reconstruct import (
     default_age_grid,
     reconstruct_density,
 )
-from .reduction import StateVector, Trajectory, birth_rate, integrate, rhs
+from .reduction import Trajectory, birth_rate, integrate, rhs
 from .stability import (
     StabilityReport,
     classify,
@@ -86,7 +86,6 @@ __all__ = [
     "OracleSolution",
     "ParameterError",
     "StabilityReport",
-    "StateVector",
     "StepSizeError",
     "SweepPoint",
     "TabulatedDensity",

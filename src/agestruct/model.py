@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .reduction import StateVector
 
 
 def _scalar_or_array(x, out):
@@ -438,15 +437,14 @@ class TabulatedDensity(InitialDensity):
         return float(self.ages[-1])
 
 
-def density_moments(p0: InitialDensity, rho: float, n: int, where: str = "") -> StateVector:
-    """Initial ODE state from a density: total mass plus the n weighted moments.
+def density_moments(p0: InitialDensity, rho: float, n: int, where: str = "") -> np.ndarray:
+    """Initial ODE state [p, p_1, ..., p_n] from a density: total mass plus the n weighted moments.
 
     A value beyond the float range raises ParameterError; ``where`` prefixes its message."""
     if not (rho > 0) or n < 1:
         raise ParameterError("density_moments requires rho > 0 and n >= 1")
     with np.errstate(all="ignore"):
-        start = [p0.mass(), *(p0.weighted_moment(i, rho) for i in range(1, n + 1))]
-    if not all(math.isfinite(v) for v in start):
+        start = np.array([p0.mass(), *(p0.weighted_moment(i, rho) for i in range(1, n + 1))], dtype=float)
+    if not np.isfinite(start).all():
         raise ParameterError(f"{where}its mass or a weighted moment is not finite")
-    return StateVector.from_array(start)
-
+    return start

@@ -178,26 +178,20 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _grid_scratch(kernels: np.ndarray) -> np.ndarray:
-    """Scratch rows over the kernels' n nodes for ``_damped_conv_integrals``: the node numbers
-    0..n-1, then r, log levels, the running level and then g_0, the block input, g_m and r_s,
-    and one row per kernel for the transform outputs."""
-    scratch = np.empty((7 + kernels.shape[0], kernels.shape[1]))
-    scratch[0] = np.arange(kernels.shape[1])
-    return scratch
-
-
 class _Spectra(dict):
-    """The block spectra that ``_damped_conv_integrals`` keeps between calls, by (c, e, nfft),
-    and the scratch rows it writes on every call; a plain dict keeps spectra only."""
+    """The block spectra that ``_damped_conv_integrals`` keeps between calls, by (c, e, nfft), and
+    the scratch rows over the kernels' n nodes it writes on every call: the node numbers 0..n-1,
+    then r, log levels, the running level and then g_0, the block input, g_m and r_s, and one row
+    per kernel for the transform outputs."""
 
     def __init__(self, kernels: np.ndarray):
         super().__init__()
-        self.scratch = _grid_scratch(kernels)
+        self.scratch = np.empty((7 + kernels.shape[0], kernels.shape[1]))
+        self.scratch[0] = np.arange(kernels.shape[1])
 
 
 def _damped_conv_integrals(
-    kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt: float, spectra: dict
+    kernels: np.ndarray, z: np.ndarray, b: np.ndarray, dt: float, spectra: _Spectra
 ) -> np.ndarray:
     """Trapezoid values of integral(0..t_m) k(t_m - s) exp(z(s) - z(t_m)) b(s) ds.
 
@@ -222,12 +216,11 @@ def _damped_conv_integrals(
     A block's tilted kernels, spectrum and product buffer depend only on
     (c, e, nfft); ``spectra`` maps keys of earlier calls with these kernels
     to them, a block reuses those of its key, and it ends with this call's.
-    A ``_Spectra`` also lends its scratch rows, which no returned array shares.
+    ``spectra`` also lends its scratch rows, which no returned array shares.
     """
     n = b.size
-    scratch = spectra.scratch if isinstance(spectra, _Spectra) else _grid_scratch(kernels)
-    steps, r, logs, g_0, g, g_m, r_s = scratch[:7]
-    sums = scratch[7:]  # each kernel's transform output on the nodes of its block
+    steps, r, logs, g_0, g, g_m, r_s = spectra.scratch[:7]
+    sums = spectra.scratch[7:]  # each kernel's transform output on the nodes of its block
     unit = _BLOCK_SPAN / ((n - 1) * dt)
     c = unit * max(math.floor(float(np.subtract(z[1:], z[:-1], out=r[1:]).min()) / dt / unit), 0)
     np.subtract(z, np.multiply(steps, c * dt, out=r), out=r)

@@ -30,6 +30,8 @@ from .errors import (
 from .quadrature import MAX_GRID_NODES
 
 if TYPE_CHECKING:  # pragma: no cover
+    from numpy.typing import ArrayLike
+
     from .model import FeedbackSpec, ModelParams
 
 NEGATIVE_SLACK = 1e-9
@@ -55,37 +57,15 @@ def _clamp_undershoot(y: np.ndarray, error: type, where: str = "", slack: float 
     return int(np.count_nonzero(negative))
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Population total plus weighted age moments; entries are nonnegative.
-
-    Construction applies the undershoot policy: values in [-1e-9, 0) are
-    clamped to zero, anything more negative or not finite is rejected.
-    """
-
-    p: float
-    moments: tuple[float, ...]
-
-    def __post_init__(self):
-        y = self.as_array()
-        _clamp_undershoot(y, ParameterError)
-        object.__setattr__(self, "p", float(y[0]))
-        object.__setattr__(self, "moments", tuple(float(v) for v in y[1:]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, *self.moments], dtype=float)
-
-    @classmethod
-    def from_array(cls, y) -> "StateVector":
-        y = np.asarray(y, dtype=float)
-        return cls(p=float(y[0]), moments=tuple(float(v) for v in y[1:]))
-
-
-def _state_array(state: StateVector, params: ModelParams) -> np.ndarray:
-    """The state as [p, p_1, ..., p_n], checked to carry params.n moments."""
-    if len(state.moments) != params.n:
-        raise ParameterError(f"state carries {len(state.moments)} moments, expected {params.n}")
-    return state.as_array()
+def _state_array(state: ArrayLike, params: ModelParams) -> np.ndarray:
+    """A float copy of the state [p, p_1, ..., p_n] under the undershoot policy; ParameterError
+    unless it is one row of params.n + 1 entries."""
+    y = np.array(state, dtype=float)
+    if y.shape != (params.n + 1,):
+        shape = "" if y.ndim == 1 else f" in shape {y.shape}"
+        raise ParameterError(f"state carries {y.size - 1} moments{shape}, expected {params.n}")
+    _clamp_undershoot(y, ParameterError)
+    return y
 
 
 def _beta_sum(y: np.ndarray, betas) -> np.ndarray:
@@ -117,19 +97,15 @@ def _rhs_array(y: np.ndarray, params, feedback) -> np.ndarray:
     return out
 
 
-def rhs(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> StateVector:
-    """Time derivative of the moment system at a state.
+def rhs(state: ArrayLike, params: ModelParams, feedback: FeedbackSpec) -> np.ndarray:
+    """Time derivative of the moment system at a state [p, p_1, ..., p_n].
 
     The first component is the balance law p' = births - (mu0 + psi(p)) * p.
     """
-    d = _rhs_array(np.append(_state_array(state, params), 0.0), params, feedback)[:-1]  # Z = 0 rides along
-    out = object.__new__(StateVector)  # derivatives may be negative; skip clamping
-    object.__setattr__(out, "p", float(d[0]))
-    object.__setattr__(out, "moments", tuple(float(v) for v in d[1:]))
-    return out
+    return _rhs_array(np.append(_state_array(state, params), 0.0), params, feedback)[:-1]  # Z = 0 rides along
 
 
-def birth_rate(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> float:
+def birth_rate(state: ArrayLike, params: ModelParams, feedback: FeedbackSpec) -> float:
     """Birth rate r0 * phi(p) * sum_i beta_i * p_{i+1} at a state; nonnegative."""
     return float(_births(_state_array(state, params), params, feedback))
 
@@ -321,7 +297,7 @@ def check_integrator(
 
 
 def integrate(
-    initial: StateVector,
+    initial: ArrayLike,
     params: ModelParams,
     feedback: FeedbackSpec,
     t_end: float,

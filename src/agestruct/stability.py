@@ -8,19 +8,23 @@ compare the spectral abscissa against a +-1e-8 margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EigenvalueError, ParameterError
 from .model import FeedbackSpec, ModelParams
-from .reduction import StateVector, _beta_sum, _state_array
+from .reduction import _beta_sum, _state_array
 from .steady import EquilibriumReport, trivial_equilibrium
+
+if TYPE_CHECKING:  # pragma: no cover
+    from numpy.typing import ArrayLike
 
 VERDICT_MARGIN = 1e-8
 
 
-def jacobian_at(state: StateVector, params: ModelParams, feedback: FeedbackSpec) -> np.ndarray:
-    """Closed-form Jacobian of the moment-system rhs y' = A(p) y at a state.
+def jacobian_at(state: ArrayLike, params: ModelParams, feedback: FeedbackSpec) -> np.ndarray:
+    """Closed-form Jacobian of the moment-system rhs y' = A(p) y at a state [p, p_1, ..., p_n].
 
     It is A(p) with column 0 replaced by d(A(p) y)/dp.
     """
@@ -81,8 +85,7 @@ def _verdict(abscissa: float) -> str:
 def classify(equilibrium: EquilibriumReport, params: ModelParams, feedback: FeedbackSpec) -> StabilityReport:
     """Stability of the equilibrium the report describes (the origin when
     no nontrivial equilibrium exists)."""
-    state = StateVector(p=equilibrium.p_star, moments=equilibrium.moments_star)
-    jac = jacobian_at(state, params, feedback)
+    jac = jacobian_at((equilibrium.p_star, *equilibrium.moments_star), params, feedback)
     evs = eigenvalues(jac)
     abscissa = float(np.max(evs.real))
     return StabilityReport(

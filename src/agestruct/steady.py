@@ -118,9 +118,8 @@ def _moment_chain(p_star: float, params: ModelParams, feedback: FeedbackSpec) ->
 
 def _report_for(p_star: float, params: ModelParams, feedback: FeedbackSpec) -> EquilibriumReport:
     moments = _moment_chain(p_star, params, feedback)
-    state = reduction.StateVector(p=p_star, moments=moments)
-    resid = reduction.rhs(state, params, feedback)
-    residual = float(np.max(np.abs(resid.as_array())))
+    state = (p_star, *moments)
+    residual = float(np.max(np.abs(reduction.rhs(state, params, feedback))))
     births = reduction.birth_rate(state, params, feedback)
     return EquilibriumReport(
         p_star=p_star,

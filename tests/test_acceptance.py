@@ -17,7 +17,6 @@ import numpy as np
 import agestruct as ag
 from agestruct.cli import run as cli_run
 from agestruct.model import fertility_kernel_integral
-from agestruct.reduction import StateVector
 
 from conftest import make_linear, make_ref1, make_ref2
 
@@ -95,8 +94,8 @@ def test_criterion_03_equilibrium_zeroes_vector_field():
         params = _random_params(rng, n_max=6, r0_lo=1.001, r0_hi=20.0)
         feedback = _random_feedback(rng)
         eq = ag.equilibrium(params, feedback)
-        deriv = ag.rhs(StateVector(eq.p_star, eq.moments_star), params, feedback)
-        resid = float(np.max(np.abs(deriv.as_array())))
+        deriv = ag.rhs((eq.p_star, *eq.moments_star), params, feedback)
+        resid = float(np.max(np.abs(deriv)))
         worst = max(worst, resid, eq.residual_inf_norm)
     checks = [(worst <= 1e-10, f"worst equilibrium residual {worst:.3e}")]
     _finish(3, "explicit equilibria are exact zeros of the moment system", started, 5.0, checks)
@@ -216,7 +215,7 @@ def test_criterion_08_stability_classification():
     checks = []
 
     eq = ag.equilibrium(fx.params, fx.feedback)
-    jac = ag.jacobian_at(StateVector(eq.p_star, eq.moments_star), fx.params, fx.feedback)
+    jac = ag.jacobian_at((eq.p_star, *eq.moments_star), fx.params, fx.feedback)
     jac_gap = float(np.max(np.abs(jac - np.array([[-3.25, 2.0], [-1.5, 0.0]]))))
     checks.append((jac_gap <= 1e-10, f"closed-form Jacobian off by {jac_gap:.3e}"))
 
@@ -245,16 +244,16 @@ def test_criterion_08_stability_classification():
         params = _random_params(rng, n_max=6, r0_lo=1.001, r0_hi=20.0)
         feedback = _random_feedback(rng)
         base = rng.uniform(0.05, 3.0, size=params.n + 1)
-        analytic = ag.jacobian_at(StateVector(base[0], tuple(base[1:])), params, feedback)
+        analytic = ag.jacobian_at(base, params, feedback)
         fd = np.empty_like(analytic)
         for j in range(params.n + 1):
             h = 1e-6 * max(1.0, abs(base[j]))
             up, dn = base.copy(), base.copy()
             up[j] += h
             dn[j] -= h
-            f_up = ag.rhs(StateVector(up[0], tuple(up[1:])), params, feedback)
-            f_dn = ag.rhs(StateVector(dn[0], tuple(dn[1:])), params, feedback)
-            fd[:, j] = (f_up.as_array() - f_dn.as_array()) / (2 * h)
+            f_up = ag.rhs(up, params, feedback)
+            f_dn = ag.rhs(dn, params, feedback)
+            fd[:, j] = (f_up - f_dn) / (2 * h)
         worst_fd = max(worst_fd, float(np.max(np.abs(analytic - fd))))
     checks.append((worst_fd <= 1e-5, f"finite-difference Jacobian gap {worst_fd:.3e}"))
     _finish(8, "spectrum, verdicts, and derivative cross-checks", started, 5.0, checks)

@@ -235,6 +235,6 @@ def test_density_and_kernel_checks_reject(call, message):
 
 def test_density_moments_matches_equilibrium_start(ref1):
     state = ag.density_moments(ref1.p0, ref1.params.rho, ref1.params.n)
-    assert math.isclose(state.p, 1.0, rel_tol=1e-14)
-    assert math.isclose(state.moments[0], 0.75, rel_tol=1e-14)
+    assert math.isclose(state[0], 1.0, rel_tol=1e-14)
+    assert math.isclose(state[1], 0.75, rel_tol=1e-14)
 

@@ -227,7 +227,7 @@ def test_damped_convolution_matches_direct_sum(ref1):
     kernels = _separable_kernels(ref1, times, dt)
     z = 590.0 * (times / times[-1]) ** 1.5
     b = 1.0 + 0.5 * np.sin(3.0 * times)
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
         want = _direct_damped_integrals(kernel, z, b, dt)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
@@ -241,7 +241,7 @@ def test_damped_convolution_follows_growing_births(ref1):
     kernels = _separable_kernels(ref1, times, dt)
     z = np.zeros(n)
     b = np.exp(5.0 * times)
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
         want = _direct_damped_integrals(kernel, z, b, dt)
         assert np.all(np.abs(got - want) <= 1e-12 * b)
 
@@ -255,7 +255,7 @@ def test_damped_convolution_follows_a_collapse(ref1):
     kernels = _separable_kernels(ref1, times, dt)
     z = 1000.0 * (1.0 - np.exp(-3.0 * times))
     b = np.exp(-z) * (1.0 + 0.5 * np.sin(3.0 * times))
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
         want = _direct_damped_integrals(kernel, z, b, dt)
         normal = want >= np.finfo(float).tiny
         assert normal.sum() >= 40
@@ -272,7 +272,7 @@ def test_damped_convolution_absorbs_the_least_crowding_rate(ref1):
     z = 40.0 * times + 3.0 * (1.0 - np.cos(times))
     assert _tilt(z, dt) > 0
     for b in (1.0 + 0.5 * np.sin(3.0 * times), np.exp(5.0 * times)):
-        for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+        for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
             want = _direct_damped_integrals(kernel, z, b, dt)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
@@ -328,7 +328,9 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
 
     monkeypatch.setattr(oracle, "_damped_conv_integrals", keeping)
     kept = volterra_solve(model, 10.0, 0.002)
-    monkeypatch.setattr(oracle, "_damped_conv_integrals", lambda k, z, b, dt, spectra: damped(k, z, b, dt, {}))
+    monkeypatch.setattr(
+        oracle, "_damped_conv_integrals", lambda k, z, b, dt, spectra: damped(k, z, b, dt, oracle._Spectra(k))
+    )
     fresh = volterra_solve(model, 10.0, 0.002)
     assert max(map(len, layouts)) == 12 and len(set(layouts)) > 1 and reused > 0
     assert len({c for keys in layouts for c, _, _ in keys}) > 1
@@ -383,19 +385,19 @@ def _many_block_input(case):
 @pytest.mark.parametrize("case", ["growing", "r0=100"])
 def test_many_blocks_keep_the_per_block_bits(case):
     # the grid pass over all nodes and the kept scratch give the bits of a
-    # block-by-block pass, on a fresh dict and on kept spectra and scratch
+    # block-by-block pass, on fresh spectra and on kept spectra and scratch
     kernels, z, b, dt = _many_block_input(case)
     assert len(_block_keys(z, b, dt)) >= 20
     want = _per_block_integrals(kernels, z, b, dt)
     kept = oracle._Spectra(kernels)
-    for spectra in ({}, kept, kept):
+    for spectra in (oracle._Spectra(kernels), kept, kept):
         np.testing.assert_array_equal(_damped_conv_integrals(kernels, z, b, dt, spectra), want)
 
 
 @pytest.mark.parametrize("case", ["growing", "r0=100"])
 def test_many_blocks_match_direct_sum(case):
     kernels, z, b, dt = _many_block_input(case)
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, {})):
+    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
         want = _direct_damped_integrals(kernel, z, b, dt)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         normal = want >= np.finfo(float).tiny

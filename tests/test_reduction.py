@@ -12,29 +12,49 @@ import pytest
 import agestruct as ag
 from agestruct import reduction
 from agestruct.errors import NegativityError, ParameterError, TrajectoryRangeError
-from agestruct.reduction import StateVector, _clamp_undershoot
+from agestruct.reduction import _clamp_undershoot
 
 
-# --- state vector ------------------------------------------------------------
+# --- states at the entry points ----------------------------------------------
+
+#: each public call that takes a state [p, p_1, ..., p_n], as a function of the state
+STATE_ENTRY_POINTS = {
+    "rhs": lambda y, fx: ag.rhs(y, fx.params, fx.feedback),
+    "birth_rate": lambda y, fx: ag.birth_rate(y, fx.params, fx.feedback),
+    "jacobian_at": lambda y, fx: ag.jacobian_at(y, fx.params, fx.feedback),
+    "integrate": lambda y, fx: ag.integrate(y, fx.params, fx.feedback, t_end=1.0, n_samples=11).knot_states,
+}
 
 
-def test_state_vector_clamps_tiny_negatives():
-    s = StateVector(p=-5e-10, moments=(-1e-12, 0.5))
-    assert s.p == 0.0
-    assert s.moments[0] == 0.0 and s.moments[1] == 0.5
+@pytest.mark.parametrize("entry", sorted(STATE_ENTRY_POINTS))
+def test_state_entry_points_take_arrays_under_the_undershoot_policy(ref2, entry):
+    call = STATE_ENTRY_POINTS[entry]
+    start = ag.density_moments(ag.ExponentialDensity(1.65, 1.5), ref2.params.rho, ref2.params.n)
+    traj = ag.integrate(start, ref2.params, ref2.feedback, t_end=2.0, n_samples=5)
+    row = traj.states[3]
+    want = call(row, ref2)
+    # a trajectory row as it is, a dense-output read, a list and a tuple
+    for state in (traj.state_at(traj.times[3]), row.tolist(), tuple(row.tolist())):
+        np.testing.assert_array_equal(call(state, ref2), want)
+    # an entry in [-1e-9, 0) reads as 0, and the caller's array is left as it was
+    tiny = np.array([-5e-10, -1e-12, 0.5])
+    np.testing.assert_array_equal(call(tiny, ref2), call([0.0, 0.0, 0.5], ref2))
+    assert tiny.tolist() == [-5e-10, -1e-12, 0.5]
+    for bad, message in (
+        ([-1e-6, 0.0, 0.5], "state entry -1e-06 fell below the -1e-9 negativity slack"),
+        ([1.0, -2e-9, 0.5], "state entry -2e-09 fell below the -1e-9 negativity slack"),
+        ([1.0, math.nan, 0.5], "state entry nan is not finite"),
+        ([1.0, 0.75], "state carries 1 moments, expected 2"),
+        (traj.states, "state carries 14 moments in shape (5, 3), expected 2"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call(bad, ref2)
 
 
-def test_state_vector_rejects_real_negatives():
-    with pytest.raises(ParameterError, match="negativity slack"):
-        StateVector(p=-1e-6, moments=(0.0,))
-    with pytest.raises(ParameterError, match="negativity slack"):
-        StateVector(p=1.0, moments=(-2e-9,))
-
-
-def test_state_vector_array_round_trip():
-    s = StateVector(p=1.25, moments=(0.5, 0.125))
-    again = StateVector.from_array(s.as_array())
-    assert again.p == s.p and again.moments == s.moments
+def test_rhs_returns_negative_derivatives_unclamped(ref2):
+    deriv = ag.rhs([3.0, 0.1, 0.1], ref2.params, ref2.feedback)
+    assert isinstance(deriv, np.ndarray) and deriv.shape == (3,)
+    assert deriv.min() < -1.0  # crowding drains p far faster than births refill it
 
 
 # --- right-hand side ---------------------------------------------------------
@@ -43,20 +63,29 @@ def test_state_vector_array_round_trip():
 def test_rhs_vanishes_at_equilibrium(ref1, ref2):
     for fx in (ref1, ref2):
         eq = ag.equilibrium(fx.params, fx.feedback)
-        state = StateVector(p=eq.p_star, moments=eq.moments_star)
-        deriv = ag.rhs(state, fx.params, fx.feedback)
-        assert np.max(np.abs(deriv.as_array())) <= 1e-13
+        deriv = ag.rhs((eq.p_star, *eq.moments_star), fx.params, fx.feedback)
+        assert np.max(np.abs(deriv)) <= 1e-13
+
+
+def test_rhs_is_the_integrators_derivative(ref1, ref2):
+    # the derivative the stepper kept at each knot is the public rhs there, bit for bit
+    for fx in (ref1, ref2):
+        start = ag.density_moments(ag.ExponentialDensity(1.65, 1.5), fx.params.rho, fx.params.n)
+        traj = ag.integrate(start, fx.params, fx.feedback, t_end=20.0)
+        assert traj.clamp_count == 0  # so every knot state is the one f was called on
+        for state, deriv in zip(traj.knot_states[:, :-1], traj.knot_derivs[:, :-1]):
+            np.testing.assert_array_equal(ag.rhs(state, fx.params, fx.feedback), deriv)
 
 
 def test_birth_rate_closed_form(ref2):
-    state = StateVector(p=1.0, moments=(0.75, 0.375))
+    state = [1.0, 0.75, 0.375]
     # r0 * phi(1) * (b1*m1 + b2*m2) = (16/3)(1/2)(0.5*0.75 + 0.5*0.375)
     assert math.isclose(ag.birth_rate(state, ref2.params, ref2.feedback), 1.5, rel_tol=1e-14)
 
 
 def test_rhs_moment_count_mismatch(ref2):
     with pytest.raises(ParameterError):
-        ag.rhs(StateVector(p=1.0, moments=(0.75,)), ref2.params, ref2.feedback)
+        ag.rhs([1.0, 0.75], ref2.params, ref2.feedback)
 
 
 # --- integration -------------------------------------------------------------
@@ -173,7 +202,7 @@ def test_rhs_calls_per_step(ref1, monkeypatch):
 
 
 def test_trajectory_sampling_and_dense_output(ref1):
-    start = StateVector(p=1.2, moments=(0.8,))
+    start = [1.2, 0.8]
     traj = ag.integrate(start, ref1.params, ref1.feedback, t_end=5.0, n_samples=301)
     assert traj.times.size == 301
     assert traj.times[0] == 0.0 and traj.times[-1] == 5.0
@@ -188,7 +217,7 @@ def test_trajectory_sampling_and_dense_output(ref1):
 
 
 def test_trajectory_range_checks(ref1):
-    start = StateVector(p=1.0, moments=(0.75,))
+    start = [1.0, 0.75]
     traj = ag.integrate(start, ref1.params, ref1.feedback, t_end=2.0)
     with pytest.raises(TrajectoryRangeError):
         traj.state_at(2.5)
@@ -203,13 +232,13 @@ def test_trajectory_range_checks(ref1):
 
 
 def test_readouts_of_no_times(ref1):
-    traj = ag.integrate(StateVector(p=1.0, moments=(0.75,)), ref1.params, ref1.feedback, t_end=2.0)
+    traj = ag.integrate([1.0, 0.75], ref1.params, ref1.feedback, t_end=2.0)
     assert traj.state_at([]).shape == (0, 2)
     assert traj.psi_integral_at([]).shape == traj.birth_rate_at([]).shape == (0,)
 
 
 def test_integrate_validates_arguments(ref1):
-    start = StateVector(p=1.0, moments=(0.75,))
+    start = [1.0, 0.75]
     with pytest.raises(ParameterError):
         ag.integrate(start, ref1.params, ref1.feedback, t_end=-1.0)
     with pytest.raises(ParameterError):
@@ -243,24 +272,21 @@ def test_integrate_validates_arguments(ref1):
     ],
 )
 def test_integrate_rejects_bad_samples_and_steps(ref1, kwargs, message):
-    start = StateVector(p=1.0, moments=(0.75,))
+    start = [1.0, 0.75]
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         ag.integrate(start, ref1.params, ref1.feedback, **{"t_end": 1.0, **kwargs})
 
 
 def test_integrate_takes_numpy_integer_samples(ref1):
-    start = StateVector(p=1.0, moments=(0.75,))
+    start = [1.0, 0.75]
     traj = ag.integrate(start, ref1.params, ref1.feedback, t_end=1.0, n_samples=np.int64(11))
     assert traj.times.tolist() == np.linspace(0.0, 1.0, 11).tolist()
 
 
 def test_birth_rates_consistent_with_states(ref2):
-    start = StateVector(p=1.3, moments=(0.9, 0.4))
+    start = [1.3, 0.9, 0.4]
     traj = ag.integrate(start, ref2.params, ref2.feedback, t_end=4.0)
-    recompute = [
-        ag.birth_rate(StateVector(p=row[0], moments=tuple(row[1:])), ref2.params, ref2.feedback)
-        for row in traj.states
-    ]
+    recompute = [ag.birth_rate(row, ref2.params, ref2.feedback) for row in traj.states]
     np.testing.assert_allclose(traj.birth_rates, recompute, rtol=1e-12, atol=1e-14)
     assert np.all(traj.birth_rates >= 0)
     assert np.all(np.diff(traj.psi_integral) >= 0)
@@ -276,7 +302,7 @@ def test_birth_rate_reads_a_state_the_same_in_any_batch():
         start = ag.density_moments(ag.ExponentialDensity(1.65, 1.5), params.rho, params.n)
         traj = ag.integrate(start, params, feedback, t_end=20.0, n_samples=201)
         for t, row, births in zip(traj.times, traj.states, traj.birth_rates):
-            alone = ag.birth_rate(StateVector.from_array(row), params, feedback)
+            alone = ag.birth_rate(row, params, feedback)
             assert alone == births == traj.birth_rate_at(t)
         # one read behind the samples and the readouts: the same bits
         np.testing.assert_array_equal(traj.states, traj.state_at(traj.times))
@@ -324,7 +350,7 @@ def test_rk45_passes_p_through_zero(ref1):
     # stays finite and the step size does not collapse as p decays
     params = ref1.params.with_r0(0.5)
     feedback = _with_psi(ref1, ag.make_psi("power", c=1.0, gamma=1.5))
-    start = StateVector(p=1.0, moments=(0.5,))
+    start = [1.0, 0.5]
     for t_end in (50.0, 200.0):
         traj = ag.integrate(start, params, feedback, t_end=t_end)  # clamps are expected near p = 0
         assert traj.t_end == t_end and traj.knot_times.size < 150  # 114 and 140 steps

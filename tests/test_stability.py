@@ -5,7 +5,6 @@ import pytest
 
 import agestruct as ag
 from agestruct.errors import EigenvalueError, ParameterError
-from agestruct.reduction import StateVector
 from agestruct.stability import eigenvalues, jacobian_at
 
 from conftest import make_ref1, make_ref2
@@ -34,7 +33,7 @@ def _match_gap(ours, ref):
 
 def test_ref1_jacobian_exact(ref1):
     eq = ag.equilibrium(ref1.params, ref1.feedback)
-    jac = jacobian_at(StateVector(eq.p_star, eq.moments_star), ref1.params, ref1.feedback)
+    jac = jacobian_at((eq.p_star, *eq.moments_star), ref1.params, ref1.feedback)
     np.testing.assert_allclose(jac, [[-3.25, 2.0], [-1.5, 0.0]], atol=1e-12)
 
 
@@ -45,24 +44,22 @@ def test_jacobian_matches_finite_differences(rng):
         n = fx.params.n
         for _ in range(25):
             base = rng.uniform(0.05, 3.0, size=n + 1)
-            jac = jacobian_at(
-                StateVector(base[0], tuple(base[1:])), fx.params, fx.feedback
-            )
+            jac = jacobian_at(base, fx.params, fx.feedback)
             fd = np.empty_like(jac)
             h = 1e-6
             for j in range(n + 1):
                 up, dn = base.copy(), base.copy()
                 up[j] += h
                 dn[j] -= h
-                f_up = ag.rhs(StateVector(up[0], tuple(up[1:])), fx.params, fx.feedback)
-                f_dn = ag.rhs(StateVector(dn[0], tuple(dn[1:])), fx.params, fx.feedback)
-                fd[:, j] = (f_up.as_array() - f_dn.as_array()) / (2 * h)
+                f_up = ag.rhs(up, fx.params, fx.feedback)
+                f_dn = ag.rhs(dn, fx.params, fx.feedback)
+                fd[:, j] = (f_up - f_dn) / (2 * h)
             assert np.max(np.abs(jac - fd)) <= 1e-6
 
 
 def test_jacobian_moment_count_check(ref2):
     with pytest.raises(ParameterError):
-        jacobian_at(StateVector(1.0, (0.5,)), ref2.params, ref2.feedback)
+        jacobian_at([1.0, 0.5], ref2.params, ref2.feedback)
 
 
 # --- eigenvalue solver ---------------------------------------------------------

@@ -38,7 +38,9 @@ An override section of None removes that section;
 one that names a ``kind``, or that the base config lacks, replaces or
 adds it whole; any other override updates the section's keys.
 Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
-defaults to the tree holding this script.
+defaults to the tree holding this script. One more item, ``public:
+agestruct.__all__``, holds the sorted public names each tree's package
+exports, so a removed or added name shows as a DIFF that names it.
 Each run works in a fresh temporary directory with relative paths, so
 nothing in the outputs names the tree. The exit code, stdout and stderr
 of every subcommand and every output file are compared; ``timings`` is
@@ -93,6 +95,7 @@ CASES = {
     "ref1_r0_100": ("ref1", {"model": {"r0": 100.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
+PUBLIC = "agestruct.__all__"
 
 
 def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
@@ -129,6 +132,14 @@ def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
     return items
 
 
+def _public_names(tree: Path, workdir: Path) -> dict:
+    """The sorted ``agestruct.__all__`` of one tree, one name a line, with its stderr."""
+    code = "import agestruct; print('\\n'.join(sorted(agestruct.__all__)))"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=workdir, env=env, capture_output=True, timeout=600)
+    return {PUBLIC: proc.stdout + proc.stderr}
+
+
 def _largest_relative_difference(before: bytes, after: bytes):
     """Largest |a - b| / max(|a|, |b|) over the cells of two CSVs below their header, or None.
 
@@ -156,12 +167,12 @@ def main(argv) -> int:
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
     same = diff = failed = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for case in CASES:
+        for case in (*CASES, "public"):
             runs = []
             for side, tree in (("parent", parent), ("change", change)):
                 workdir = Path(scratch) / case / side
                 workdir.mkdir(parents=True)
-                runs.append(_run_tree(tree, case, workdir))
+                runs.append(_run_tree(tree, case, workdir) if case in CASES else _public_names(tree, workdir))
             before, after = runs
             for name in sorted(set(before) | set(after)):
                 verdict = "SAME" if before.get(name) == after.get(name) else "DIFF"
@@ -175,6 +186,9 @@ def main(argv) -> int:
                 elif verdict == "DIFF" and name.endswith(".csv"):
                     rel = _largest_relative_difference(before[name], after[name])
                     label += "" if rel is None else f" (largest relative difference {rel:.1e})"
+                elif verdict == "DIFF" and name == PUBLIC:
+                    names = [set(side[name].decode().split()) for side in runs]
+                    label += f" (removed {sorted(names[0] - names[1])}, added {sorted(names[1] - names[0])})"
                 same, diff = (same + 1, diff) if verdict == "SAME" else (same, diff + 1)
                 print(f"{verdict} {case}: {label}")
     print(f"{same} SAME, {diff} DIFF; {failed} commands exited nonzero in a tree")
