@@ -205,6 +205,7 @@ def _cmd_validate(cfg: RunConfig, outdir: Path):
         "gap_threshold": settings.gap_threshold,
         "passed": passed,
         "iterations": report.oracle.iterations,
+        "sweeps": report.oracle.sweeps,
         "final_update": report.oracle.final_update,
         "t_end": settings.t_end,
         "dt": settings.dt,

@@ -32,6 +32,8 @@ inverse transform, and the outputs on [s, e) with the values of its start
 that each of its nodes needs. The trapezoid end terms, the rescale and the
 clip at zero then run once over the grid, in scratch rows that every sweep
 of a solve reuses.
+A separable solve first solves its coarser grids, 2 dt, 4 dt, ..., and
+starts from their Richardson prediction (see ``volterra_solve``).
 Arbitrary ``mu(a, P)`` / ``beta(a, P)`` evaluators fall back to a dense
 sweep over short windows.
 A sweep of window [s, e) calls each evaluator once, on the ages alive by
@@ -75,6 +77,9 @@ _BLOCK_SPAN = 4.0
 #: sweep has a fixed cost, which on coarse grids outweighs its table work
 _WINDOW_SPAN = 0.15
 _WINDOW_MIN_ROWS = 16
+#: fewest steps of a coarser grid that starts a separable solve (see ``volterra_solve``): below a
+#: few hundred steps a sweep is mostly fixed cost, and the start it gives is poorer
+_CHAIN_MIN_STEPS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +153,14 @@ def _eval_rates(fn: Callable, ages, sizes, what: str) -> np.ndarray:
 class OracleSolution:
     """Converged discrete solution of the renewal integral system.
 
-    ``iterations`` is the most counted sweeps any one window took and
-    ``sweeps`` their total over all ``windows``; a single-window solve has
-    ``sweeps == iterations``. Each window also runs one uncounted seeding
-    sweep. ``final_update`` is the largest last update of any window.
-    ``sweep_log`` holds one line per counted sweep: ``k,update`` for a single
-    window, ``w,k,update`` (window w from 1) for several.
+    ``iterations`` is the most counted sweeps any one window or grid took
+    and ``sweeps`` their total; a solve of one window on one grid has
+    ``sweeps == iterations``. Each generic window, and only the coarsest
+    separable grid, also runs one uncounted seeding sweep. ``final_update``
+    is the largest last update of any window of the requested grid.
+    ``sweep_log`` holds one line per counted sweep: ``k,update`` for one
+    window on one grid, else ``w,k,update`` (window w from 1) or
+    ``g,k,update`` (grid g from the coarsest).
     """
 
     times: np.ndarray
@@ -439,10 +446,14 @@ class _GenericSweep:
         return new_b, new_p
 
 
+def _solvable(params: ModelParams, dt: float) -> bool:
+    return 0.5 * dt * params.r0 * params.betas[0] < 1.0
+
+
 def check_solvable(params: ModelParams, dt: float, where: str = "oracle ") -> None:
     """ParameterError, naming ``where`` + dt, unless dt * r0 * betas[0] / 2 < 1, which, as
     phi <= phi(0) = 1, gives every node equation of the separable trapezoid scheme one root."""
-    if not 0.5 * dt * params.r0 * params.betas[0] < 1.0:
+    if not _solvable(params, dt):
         bound = 2.0 / (params.r0 * params.betas[0])
         raise ParameterError(f"{where}dt={dt!r} must be below 2 / (r0 * betas[0]) = {bound!r}")
 
@@ -474,6 +485,32 @@ def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> in
     return n_steps
 
 
+def _refine(x: np.ndarray) -> np.ndarray:
+    """Rows x on m + 1 >= 4 nodes, on the grid of half the step: x at the even nodes and, between
+    them, the cubic through the four nearest nodes, one-sided at the ends."""
+    out = np.empty((x.shape[0], 2 * x.shape[1] - 1))
+    out[:, ::2] = x
+    out[:, 3:-3:2] = (9.0 * (x[:, 1:-2] + x[:, 2:-1]) - x[:, :-3] - x[:, 3:]) / 16.0
+    out[:, 1] = (5.0 * x[:, 0] + 15.0 * x[:, 1] - 5.0 * x[:, 2] + x[:, 3]) / 16.0
+    out[:, -2] = (5.0 * x[:, -1] + 15.0 * x[:, -2] - 5.0 * x[:, -3] + x[:, -4]) / 16.0
+    return out
+
+
+def _picard(sweep, b: np.ndarray, p: np.ndarray, s: int, e: int, share: float, k_max: int, prefix: str, log: list):
+    """Sweeps of the nodes [s, e) from (b, p) until the sup-norm change of both B and P there is at
+    most ``share``: the iterates, the sweeps and the last update. Each sweep logs one
+    ``{prefix}k,update`` line; ConvergenceError after ``k_max``, naming the time of node s."""
+    for k in range(1, k_max + 1):
+        b_next, p_next = sweep(b, p, s, e)
+        update = max(float(np.max(np.abs(b_next[s:e] - b[s:e]))), float(np.max(np.abs(p_next[s:e] - p[s:e]))))
+        log.append(f"{prefix}{k},{update:.6e}")
+        b, p = b_next, p_next
+        if update <= share:
+            return b, p, k, update
+    message = f"fixed-point iteration stalled after {k_max} sweeps in the window from t={sweep.times[s]:g}"
+    raise ConvergenceError(message, update_norm=update, iterations=k_max, sweep_log=tuple(log))
+
+
 def volterra_solve(
     model: GeneralModel | SeparableModel,
     t_end: float,
@@ -495,41 +532,52 @@ def volterra_solve(
     ConvergenceError (carrying the last update norm and the sweep log, and
     naming the start of the window) if ``k_max`` sweeps of a window are not
     enough. Settings that ``grid_steps`` refuses raise ParameterError first.
+
+    The separable path first solves the grids of 2 dt, 4 dt, ... while the
+    step count is even, the coarser dt passes ``check_solvable`` and the
+    coarser grid keeps ``_CHAIN_MIN_STEPS`` steps. Only the coarsest seeds;
+    each finer grid starts from (5 x_2dt - x_4dt) / 4 (x_2dt on the second)
+    on the coarse nodes, ``_refine``'s cubic between, clipped at zero. If a
+    coarser grid raises, the requested grid is solved cold, on its own.
     """
     t_end, dt = float(t_end), float(dt)
-    times = np.linspace(0.0, t_end, grid_steps(t_end, dt, tol, k_max) + 1)
+    n_steps = grid_steps(t_end, dt, tol, k_max)
+    levels = 0  # the coarsest grid has n_steps >> levels steps of dt * 2**levels
+    while (model.separable and (n_steps >> levels) % 2 == 0 and n_steps >> levels + 1 >= _CHAIN_MIN_STEPS
+           and _solvable(model.params, dt * 2 ** (levels + 1))):
+        levels += 1
+    start = refined = None
+    counts, sweep_log = [], []
+    try:
+        for g, level in enumerate(range(levels, 0, -1), start=1):
+            m = n_steps >> level
+            coarse = _SeparableSweep(model, np.linspace(0.0, t_end, m + 1), dt * 2**level)
+            if start is None:
+                start = coarse(np.zeros(m + 1), np.full(m + 1, coarse.mass0))
+            b, p, k, _ = _picard(coarse, *start, 0, m + 1, tol, k_max, f"{g},", sweep_log)
+            counts.append(k)
+            x = np.stack((b, p))
+            start = np.maximum(_refine(x if refined is None else (5.0 * x - refined) / 4.0), 0.0)
+            refined = _refine(x)
+    except (ConvergenceError, ParameterError):
+        start, counts, sweep_log = None, [], []
+    coarse = refined = x = None  # release the coarser grids' arrays before the requested grid's exist
+    times = np.linspace(0.0, t_end, n_steps + 1)
     n = times.size
 
     sweep = (_SeparableSweep if model.separable else _GenericSweep)(model, times, dt)
     starts = range(0, n, sweep.window_rows)
-    b, p = np.zeros(n), np.full(n, sweep.mass0)
-    iterations = sweeps = 0
+    b, p = (np.zeros(n), np.full(n, sweep.mass0)) if start is None else start
+    iterations, sweeps = max(counts, default=0), sum(counts)
     final_update = 0.0
-    sweep_log = []
     for w, s in enumerate(starts, start=1):
         e = min(s + sweep.window_rows, n)
         if s:
             b[s:e], p[s:e] = b[s - 1], p[s - 1]
-        share = tol * ((e - s) / n)
-        prefix = f"{w}," if len(starts) > 1 else ""
-        b, p = sweep(b, p, s, e)
-        for k in range(1, k_max + 1):
-            b_next, p_next = sweep(b, p, s, e)
-            update = max(
-                float(np.max(np.abs(b_next[s:e] - b[s:e]))),
-                float(np.max(np.abs(p_next[s:e] - p[s:e]))),
-            )
-            sweep_log.append(f"{prefix}{k},{update:.6e}")
-            b, p = b_next, p_next
-            if update <= share:
-                break
-        else:
-            raise ConvergenceError(
-                f"fixed-point iteration stalled after {k_max} sweeps in the window from t={times[s]:g}",
-                update_norm=update,
-                iterations=k_max,
-                sweep_log=tuple(sweep_log),
-            )
+        if start is None:
+            b, p = sweep(b, p, s, e)
+        prefix = f"{w}," if len(starts) > 1 else f"{len(counts) + 1}," if counts else ""
+        b, p, k, update = _picard(sweep, b, p, s, e, tol * ((e - s) / n), k_max, prefix, sweep_log)
         iterations, sweeps = max(iterations, k), sweeps + k
         final_update = max(final_update, update)
     return OracleSolution(

@@ -177,7 +177,7 @@ def test_validate_passes_and_fails_by_threshold(tmp_path):
     assert doc["passed"] is True
     assert doc["p_gap"] <= 0.005 and doc["b_gap"] <= 0.005
     log_lines = (out / "oracle_log.txt").read_text(encoding="utf-8").splitlines()
-    assert len(log_lines) == doc["iterations"]
+    assert len(log_lines) == doc["sweeps"]
     header, rows = read_csv(out / "oracle.csv")
     assert header == ["t", "b", "p"]
     assert len(rows) == round(2.0 / 0.01) + 1

@@ -11,6 +11,7 @@ from agestruct import oracle
 from agestruct.config import OracleSettings
 from agestruct.errors import ConvergenceError, ParameterError
 from agestruct.oracle import (
+    DEFAULT_K_MAX,
     GeneralModel,
     _damped_conv_integrals,
     _eval_rates,
@@ -22,7 +23,7 @@ from agestruct.oracle import (
 )
 from agestruct.quadrature import cumulative_trapezoid, trapezoid, uniform_grid
 
-from conftest import make_linear, make_ref1
+from conftest import make_linear, make_ref1, make_ref2
 
 
 # --- grid handling and degenerate inputs -----------------------------------------
@@ -426,8 +427,110 @@ def test_separable_sweep_scratch_is_safe():
 
 def test_long_horizon_cross_validation(ref1):
     report = cross_validate(ref1.params, ref1.feedback, ref1.p0, 20.0, 5e-3)
-    assert report.oracle.iterations == 47
     assert report.max_gap <= OracleSettings().gap_threshold
+    assert report.oracle.final_update <= 1e-10
+
+
+# --- the coarse-grid start of the separable path ---------------------------------
+
+
+def _cold(monkeypatch, model, t_end, dt, **kwargs):
+    """The one-grid solve: no coarser grid keeps enough steps."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_CHAIN_MIN_STEPS", math.inf)
+        return volterra_solve(model, t_end, dt, **kwargs)
+
+
+def _grid_sweeps(sol):
+    """Counted sweeps per grid, coarsest first, from a ``g,k,update`` or one grid's ``k,update`` log."""
+    grids = [line.split(",")[0] if line.count(",") == 2 else "1" for line in sol.sweep_log]
+    return [grids.count(g) for g in dict.fromkeys(grids)]
+
+
+def _sup_gap(a, b):
+    return max(np.max(np.abs(a.birth_rates - b.birth_rates)), np.max(np.abs(a.populations - b.populations)))
+
+
+@pytest.mark.parametrize("fixture", [make_ref1, make_ref2], ids=["ref1", "ref2"])
+def test_coarse_start_reaches_the_same_fixed_point(fixture, monkeypatch):
+    # T = 6 on dt = 2e-3 is 3000 steps: the grids of 750, 1500 and 3000 steps
+    fx = fixture()
+    model = from_separable(fx.params, fx.feedback, ag.ExponentialDensity(1.65, 1.5))
+    t_end, dt, tol = 6.0, 2e-3, 1e-10
+    sol = volterra_solve(model, t_end, dt, tol=tol)
+    cold = _cold(monkeypatch, model, t_end, dt, tol=tol)
+    per_grid = _grid_sweeps(sol)
+    assert len(per_grid) == 3 and _grid_sweeps(cold) == [cold.sweeps]
+    assert (sol.sweeps, sol.iterations) == (sum(per_grid), max(per_grid))
+    assert f"{sol.final_update:.6e}" == sol.sweep_log[-1].split(",")[2]  # the requested grid's last update
+    assert sol.final_update <= tol
+    # one more sweep of the requested grid moves the result by at most tol
+    b_next, p_next = _SeparableSweep(model, sol.times, dt)(sol.birth_rates, sol.populations)
+    assert max(np.max(np.abs(b_next - sol.birth_rates)), np.max(np.abs(p_next - sol.populations))) <= tol
+    assert _sup_gap(sol, cold) <= 2 * tol
+    assert 3 * per_grid[-1] <= cold.sweeps
+
+
+def test_coarse_start_is_clipped_at_zero(ref1, monkeypatch):
+    # the births of P0 = 2000/3 collapse within the first steps, where the
+    # cubic between coarse nodes overshoots below zero; unclipped, a sweep
+    # would take the log of a negative birth rate
+    model = from_separable(ref1.params, ref1.feedback, ag.ExponentialDensity(1e3, 1.5))
+    sol = volterra_solve(model, 5.0, 2e-3)
+    assert len(_grid_sweeps(sol)) == 3
+    assert _sup_gap(sol, _cold(monkeypatch, model, 5.0, 2e-3)) <= 2e-10
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, ParameterError])
+def test_a_coarse_grid_that_raises_leaves_the_cold_solve(ref1, monkeypatch, error):
+    # the second of three grids raises: the requested grid is solved on its
+    # own, bit for bit as without coarser grids
+    model = from_separable(ref1.params, ref1.feedback, ag.ExponentialDensity(1.65, 1.5))
+    picard = oracle._picard
+
+    def failing(sweep, b, p, s, e, share, k_max, prefix, log):
+        if prefix == "2,":
+            raise error("a coarse grid fails")
+        return picard(sweep, b, p, s, e, share, k_max, prefix, log)
+
+    cold = _cold(monkeypatch, model, 6.0, 2e-3)
+    monkeypatch.setattr(oracle, "_picard", failing)
+    sol = volterra_solve(model, 6.0, 2e-3)
+    np.testing.assert_array_equal(sol.birth_rates, cold.birth_rates)
+    np.testing.assert_array_equal(sol.populations, cold.populations)
+    assert sol.sweep_log == cold.sweep_log and sol.sweep_log[0].startswith("1,")
+    assert (sol.iterations, sol.sweeps, sol.final_update) == (cold.iterations, cold.sweeps, cold.final_update)
+
+
+def test_r0_100_stays_on_one_grid_and_stalls(ref1):
+    # 2 dt = 0.02 sits on the bound: 0.02 * 100 * betas[0] / 2 = 1
+    model = from_separable(ref1.params.with_r0(100.0), ref1.feedback, ref1.p0)
+    with pytest.raises(ConvergenceError) as err:
+        volterra_solve(model, 10.0, 1e-2)
+    assert err.value.iterations == DEFAULT_K_MAX
+    assert [line.split(",")[0] for line in err.value.sweep_log] == [str(k) for k in range(1, DEFAULT_K_MAX + 1)]
+
+
+@pytest.mark.parametrize("t_end, dt", [(5.0, 1e-2), (5.002, 2e-3)], ids=["500-steps", "odd-steps"])
+def test_short_or_odd_grids_solve_on_one_grid(ref1, monkeypatch, t_end, dt):
+    # 250 coarser steps fall below the floor; 2501 steps have no coarser grid
+    model = from_separable(ref1.params, ref1.feedback, ref1.p0)
+    sol = volterra_solve(model, t_end, dt)
+    assert sol.sweeps == sol.iterations == len(sol.sweep_log)
+    assert all(re.fullmatch(r"\d+,[^,]+", line) for line in sol.sweep_log)
+    cold = _cold(monkeypatch, model, t_end, dt)
+    assert sol.sweep_log == cold.sweep_log
+    np.testing.assert_array_equal(sol.birth_rates, cold.birth_rates)
+
+
+def test_refine_is_exact_on_cubics():
+    # the 4-point cubic between nodes, one-sided at both ends, keeps the nodes
+    x = np.linspace(-1.0, 2.0, 7)
+    rows = np.stack((x**3 - 2 * x, 0.5 * x**2 + 1.0))
+    fine = np.linspace(-1.0, 2.0, 13)
+    got = oracle._refine(rows)
+    np.testing.assert_array_equal(got[:, ::2], rows)
+    np.testing.assert_allclose(got, np.stack((fine**3 - 2 * fine, 0.5 * fine**2 + 1.0)), rtol=0, atol=1e-14)
 
 
 class _DirectGenericSweep:

@@ -29,7 +29,10 @@ births collapse while the crowding integral climbs past 600),
 ``ref1_coarse_oracle`` (r0 = 400 on dt = 0.01 to t = 10, beyond the
 trapezoid scheme's bound dt < 2 / (r0 * betas[0])) and ``ref1_r0_100``
 (r0 = 100 on the same grid, whose Picard sweeps stall after 200 sweeps of
-up to 60 FFT blocks, 21 on average). Two more hold a config fault that
+up to 60 FFT blocks, 21 on average). ``ref1_fine_oracle`` runs ``validate``
+on the bumped ref1 at t = 10 on dt = 1e-3, the grid of the benchmark's
+oracle cases, whose separable solve starts from the deepest chain of
+coarser grids, five in all. Two more hold a config fault that
 only some subcommands meet: ``ref1_no_start`` (``simulate``,
 ``reconstruct`` and ``validate`` on ref1 without ``initial_density``) and
 ``ref1_wide_start`` (the same three on ref1 from (1e-6, 1e-6), whose
@@ -93,6 +96,7 @@ CASES = {
     "ref1_wide_start": ("ref1", {"initial_density": {"coefficient": 1e-6, "decay": 1e-6}},
                         ("simulate", "reconstruct", "validate")),
     "ref1_r0_100": ("ref1", {"model": {"r0": 100.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
+    "ref1_fine_oracle": ("ref1", {**BUMPED, "oracle": {"t_end": 10.0, "dt": 0.001}}, ("validate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
 PUBLIC = "agestruct.__all__"
