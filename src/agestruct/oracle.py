@@ -9,7 +9,10 @@ consistency check and not a tautology.
 The trapezoid system is lower-triangular in time, so it is solved window
 by window (block Gauss-Seidel): nodes before a window are final and Picard
 sweeps update only the window's unknowns, each window stopping at its share
-of the tolerance (see ``volterra_solve``).
+of the tolerance (see ``volterra_solve``). Each window after the first starts
+from the least-squares polynomial of degree 6 through the final values of the
+window before, extrapolated onto its nodes and clipped at zero (Linz 1985,
+ch. 7, on starting values for Volterra equations).
 
 Models with the separable structure (age-independent excess mortality,
 polynomial-times-exponential fertility profile) take a fast path with one
@@ -80,6 +83,10 @@ _WINDOW_MIN_ROWS = 16
 #: fewest steps of a coarser grid that starts a separable solve (see ``volterra_solve``): below a
 #: few hundred steps a sweep is mostly fixed cost, and the start it gives is poorer
 _CHAIN_MIN_STEPS = 500
+#: degree of the least-squares polynomial through one window that starts the next (see
+#: ``_window_predictor``): a higher degree amplifies the tol-level residue of the window
+#: before, a lower one misses transients
+_PREDICTOR_DEGREE = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,6 +503,32 @@ def _refine(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _window_predictor(rows: int) -> np.ndarray:
+    """The (rows x rows) matrix that maps values on nodes 0..rows-1 to their least-squares
+    polynomial of degree ``_PREDICTOR_DEGREE`` on nodes rows..2 rows-1, read-only.
+
+    Legendre polynomials by their three-term recurrence, on the old nodes mapped to [-1, 1],
+    give a well-conditioned basis; modified Gram-Schmidt over the old nodes, with every step
+    applied on the new nodes too, makes it orthonormal there. The fit of values y then has the
+    coefficients Q_old^T y, and on the new nodes the values Q_new Q_old^T y. The product is a
+    sum of outer products: a matrix product would have the BLAS map a buffer of its own, which
+    added about 0.2 MB to the peak memory of a generic solve.
+    """
+    x = np.arange(2 * rows) * (2.0 / (rows - 1)) - 1.0
+    basis = np.empty((_PREDICTOR_DEGREE + 1, 2 * rows))
+    basis[0], basis[1] = 1.0, x
+    for k in range(1, _PREDICTOR_DEGREE):
+        basis[k + 1] = ((2 * k + 1) * x * basis[k] - k * basis[k - 1]) / (k + 1)
+    for k, q in enumerate(basis):
+        for done in basis[:k]:
+            q -= (done[:rows] @ q[:rows]) * done
+        q /= math.sqrt(q[:rows] @ q[:rows])
+    predictor = sum(np.multiply.outer(q[rows:], q[:rows]) for q in basis)
+    predictor.flags.writeable = False
+    return predictor
+
+
 def _picard(sweep, b: np.ndarray, p: np.ndarray, s: int, e: int, share: float, k_max: int, prefix: str, log: list):
     """Sweeps of the nodes [s, e) from (b, p) until the sup-norm change of both B and P there is at
     most ``share``: the iterates, the sweeps and the last update. Each sweep logs one
@@ -524,9 +557,10 @@ def volterra_solve(
     system is lower-triangular in time. It is solved over windows [s, e) of
     nodes (block Gauss-Seidel): nodes before s are final, and Picard sweeps
     update only the unknowns inside the window. The separable fast path
-    takes one window, the whole grid; the generic path short ones. Each
-    window starts from the last final node (zero births and the initial
-    mass at t = 0), runs one seeding sweep, and then sweeps until the
+    takes one window, the whole grid; the generic path short ones. The
+    first window starts from zero births and the initial mass, each later
+    one from ``_window_predictor``'s extrapolation of the window before,
+    clipped at zero. A window runs one seeding sweep, and then sweeps until the
     sup-norm change of both B and P drops to its share of ``tol``,
     tol * (e - s) / N, which is ``tol`` itself for a single window. Raises
     ConvergenceError (carrying the last update norm and the sweep log, and
@@ -566,14 +600,16 @@ def volterra_solve(
     n = times.size
 
     sweep = (_SeparableSweep if model.separable else _GenericSweep)(model, times, dt)
-    starts = range(0, n, sweep.window_rows)
+    rows = sweep.window_rows
+    starts = range(0, n, rows)
     b, p = (np.zeros(n), np.full(n, sweep.mass0)) if start is None else start
     iterations, sweeps = max(counts, default=0), sum(counts)
     final_update = 0.0
     for w, s in enumerate(starts, start=1):
-        e = min(s + sweep.window_rows, n)
-        if s:
-            b[s:e], p[s:e] = b[s - 1], p[s - 1]
+        e = min(s + rows, n)
+        if s:  # predicted from the window before, [s - rows, s), which is whole
+            ahead = _window_predictor(rows)[: e - s]
+            b[s:e], p[s:e] = np.maximum(ahead @ b[s - rows : s], 0.0), np.maximum(ahead @ p[s - rows : s], 0.0)
         if start is None:
             b, p = sweep(b, p, s, e)
         prefix = f"{w}," if len(starts) > 1 else f"{len(counts) + 1}," if counts else ""

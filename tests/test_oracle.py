@@ -846,6 +846,72 @@ def test_generic_and_separable_paths_agree_on_random_models():
     check()
 
 
+# --- the predicted start of each window --------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [16, 75])
+def test_window_predictor_reproduces_polynomials(rows):
+    # exact up to round-off on every polynomial of degree <= 6 through the window before;
+    # the row of the far node sums to about 3e4 in absolute value, so on a whole window
+    # the samples' own round-off reaches about 7e-12 of their size there
+    predictor = oracle._window_predictor(rows)
+    assert predictor.shape == (rows, rows) and not predictor.flags.writeable
+    t = 1.0 + 0.01 * np.arange(2 * rows)
+    rng = np.random.default_rng(7)
+    for degree in range(oracle._PREDICTOR_DEGREE + 1):
+        for _ in range(5):
+            values = np.polynomial.polynomial.polyval(t, rng.normal(size=degree + 1))
+            size = np.max(np.abs(values))
+            ahead = predictor @ values[:rows]
+            assert np.max(np.abs(ahead - values[rows:])) <= 1e-11 * size
+            # a short last window of 5 nodes reads the first rows alone
+            assert np.max(np.abs(predictor[:5] @ values[:rows] - values[rows : rows + 5])) <= 1e-12 * size
+
+
+def test_predicted_start_is_clipped_at_zero(monkeypatch):
+    # births from the initial cohorts aged 0.9 to 1.2 switch off at a jump,
+    # which the polynomial through the window before overshoots below zero
+    model = GeneralModel(
+        mortality=lambda a, p: 0.5,
+        fertility=lambda a, p: 4.0 * ((a >= 0.9) & (a <= 1.2)),
+        initial_density=ag.TabulatedDensity(ages=(0.0, 1.0), values=(1.0, 1.0)),
+    )
+    starts, call = {}, _GenericSweep.__call__
+
+    def seeing(self, b, p, s=0, e=None):
+        if s and s not in starts:  # the seeding sweep of a window sees its start
+            rows = self.window_rows
+            ahead = oracle._window_predictor(rows)[: e - s]
+            starts[s] = np.stack((ahead @ b[s - rows : s], ahead @ p[s - rows : s])), np.stack((b[s:e], p[s:e]))
+        return call(self, b, p, s, e)
+
+    monkeypatch.setattr(_GenericSweep, "__call__", seeing)
+    sol = volterra_solve(model, 3.0, 0.01)
+    assert len(starts) == sol.windows - 1
+    for raw, start in starts.values():
+        np.testing.assert_array_equal(start, np.maximum(raw, 0.0))
+    assert any(np.min(raw) < 0.0 for raw, _ in starts.values())
+
+
+def test_one_window_solves_never_build_the_predictor(ref1, monkeypatch):
+    def refused(rows):
+        raise AssertionError("a one-window solve built the window predictor")
+
+    monkeypatch.setattr(oracle, "_window_predictor", refused)
+    model = from_separable(ref1.params, ref1.feedback, ref1.p0)
+    for t_end, dt in ((5.0, 1e-2), (4.0, 1e-3)):  # one grid, and a chain of four
+        assert volterra_solve(model, t_end, dt).windows == 1
+
+
+def test_predicted_windows_keep_the_sweep_budget(ref1):
+    # the generic twin of ref1 on the benchmark grid: 233 sweeps from a copy of
+    # the last final node, 65 from the predicted start
+    sol = volterra_solve(_generic_twin(ref1), 5.0, 1e-2)
+    ref = volterra_solve(from_separable(ref1.params, ref1.feedback, ref1.p0), 5.0, 1e-2)
+    assert sol.windows == 32 and sol.sweeps <= 100
+    assert _sup_gap(sol, ref) <= 1e-10
+
+
 # --- convergence control -----------------------------------------------------------
 
 

@@ -44,6 +44,13 @@ Every case runs once with each tree's ``src`` on PYTHONPATH. CHANGE
 defaults to the tree holding this script. One more item, ``public:
 agestruct.__all__``, holds the sorted public names each tree's package
 exports, so a removed or added name shows as a DIFF that names it.
+Another, ``generic``, solves the ``GeneralModel`` twins of ref1, ref2 and
+the bumped ref1 (the separable rates without the separable hint) with
+``volterra_solve`` at t_end = 5, dt = 1e-2 in each tree, as the
+benchmark's generic oracle ops do: ``<case>.csv`` holds B and P at every
+node, and ``<case> sweeps`` the counted sweeps, with both trees' counts on
+the item. The CLI always takes the separable oracle path, so only this
+item shows a change to the generic one.
 Each run works in a fresh temporary directory with relative paths, so
 nothing in the outputs names the tree. The exit code, stdout and stderr
 of every subcommand and every output file are compared; ``timings`` is
@@ -100,6 +107,22 @@ CASES = {
 }
 TIMED = ("manifest.json", "run_summary.json")
 PUBLIC = "agestruct.__all__"
+#: solves the generic twins in one tree (configs/ on the command line), writing <case>.csv
+#: and printing one "<case> sweeps" line each
+GENERIC = """
+import sys
+import numpy as np
+import agestruct as ag
+from agestruct.config import load_config
+for case, start in (("ref1", None), ("ref2", None), ("ref1_bumped", ag.ExponentialDensity(1.65, 1.5))):
+    cfg = load_config(f"{sys.argv[1]}/{case.split('_')[0]}.json")
+    model = ag.oracle.from_separable(cfg.params, cfg.feedback, start or cfg.initial)
+    twin = ag.oracle.GeneralModel(model.mortality, model.fertility, model.initial_density)
+    sol = ag.oracle.volterra_solve(twin, 5.0, 1e-2)
+    table = np.column_stack((sol.birth_rates, sol.populations))
+    np.savetxt(f"{case}.csv", table, "%.17g", ",", header="b,p", comments="")
+    print(f"{case} sweeps {sol.sweeps}")
+"""
 
 
 def _run_tree(tree: Path, case: str, workdir: Path) -> dict:
@@ -144,6 +167,24 @@ def _public_names(tree: Path, workdir: Path) -> dict:
     return {PUBLIC: proc.stdout + proc.stderr}
 
 
+def _generic_solves(tree: Path, workdir: Path) -> dict:
+    """B and P of each generic twin in one tree, by case, its counted sweeps, and the stderr."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", GENERIC, str(tree / "configs")], cwd=workdir, env=env, capture_output=True, timeout=600
+    )
+    items = {"stderr": proc.stderr}
+    for line in proc.stdout.decode().splitlines():
+        case, _, sweeps = line.split()
+        items[f"{case}.csv"] = (workdir / f"{case}.csv").read_bytes()
+        items[f"{case} sweeps"] = sweeps.encode()
+    return items
+
+
+#: the items that call the package directly, by name
+LIBRARY = {"public": _public_names, "generic": _generic_solves}
+
+
 def _largest_relative_difference(before: bytes, after: bytes):
     """Largest |a - b| / max(|a|, |b|) over the cells of two CSVs below their header, or None.
 
@@ -171,12 +212,12 @@ def main(argv) -> int:
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
     same = diff = failed = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for case in (*CASES, "public"):
+        for case in (*CASES, *LIBRARY):
             runs = []
             for side, tree in (("parent", parent), ("change", change)):
                 workdir = Path(scratch) / case / side
                 workdir.mkdir(parents=True)
-                runs.append(_run_tree(tree, case, workdir) if case in CASES else _public_names(tree, workdir))
+                runs.append(_run_tree(tree, case, workdir) if case in CASES else LIBRARY[case](tree, workdir))
             before, after = runs
             for name in sorted(set(before) | set(after)):
                 verdict = "SAME" if before.get(name) == after.get(name) else "DIFF"
@@ -187,6 +228,8 @@ def main(argv) -> int:
                     codes = (before[name].decode(), after[name].decode())
                     failed += codes.count("0") < 2
                     label += f" {codes[0]} / {codes[1]}"
+                elif name.endswith(" sweeps"):
+                    label += f" {before[name].decode()} / {after[name].decode()}"
                 elif verdict == "DIFF" and name.endswith(".csv"):
                     rel = _largest_relative_difference(before[name], after[name])
                     label += "" if rel is None else f" (largest relative difference {rel:.1e})"
