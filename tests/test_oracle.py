@@ -297,34 +297,52 @@ def _tilt(z, dt):
     return unit * max(math.floor(float(np.min(np.diff(z))) / dt / unit), 0)
 
 
-def _block_keys(z, b, dt):
-    """The (c, e, nfft) of each block of ``_damped_conv_integrals``, by its stated rule."""
-    c = _tilt(z, dt)
+def _groups(z, b, dt):
+    """The blocks [s, e) of ``_damped_conv_integrals`` by its stated rule, in its groups.
+
+    Group k holds the blocks with (n - 1) / 2^k < e - 1 <= (n - 1) / 2^(k - 1);
+    a block ending at node 1 joins the group of node 2.
+    """
+    n = b.size
     with np.errstate(divide="ignore"):
-        level = np.maximum.accumulate(z - c * dt * np.arange(z.size) + np.log(b))
+        level = np.maximum.accumulate(z - _tilt(z, dt) * dt * np.arange(n) + np.log(b))
     bins = np.floor(level / oracle._BLOCK_SPAN)
     starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
-    ends = [*starts[1:], b.size]
-    return {(c, e, oracle._fft_length(2 * e - 1 - s)) for s, e in zip(starts, ends)}
+    groups = {}
+    for s, e in zip(starts, [*starts[1:], n]):
+        k = next(k for k in range(1, n.bit_length() + 1) if max(e - 1, 1) * 2**k > n - 1)
+        groups.setdefault(k, []).append((s, e))
+    return list(groups.values())
+
+
+def _group_key(c, group):
+    """The (c, E, nfft) of a group whose last block ends at E: nfft >= E - 1 + its longest block."""
+    top = group[-1][1]
+    return c, top, oracle._fft_length(top - 1 + max(e - s for s, e in group))
+
+
+def _group_keys(z, b, dt):
+    return {_group_key(_tilt(z, dt), group) for group in _groups(z, b, dt)}
 
 
 def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
     # r0 = 20 from a bumped start moves the block ends and the kernel tilt
-    # between sweeps (up to 12 blocks), so sweeps both reuse kernel spectra
-    # and transform new ones; every bit must match a solve that transforms
-    # each spectrum afresh
+    # between sweeps (up to 12 blocks in up to 5 groups), so sweeps both reuse
+    # kernel spectra and transform new ones; every bit must match a solve
+    # that transforms each spectrum afresh
     p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
     model = from_separable(ref1.params.with_r0(20.0), ref1.feedback, p0)
     damped = oracle._damped_conv_integrals
-    layouts, reused = [], 0
+    layouts, blocks, reused = [], [], 0
 
     def keeping(kernels, z, b, dt, spectra):
         nonlocal reused
-        keys = _block_keys(z, b, dt)
+        keys = _group_keys(z, b, dt)
         reused += len(spectra.keys() & keys)
         out = damped(kernels, z, b, dt, spectra)
         assert spectra.keys() == keys  # exactly this sweep's spectra
         layouts.append(frozenset(keys))
+        blocks.append(sum(map(len, _groups(z, b, dt))))
         return out
 
     monkeypatch.setattr(oracle, "_damped_conv_integrals", keeping)
@@ -333,7 +351,8 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
         oracle, "_damped_conv_integrals", lambda k, z, b, dt, spectra: damped(k, z, b, dt, oracle._Spectra(k))
     )
     fresh = volterra_solve(model, 10.0, 0.002)
-    assert max(map(len, layouts)) == 12 and len(set(layouts)) > 1 and reused > 0
+    assert max(blocks) == 12 and max(map(len, layouts)) > 1
+    assert len(set(layouts)) > 1 and reused > 0
     assert len({c for keys in layouts for c, _, _ in keys}) > 1
     np.testing.assert_array_equal(kept.birth_rates, fresh.birth_rates)
     np.testing.assert_array_equal(kept.populations, fresh.populations)
@@ -341,27 +360,27 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
 
 
 def _per_block_integrals(kernels, z, b, dt):
-    """``_damped_conv_integrals`` with every step done block by block, fresh spectra each time.
+    """``_damped_conv_integrals`` group by group, on fresh spectra, with every other step block by block.
 
-    Each block forms its inputs, transforms them, and takes off the end
-    terms, rescales and clips on its own nodes; the one pass over the grid
-    must give every bit of this.
+    Each group transforms its tilted kernels cut to its last end; each block
+    of it forms its inputs, transforms them alone at the group's length, and
+    takes off the end terms, rescales and clips on its own nodes. The stacked
+    transforms and the one pass over the grid must give every bit of this.
     """
-    n = b.size
     c = _tilt(z, dt)
-    r = z - c * dt * np.arange(n)
+    r = z - c * dt * np.arange(b.size)
     with np.errstate(divide="ignore"):
         logs = r + np.log(b)
-    bins = np.floor(np.maximum.accumulate(logs) / oracle._BLOCK_SPAN)
-    starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
     out = np.empty_like(kernels)
-    for s, e in zip(starts, [*starts[1:], n]):
-        nfft = oracle._fft_length(2 * e - 1 - s)
-        tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
-        g = np.exp(logs[:e] - r[s])
-        full = np.fft.irfft(np.fft.rfft(tilted, nfft) * np.fft.rfft(g, nfft), nfft)[:, s:e]
-        ends = 0.5 * (tilted[:, s:e] * g[0] + kernels[:, :1] * g[s:e])
-        out[:, s:e] = np.maximum((full - ends) * (dt * np.exp(r[s] - r[s:e])), 0.0)
+    for group in _groups(z, b, dt):
+        _, top, nfft = _group_key(c, group)
+        spectrum = np.fft.rfft(kernels[:, :top] * np.exp(-c * dt * np.arange(top)), nfft)
+        for s, e in group:
+            tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
+            g = np.exp(logs[:e] - r[s])
+            full = np.fft.irfft(spectrum * np.fft.rfft(g, nfft), nfft)[:, s:e]
+            ends = 0.5 * (tilted[:, s:e] * g[0] + kernels[:, :1] * g[s:e])
+            out[:, s:e] = np.maximum((full - ends) * (dt * np.exp(r[s] - r[s:e])), 0.0)
     return out
 
 
@@ -385,10 +404,12 @@ def _many_block_input(case):
 
 @pytest.mark.parametrize("case", ["growing", "r0=100"])
 def test_many_blocks_keep_the_per_block_bits(case):
-    # the grid pass over all nodes and the kept scratch give the bits of a
-    # block-by-block pass, on fresh spectra and on kept spectra and scratch
+    # the stacked transforms of each group, the grid pass over all nodes and
+    # the kept scratch give the bits of a pass that transforms each block on
+    # its own and finishes it on its own nodes, on fresh spectra and on kept
+    # spectra and scratch
     kernels, z, b, dt = _many_block_input(case)
-    assert len(_block_keys(z, b, dt)) >= 20
+    assert sum(map(len, _groups(z, b, dt))) >= 20
     want = _per_block_integrals(kernels, z, b, dt)
     kept = oracle._Spectra(kernels)
     for spectra in (oracle._Spectra(kernels), kept, kept):
@@ -397,13 +418,36 @@ def test_many_blocks_keep_the_per_block_bits(case):
 
 @pytest.mark.parametrize("case", ["growing", "r0=100"])
 def test_many_blocks_match_direct_sum(case):
+    # the groups' shared transform lengths keep each block alias-free
     kernels, z, b, dt = _many_block_input(case)
+    assert len(_groups(z, b, dt)) >= 3
     for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
         want = _direct_damped_integrals(kernel, z, b, dt)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         normal = want >= np.finfo(float).tiny
         assert normal.sum() == b.size - 1  # every node but the first
         assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+
+
+def test_one_transform_pair_per_group(monkeypatch):
+    # a sweep of many blocks transforms each group's inputs once, forward and
+    # back, plus one kernel transform per new (c, E, nfft) key
+    kernels, z, b, dt = _many_block_input("r0=100")
+    groups = _groups(z, b, dt)
+    assert sum(map(len, groups)) >= 20 and len(groups) <= b.size.bit_length()
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+
+        def counting(*args, name=name, transform=getattr(np.fft, name), **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    spectra = oracle._Spectra(kernels)
+    _damped_conv_integrals(kernels, z, b, dt, spectra)
+    assert calls == {"rfft": 2 * len(groups), "irfft": len(groups)}
+    _damped_conv_integrals(kernels, z, b, dt, spectra)  # the same layout again: every key is kept
+    assert calls == {"rfft": 3 * len(groups), "irfft": 2 * len(groups)}
 
 
 def test_separable_sweep_scratch_is_safe():

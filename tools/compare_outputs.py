@@ -59,7 +59,11 @@ DIFF per item, with both trees' codes on each exit item, then a count of
 the nonzero exits, so a command that fails in both trees still shows.
 A DIFF'd ``.csv`` whose two sides parse to float tables of one shape also
 shows the largest relative difference of a cell, |a - b| / max(|a|, |b|),
-so that round-off (about 1e-14) reads apart from a real change.
+so that round-off (about 1e-14) reads apart from a real change. A DIFF'd
+``validate.json`` shows both trees' ``sweeps`` and ``iterations``, and a
+DIFF'd ``oracle_log.txt`` both trees' line counts (one line per counted
+sweep), so that digits moved at equal sweep counts read apart from a
+change to the solve.
 Exits 1 on any DIFF.
 """
 
@@ -233,6 +237,13 @@ def main(argv) -> int:
                 elif verdict == "DIFF" and name.endswith(".csv"):
                     rel = _largest_relative_difference(before[name], after[name])
                     label += "" if rel is None else f" (largest relative difference {rel:.1e})"
+                elif verdict == "DIFF" and name.endswith("validate.json"):
+                    docs = [json.loads(side[name]) for side in runs]
+                    label += " (sweeps, iterations " + " / ".join(
+                        f"{doc.get('sweeps')}, {doc.get('iterations')}" for doc in docs
+                    ) + ")"
+                elif verdict == "DIFF" and name.endswith("oracle_log.txt"):
+                    label += " (lines " + " / ".join(str(len(side[name].splitlines())) for side in runs) + ")"
                 elif verdict == "DIFF" and name == PUBLIC:
                     names = [set(side[name].decode().split()) for side in runs]
                     label += f" (removed {sorted(names[0] - names[1])}, added {sorted(names[1] - names[0])})"
