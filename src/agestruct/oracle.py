@@ -26,14 +26,20 @@ into blocks, each forming its inputs exp(Z - c t) * B from logarithms
 within exp(4) of one another, which keeps the error near exp(4) * eps of
 the local size and every input finite (see ``_damped_conv_integrals``).
 The path refuses only dt * r0 * betas[0] / 2 >= 1, where the trapezoid
-node equation loses its one root (Linz 1985, ch. 7). The
-blocks ending in (n/2, n], (n/4, n/2], ... form groups, each one stacked
-forward and one inverse transform (Hairer, Lubich & Schlichte 1985): 2,557
-calls where a pair per block made 10,025 at r0 = 100, dt = 0.01. Each sweep
+node equation loses its one root (Linz 1985, ch. 7). A sweep of few blocks
+transforms them in groups: the blocks ending in (n/2, n], (n/4, n/2], ...
+make one stacked forward and one inverse transform each, and each sweep
 keeps the group spectra by (c, E, nfft) for the next. A block forms only its
 inputs and the values of its start that each of its nodes needs; the
 trapezoid end terms, the rescale and the clip at zero run once over the grid,
-in scratch rows that every sweep of a solve reuses.
+in scratch rows that every sweep of a solve reuses. Each group still
+transforms the whole history of its blocks, so a sweep of k blocks costs
+about k N log N. A sweep whose blocks outnumber the bits of N splits sources
+and targets dyadically instead (Hairer, Lubich & Schlichte 1985): 64-node
+triangles, and squares of each size that pair the sources in one half of an
+interval with the targets in the other, one product per size, each square
+scaled by its own sources' largest level; it costs O(N log^2 N) however many
+blocks there are, and its tables are kept by (c, N).
 A separable solve first solves its coarser grids, 2 dt, 4 dt, ..., and
 starts from their Richardson prediction (see ``volterra_solve``).
 Arbitrary ``mu(a, P)`` / ``beta(a, P)`` evaluators fall back to a dense
@@ -75,6 +81,12 @@ from .reduction import integrate
 DEFAULT_K_MAX = 200
 #: rise of the log convolution input allowed inside one rescaled FFT block
 _BLOCK_SPAN = 4.0
+#: nodes of one diagonal triangle of the dyadic split, the widest of its squares formed by a
+#: matrix product rather than by FFT, and the most a leaf's largest log level may exceed r at
+#: its first node: the leaf's outputs carry exp of that
+_LEAF = 64
+_MATMUL_MAX = 128
+_LEAF_RISE = 600.0
 #: time span of one window of the generic path, and its fewest rows: a
 #: sweep has a fixed cost, which on coarse grids outweighs its table work
 _WINDOW_SPAN = 0.15
@@ -193,9 +205,10 @@ def _fft_length(n: int) -> int:
 
 class _Spectra(dict):
     """The group spectra that ``_damped_conv_integrals`` keeps between calls, by (c, E, nfft),
-    with the product buffer of a one-block group, and the scratch rows over the kernels' n nodes
-    it writes on every call: the node numbers 0..n-1, then r, log levels, the running level and
-    then g_0, a lone block's input, g_m and r_s, and one row per kernel for the transform outputs."""
+    with the product buffer of a one-block group, or the tables of its dyadic split by (c, n),
+    and the scratch rows over the kernels' n nodes it writes on every call: the node numbers
+    0..n-1, then r, log levels, the running level and then g_0, a lone block's input, g_m and
+    r_s, and one row per kernel for the transform outputs."""
 
     def __init__(self, kernels: np.ndarray):
         super().__init__()
@@ -233,6 +246,19 @@ def _damped_conv_integrals(
     ``spectra`` maps keys of earlier calls with these kernels to them, a
     group reuses those of its key, and it ends with this call's.
     ``spectra`` also lends its scratch rows, which no returned array shares.
+
+    The groups cost about k N log N for k blocks. A call whose blocks
+    outnumber n.bit_length() takes the dyadic split of ``_split_sums``
+    instead, at O(N log^2 N), unless a leaf's largest log level exceeds r at
+    the leaf's first node by ``_LEAF_RISE`` or more, which would take the
+    leaf's exp(R - r_m) near the float range. Its tables depend only on
+    (c, n) and are kept under that key. Each of its squares scales its
+    sources by their own largest log level R <= level_m, for each of its
+    targets m, so an FFT square errs by about eps exp(R - r_m) <= eps
+    exp(level_m - r_m): no more than a block, whose inputs reach
+    exp(_BLOCK_SPAN) times its start level. The leaves and the squares up
+    to ``_MATMUL_MAX`` are matrix products of nonnegative terms, whose
+    round-off is relative to each sum.
     """
     n = b.size
     steps, r, logs, g_0, g, g_m, r_s = spectra.scratch[:7]
@@ -246,6 +272,15 @@ def _damped_conv_integrals(
     level = np.maximum.accumulate(logs, out=g_0)  # g_0 is written once the blocks are cut
     bins = np.floor(np.divide(level, _BLOCK_SPAN, out=level), out=level)
     starts = [0, *(np.nonzero(bins[1:] != bins[:-1])[0] + 1).tolist()]
+    if len(starts) > n.bit_length() and (
+        np.max(np.maximum.reduceat(logs, range(0, n, _LEAF)) - r[::_LEAF]) < _LEAF_RISE
+    ):
+        if (c, n) not in spectra:  # then no other key is kept either
+            spectra.clear()
+            spectra[c, n] = _split_tables(kernels, c * dt)
+        out = _split_sums(spectra[c, n], r, logs)
+        out *= dt
+        return np.maximum(out, 0.0, out=out)
     # the blocks ending in (n/2, n], (n/4, n/2], ... form one group, transformed together
     groups = {}
     for s, e in zip(starts, [*starts[1:], n]):
@@ -289,6 +324,72 @@ def _damped_conv_integrals(
         np.subtract(full, ends, out=row)
     out *= np.multiply(np.exp(np.subtract(r_s, r, out=r_s), out=r_s), dt, out=r_s)
     return np.maximum(out, 0.0, out=out)
+
+
+def _split_tables(kernels: np.ndarray, tilt: float) -> list:
+    """The tables of ``_split_sums`` for kernels tilted by exp(-tilt l) at lag l: the leaf
+    matrix, then one per square size h = _LEAF, 2 _LEAF, ... below the padded grid's size."""
+    k, n = kernels.shape
+    size = _LEAF << ((n - 1) // _LEAF).bit_length()
+    tilted = np.zeros((k, size))  # lags past the grid meet no target on it
+    tilted[:, :n] = kernels * np.exp(-tilt * np.arange(n))
+    lags = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))  # [target, source]
+    leaf = np.where(lags >= 0, tilted[:, np.maximum(lags, 0)], 0.0)
+    leaf[:, range(_LEAF), range(_LEAF)] *= 0.5  # the trapezoid's half weight at s = t_m
+    # each matrix maps a row of sources to its targets of every kernel: [source, kernel * h + target]
+    tables = [leaf.transpose(2, 0, 1).reshape(_LEAF, k * _LEAF)]
+    for h in (_LEAF << d for d in range((size // _LEAF).bit_length() - 1)):
+        if h <= _MATMUL_MAX:
+            square = tilted[:, h + np.subtract.outer(np.arange(h), np.arange(h))]
+            tables.append(square.transpose(2, 0, 1).reshape(h, k * h))
+        else:
+            tables.append(np.fft.rfft(tilted[:, : 2 * h], 2 * h)[:, None])
+    return tables
+
+
+def _split_sums(tables: list, r: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Trapezoid sums of tilted(m - j) exp(logs_j - r_m) over j <= m, by the dyadic split.
+
+    The grid is padded to a power-of-two multiple of ``_LEAF`` nodes, logs
+    with -inf and r with its last value. Each leaf of ``_LEAF`` nodes is its
+    own sources and targets, a triangle; each square pairs the sources in the
+    first half of an interval of 2h nodes with the targets in its second
+    half, at lags 1 .. 2h - 1. All squares of one size are one product: a
+    matrix product, or one stacked rfft/irfft pair of length 2h, where those
+    lags meet no wrap. Only leaves and squares whose targets start on the
+    grid are formed. Each scales its sources by their largest log level R (by
+    r_0 if they are all -inf), so every input is at most 1, and multiplies
+    its outputs by exp(R - r_m). The half weight of j = 0 enters the inputs,
+    that of j = m the leaf tables.
+    """
+    n = logs.size
+    k = tables[0].shape[1] // _LEAF
+    size = _LEAF << (len(tables) - 1)
+    padded = np.full((2, size), -np.inf)  # log levels, then r
+    padded[0, :n], padded[1, :n], padded[1, n:] = logs, r, r[-1]
+    out = np.zeros((k, size))
+    top = padded[0].reshape(-1, _LEAF).max(axis=1)  # each leaf's largest log level
+    # leaves are intervals of one part of h nodes, squares intervals of two: sources, then targets
+    h, parts = _LEAF, 1
+    for table in tables:
+        count = -(-(n - (parts - 1) * h) // (parts * h))
+        scale = top[: parts * count : parts]
+        scale = np.where(scale > -np.inf, scale, r[0])
+        grid = padded[:, : parts * h * count].reshape(2, count, parts, h)
+        x = np.exp(np.subtract(grid[0, :, 0], scale[:, None]))
+        x[0, 0] *= 0.5
+        if table.ndim == 2:
+            y = (x @ table).reshape(count, k, h).transpose(1, 0, 2)
+        else:
+            y = np.fft.irfft(np.fft.rfft(x, 2 * h) * table, 2 * h)[..., h:]
+        y *= np.exp(np.subtract(scale[:, None], grid[1, :, -1]))
+        out.reshape(k, -1, parts, h)[:, :count, -1] += y
+        if parts == 2:
+            top, h = np.maximum(top[0::2], top[1::2]), 2 * h
+        parts = 2
+    out = out[:, :n]
+    out[:, 0] = 0.0
+    return out
 
 
 def initial_cohort_steps(p0: InitialDensity, dt: float, where: str = "") -> int:

@@ -297,22 +297,39 @@ def _tilt(z, dt):
     return unit * max(math.floor(float(np.min(np.diff(z))) / dt / unit), 0)
 
 
-def _groups(z, b, dt):
-    """The blocks [s, e) of ``_damped_conv_integrals`` by its stated rule, in its groups.
-
-    Group k holds the blocks with (n - 1) / 2^k < e - 1 <= (n - 1) / 2^(k - 1);
-    a block ending at node 1 joins the group of node 2.
-    """
+def _blocks(z, b, dt):
+    """The blocks [s, e) of ``_damped_conv_integrals`` by its stated rule."""
     n = b.size
     with np.errstate(divide="ignore"):
         level = np.maximum.accumulate(z - _tilt(z, dt) * dt * np.arange(n) + np.log(b))
     bins = np.floor(level / oracle._BLOCK_SPAN)
     starts = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist()]
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def _groups(z, b, dt):
+    """The blocks of ``_damped_conv_integrals`` in its groups.
+
+    Group k holds the blocks with (n - 1) / 2^k < e - 1 <= (n - 1) / 2^(k - 1);
+    a block ending at node 1 joins the group of node 2.
+    """
+    n = b.size
     groups = {}
-    for s, e in zip(starts, [*starts[1:], n]):
+    for s, e in _blocks(z, b, dt):
         k = next(k for k in range(1, n.bit_length() + 1) if max(e - 1, 1) * 2**k > n - 1)
         groups.setdefault(k, []).append((s, e))
     return list(groups.values())
+
+
+def _takes_split(z, b, dt):
+    """Whether ``_damped_conv_integrals`` takes the dyadic split, by its stated rule: more blocks
+    than n has bits, and no leaf whose largest log level is _LEAF_RISE or more above its first r."""
+    n, leaf = b.size, oracle._LEAF
+    r = z - _tilt(z, dt) * dt * np.arange(n)
+    with np.errstate(divide="ignore"):
+        logs = r + np.log(b)
+    rise = max(np.max(logs[s : s + leaf]) - r[s] for s in range(0, n, leaf))
+    return len(_blocks(z, b, dt)) > n.bit_length() and rise < oracle._LEAF_RISE
 
 
 def _group_key(c, group):
@@ -321,28 +338,35 @@ def _group_key(c, group):
     return c, top, oracle._fft_length(top - 1 + max(e - s for s, e in group))
 
 
-def _group_keys(z, b, dt):
+def _kept_keys(z, b, dt):
+    """The keys ``spectra`` holds after a call: the split's (c, n), or the groups' (c, E, nfft)."""
+    if _takes_split(z, b, dt):
+        return {(_tilt(z, dt), b.size)}
     return {_group_key(_tilt(z, dt), group) for group in _groups(z, b, dt)}
+
+
+def _split_taken(spectra):
+    return any(len(key) == 2 for key in spectra)
 
 
 def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
     # r0 = 20 from a bumped start moves the block ends and the kernel tilt
-    # between sweeps (up to 12 blocks in up to 5 groups), so sweeps both reuse
-    # kernel spectra and transform new ones; every bit must match a solve
-    # that transforms each spectrum afresh
+    # between sweeps (up to 12 blocks in up to 5 groups), and on the 626-node
+    # grid a few sweeps cut more blocks than 626 has bits and take the split;
+    # so both paths reuse kept state and make new; every bit must match a
+    # solve that builds each spectrum and table afresh
     p0 = ag.ExponentialDensity(coefficient=1.65, decay=1.5)
     model = from_separable(ref1.params.with_r0(20.0), ref1.feedback, p0)
     damped = oracle._damped_conv_integrals
-    layouts, blocks, reused = [], [], 0
+    layouts, blocks, reused = [], [], {False: 0, True: 0}
 
     def keeping(kernels, z, b, dt, spectra):
-        nonlocal reused
-        keys = _group_keys(z, b, dt)
-        reused += len(spectra.keys() & keys)
+        keys, split = _kept_keys(z, b, dt), _takes_split(z, b, dt)
+        reused[split] += len(spectra.keys() & keys)
         out = damped(kernels, z, b, dt, spectra)
-        assert spectra.keys() == keys  # exactly this sweep's spectra
-        layouts.append(frozenset(keys))
-        blocks.append(sum(map(len, _groups(z, b, dt))))
+        assert spectra.keys() == keys  # exactly this sweep's spectra or tables
+        layouts.append((b.size, split, frozenset(keys)))
+        blocks.append(len(_blocks(z, b, dt)))
         return out
 
     monkeypatch.setattr(oracle, "_damped_conv_integrals", keeping)
@@ -351,9 +375,10 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
         oracle, "_damped_conv_integrals", lambda k, z, b, dt, spectra: damped(k, z, b, dt, oracle._Spectra(k))
     )
     fresh = volterra_solve(model, 10.0, 0.002)
-    assert max(blocks) == 12 and max(map(len, layouts)) > 1
-    assert len(set(layouts)) > 1 and reused > 0
-    assert len({c for keys in layouts for c, _, _ in keys}) > 1
+    assert max(blocks) == 12 and max(len(keys) for _, _, keys in layouts) > 1
+    assert {(n, split) for n, split, _ in layouts} >= {(626, True), (626, False), (5001, False)}
+    assert len(set(layouts)) > 1 and reused[False] > 0 and reused[True] > 0
+    assert len({c for _, _, keys in layouts for c, *_ in keys}) > 1
     np.testing.assert_array_equal(kept.birth_rates, fresh.birth_rates)
     np.testing.assert_array_equal(kept.populations, fresh.populations)
     assert kept.sweep_log == fresh.sweep_log
@@ -384,57 +409,146 @@ def _per_block_integrals(kernels, z, b, dt):
     return out
 
 
-def _many_block_input(case):
-    """Kernels, z, b and dt that cut at least 20 blocks."""
-    if case == "growing":  # births growing by e^80 over the grid, no crowding
-        fixture = make_ref1()
-        n, dt = 401, 0.01
-        times = np.linspace(0.0, (n - 1) * dt, n)
-        return _separable_kernels(fixture, times, dt), np.zeros(n), np.exp(20.0 * times), dt
-    # ref1 at r0 = 100 after its seeding sweep and three more, as volterra_solve runs them
+def _r0_100_input(n, sweeps):
+    """Kernels, z, b and dt of ref1 at r0 = 100 on n nodes of dt = 0.01 after ``sweeps`` sweeps
+    from zero births, as volterra_solve runs them (the first is its seeding sweep)."""
     fixture = make_ref1(100.0)
-    n, dt = 1001, 0.01
+    dt = 0.01
     times = np.linspace(0.0, (n - 1) * dt, n)
     sweep = _SeparableSweep(from_separable(fixture.params, fixture.feedback, fixture.p0), times, dt)
     b, p = np.zeros(n), np.full(n, sweep.mass0)
-    for _ in range(4):
+    for _ in range(sweeps):
         b, p = sweep(b, p)
     return sweep.kernels, cumulative_trapezoid(fixture.feedback.psi(p), dt), b, dt
 
 
+def _growing_input(n, rate):
+    """Kernels of ref1 on n nodes of dt = 0.01, no crowding, and births growing like exp(rate t)."""
+    dt = 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    return _separable_kernels(make_ref1(), times, dt), np.zeros(n), np.exp(rate * times), dt
+
+
+def _many_block_input(case):
+    """Kernels, z, b and dt that cut more blocks than their grid has bits."""
+    return {
+        "growing": lambda: _growing_input(401, 20.0),  # births growing by e^80 over the grid
+        "one leaf": lambda: _growing_input(40, 100.0),  # e^39 on fewer nodes than a leaf
+        "r0=100": lambda: _r0_100_input(1001, 4),  # its seeding sweep and three more
+        "r0=100 T=40": lambda: _r0_100_input(4001, 8),  # the long horizon, 147 blocks
+    }[case]()
+
+
 @pytest.mark.parametrize("case", ["growing", "r0=100"])
 def test_many_blocks_keep_the_per_block_bits(case):
-    # the stacked transforms of each group, the grid pass over all nodes and
-    # the kept scratch give the bits of a pass that transforms each block on
-    # its own and finishes it on its own nodes, on fresh spectra and on kept
-    # spectra and scratch
-    kernels, z, b, dt = _many_block_input(case)
-    assert sum(map(len, _groups(z, b, dt))) >= 20
+    # below the split's rule, the stacked transforms of each group, the grid
+    # pass over all nodes and the kept scratch give the bits of a pass that
+    # transforms each block on its own and finishes it on its own nodes, on
+    # fresh spectra and on kept spectra and scratch
+    if case == "growing":  # births growing by e^40 over 4001 nodes
+        kernels, z, b, dt = _growing_input(4001, 1.0)
+    else:  # the seeding sweep and one more, before the blocks multiply
+        kernels, z, b, dt = _r0_100_input(1001, 2)
+    assert len(_blocks(z, b, dt)) >= 8 and len(_groups(z, b, dt)) >= 3 and not _takes_split(z, b, dt)
     want = _per_block_integrals(kernels, z, b, dt)
     kept = oracle._Spectra(kernels)
     for spectra in (oracle._Spectra(kernels), kept, kept):
         np.testing.assert_array_equal(_damped_conv_integrals(kernels, z, b, dt, spectra), want)
+        assert not _split_taken(spectra)
 
 
-@pytest.mark.parametrize("case", ["growing", "r0=100"])
+@pytest.mark.parametrize("case", ["growing", "one leaf", "r0=100", "r0=100 T=40"])
 def test_many_blocks_match_direct_sum(case):
-    # the groups' shared transform lengths keep each block alias-free
+    # the dyadic split's scaled leaves and squares keep every output to the
+    # direct sum's precision, on fresh tables and on kept ones
     kernels, z, b, dt = _many_block_input(case)
-    assert len(_groups(z, b, dt)) >= 3
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
+    assert _takes_split(z, b, dt)
+    kept = oracle._Spectra(kernels)
+    for spectra in (oracle._Spectra(kernels), kept, kept):
+        got = _damped_conv_integrals(kernels, z, b, dt, spectra)
+        assert _split_taken(spectra)
+        for kernel, row in zip(kernels, got):
+            want = _direct_damped_integrals(kernel, z, b, dt)
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(want)
+            normal = want >= np.finfo(float).tiny
+            assert normal.sum() == b.size - 1  # every node but the first
+            assert np.all(np.abs(row - want)[normal] <= 1e-12 * want[normal])
+
+
+@pytest.mark.parametrize("share, split", [(0.6, True), (0.1, False)], ids=["split", "steep leaf"])
+def test_many_blocks_follow_a_collapse(ref1, share, split):
+    # z climbs past 1000, 850 of it within the first leaf, while log b falls
+    # by a share of it, so the log level climbs by (1 - share) z and cuts
+    # about 70 to 220 blocks; no input is formed as exp(z), so no step
+    # overflows. Where the first leaf's level climbs 770 the split's leaf
+    # scale would leave the float range, and the groups take the sweep
+    n, dt = 401, 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    kernels = _separable_kernels(ref1, times, dt)
+    z = 1000.0 * (1.0 - np.exp(-3.0 * times))
+    b = np.exp(-share * z) * (1.0 + 0.5 * np.sin(3.0 * times))
+    assert len(_blocks(z, b, dt)) > 60 and _takes_split(z, b, dt) == split
+    spectra = oracle._Spectra(kernels)
+    got = _damped_conv_integrals(kernels, z, b, dt, spectra)
+    assert _split_taken(spectra) == split
+    for kernel, row in zip(kernels, got):
         want = _direct_damped_integrals(kernel, z, b, dt)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         normal = want >= np.finfo(float).tiny
-        assert normal.sum() == b.size - 1  # every node but the first
-        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
+        assert normal.sum() >= 40
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(want)
+        assert np.all(np.abs(row - want)[normal] <= 1e-12 * want[normal])
+
+
+def test_ref_layouts_keep_the_groups_and_r0_100_takes_the_split(monkeypatch):
+    # the ref configs cut 1 to 3 blocks a sweep, on their own grid and on the
+    # benchmark's fine one, so every sweep keeps the grouped path and its bits;
+    # r0 = 100 cuts up to 60 on 1001 nodes, and those sweeps take the split
+    damped = oracle._damped_conv_integrals
+    paths = []
+
+    def recording(kernels, z, b, dt, spectra):
+        out = damped(kernels, z, b, dt, spectra)
+        paths.append(_split_taken(spectra))
+        assert paths[-1] == _takes_split(z, b, dt)
+        return out
+
+    monkeypatch.setattr(oracle, "_damped_conv_integrals", recording)
+    for fixture in (make_ref1(), make_ref2()):
+        for p0 in (fixture.p0, ag.ExponentialDensity(1.65, 1.5), ag.ExponentialDensity(0.3, 0.8)):
+            for t_end, dt in ((5.0, 2e-3), (10.0, 1e-3)):
+                volterra_solve(from_separable(fixture.params, fixture.feedback, p0), t_end, dt)
+    assert len(paths) > 500 and not any(paths)
+    paths.clear()
+    fixture = make_ref1(100.0)
+    with pytest.raises(ConvergenceError):
+        volterra_solve(from_separable(fixture.params, fixture.feedback, fixture.p0), 10.0, 1e-2)
+    assert len(paths) == DEFAULT_K_MAX + 1 and sum(paths) >= 150
+
+
+def test_r0_40_converges_through_the_split(monkeypatch):
+    # ref1 at r0 = 40 on dt = 0.01 to t = 10 converges where r0 = 100 stalls,
+    # and its sweeps cut more blocks than 1001 has bits: the split reaches the
+    # fixed point of the grouped transforms in the same sweeps
+    fixture = make_ref1(40.0)
+    calls = []
+    split_sums = oracle._split_sums
+    monkeypatch.setattr(oracle, "_split_sums", lambda *args: calls.append(1) or split_sums(*args))
+    report = cross_validate(fixture.params, fixture.feedback, fixture.p0, 10.0, 1e-2)
+    split = len(calls)
+    assert split >= 100
+    assert report.max_gap <= OracleSettings().gap_threshold
+    monkeypatch.setattr(oracle, "_LEAF_RISE", -math.inf)  # no leaf passes: every sweep takes the groups
+    grouped = volterra_solve(from_separable(fixture.params, fixture.feedback, fixture.p0), 10.0, 1e-2)
+    assert len(calls) == split
+    assert (report.oracle.sweeps, report.oracle.iterations) == (grouped.sweeps, grouped.iterations)
+    assert _sup_gap(report.oracle, grouped) <= 1e-11
 
 
 def test_one_transform_pair_per_group(monkeypatch):
-    # a sweep of many blocks transforms each group's inputs once, forward and
-    # back, plus one kernel transform per new (c, E, nfft) key
-    kernels, z, b, dt = _many_block_input("r0=100")
-    groups = _groups(z, b, dt)
-    assert sum(map(len, groups)) >= 20 and len(groups) <= b.size.bit_length()
+    # below the split's rule, a sweep of many blocks transforms each group's
+    # inputs once, forward and back, plus one kernel transform per new
+    # (c, E, nfft) key; above it, one stacked pair per square size past
+    # _MATMUL_MAX, plus those sizes' kernel transforms when (c, n) is new
     calls = {"rfft": 0, "irfft": 0}
     for name in calls:
 
@@ -443,11 +557,29 @@ def test_one_transform_pair_per_group(monkeypatch):
             return transform(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
+
+    def transforms(kernels, z, b, dt, spectra):
+        before = dict(calls)
+        _damped_conv_integrals(kernels, z, b, dt, spectra)
+        return calls["rfft"] - before["rfft"], calls["irfft"] - before["irfft"]
+
+    kernels, z, b, dt = _r0_100_input(1001, 2)
+    groups = len(_groups(z, b, dt))
+    assert len(_blocks(z, b, dt)) >= 8 and not _takes_split(z, b, dt)
     spectra = oracle._Spectra(kernels)
-    _damped_conv_integrals(kernels, z, b, dt, spectra)
-    assert calls == {"rfft": 2 * len(groups), "irfft": len(groups)}
-    _damped_conv_integrals(kernels, z, b, dt, spectra)  # the same layout again: every key is kept
-    assert calls == {"rfft": 3 * len(groups), "irfft": 2 * len(groups)}
+    assert transforms(kernels, z, b, dt, spectra) == (2 * groups, groups)
+    assert transforms(kernels, z, b, dt, spectra) == (groups, groups)  # the same layout again: every key is kept
+
+    kernels, z, b, dt = _r0_100_input(1001, 4)
+    size = oracle._LEAF << ((b.size - 1) // oracle._LEAF).bit_length()
+    levels = sum(oracle._MATMUL_MAX < h < size for h in (oracle._LEAF << d for d in range(size.bit_length())))
+    assert _takes_split(z, b, dt) and levels == 2
+    assert transforms(kernels, z, b, dt, spectra) == (2 * levels, levels)
+    assert transforms(kernels, z, b, dt, spectra) == (levels, levels)  # (c, n) is kept
+    steeper = z + 2.0 * dt * np.arange(b.size)  # the same r, from a tilt 2 higher
+    assert _tilt(steeper, dt) != _tilt(z, dt) and _takes_split(steeper, b, dt)
+    assert transforms(kernels, steeper, b, dt, spectra) == (2 * levels, levels)
+    assert transforms(kernels, z, b, dt, spectra) == (2 * levels, levels)
 
 
 def test_separable_sweep_scratch_is_safe():

@@ -29,7 +29,11 @@ births collapse while the crowding integral climbs past 600),
 ``ref1_coarse_oracle`` (r0 = 400 on dt = 0.01 to t = 10, beyond the
 trapezoid scheme's bound dt < 2 / (r0 * betas[0])) and ``ref1_r0_100``
 (r0 = 100 on the same grid, whose Picard sweeps stall after 200 sweeps of
-up to 60 FFT blocks, 21 on average). ``ref1_fine_oracle`` runs ``validate``
+up to 60 FFT blocks, 21 on average). ``ref1_r0_40`` runs ``validate`` at
+r0 = 40 on that grid, the one case that converges while most of its sweeps
+cut more blocks than the grid has bits, so that they take the dyadic split
+where the ref configs' sweeps, of 1 to 3 blocks, keep the grouped
+transforms. ``ref1_fine_oracle`` runs ``validate``
 on the bumped ref1 at t = 10 on dt = 1e-3, the grid of the benchmark's
 oracle cases, whose separable solve starts from the deepest chain of
 coarser grids, five in all. Two more hold a config fault that
@@ -107,6 +111,7 @@ CASES = {
     "ref1_wide_start": ("ref1", {"initial_density": {"coefficient": 1e-6, "decay": 1e-6}},
                         ("simulate", "reconstruct", "validate")),
     "ref1_r0_100": ("ref1", {"model": {"r0": 100.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
+    "ref1_r0_40": ("ref1", {"model": {"r0": 40.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
     "ref1_fine_oracle": ("ref1", {**BUMPED, "oracle": {"t_end": 10.0, "dt": 0.001}}, ("validate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
