@@ -275,7 +275,7 @@ def _damped_conv_integrals(
     if len(starts) > n.bit_length() and (
         np.max(np.maximum.reduceat(logs, range(0, n, _LEAF)) - r[::_LEAF]) < _LEAF_RISE
     ):
-        if (c, n) not in spectra:  # then no other key is kept either
+        if (c, n) not in spectra:  # else it is the only key, as each call keeps only its own
             spectra.clear()
             spectra[c, n] = _split_tables(kernels, c * dt)
         out = _split_sums(spectra[c, n], r, logs)
