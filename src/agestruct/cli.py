@@ -6,6 +6,9 @@ single directory; ``run`` times it and registers each written file in
 Data files (CSV) are deterministic byte-for-byte for a given config; wall
 clock timings live only in the manifest and run summary.
 
+Each solver module is imported by the subcommand that runs it, so a
+process loads the oracle only for ``validate``.
+
 Exit codes: 0 success; 1 validation threshold failure; 2 config parse or
 schema error; 3 config invariant violation; 4 runtime solver error or an
 output directory that cannot be made or written.
@@ -21,8 +24,9 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, reconstruct, stability, steady
+from . import __version__
 from .config import RunConfig, load_config
 from .csvio import (
     atomic_open,
@@ -35,9 +39,11 @@ from .csvio import (
 )
 from .errors import AgestructError, ConfigSchemaError, ConvergenceError, ParameterError
 from .model import density_moments
-from .oracle import cross_validate
 from .quadrature import uniform_grid
 from .reduction import Trajectory, integrate
+
+if TYPE_CHECKING:
+    from .stability import StabilityReport
 
 MANIFEST_NAME = "manifest.json"
 SUMMARY_NAME = "run_summary.json"
@@ -91,7 +97,7 @@ def _json_complex_list(values) -> list:
     return [[float(z.real), float(z.imag)] for z in values]
 
 
-def _stability_doc(report: stability.StabilityReport) -> dict:
+def _stability_doc(report: StabilityReport) -> dict:
     return {
         "verdict": report.verdict,
         "spectral_abscissa": report.spectral_abscissa,
@@ -102,7 +108,10 @@ def _stability_doc(report: stability.StabilityReport) -> dict:
 
 
 def _equilibrium_doc(cfg: RunConfig) -> dict:
-    eq = steady.equilibrium(cfg.params, cfg.feedback)
+    from .stability import classify, classify_trivial
+    from .steady import equilibrium
+
+    eq = equilibrium(cfg.params, cfg.feedback)
     doc = {
         "r0": cfg.params.r0,
         "exists": eq.exists,
@@ -111,10 +120,10 @@ def _equilibrium_doc(cfg: RunConfig) -> dict:
         "birth_rate": eq.birth_rate_star,
         "residual": eq.residual_inf_norm,
     }
-    report = stability.classify(eq, cfg.params, cfg.feedback)
+    report = classify(eq, cfg.params, cfg.feedback)
     doc["stability"] = _stability_doc(report)
     doc["verdict"] = report.verdict
-    doc["trivial"] = _stability_doc(stability.classify_trivial(cfg.params, cfg.feedback))
+    doc["trivial"] = _stability_doc(classify_trivial(cfg.params, cfg.feedback))
     return doc
 
 
@@ -150,22 +159,24 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path):
 
 
 def _cmd_reconstruct(cfg: RunConfig, outdir: Path):
+    from .reconstruct import characteristic_jump, consistency_check, default_age_grid, reconstruct_density
+
     p0 = cfg.initial
     traj = _run_trajectory(cfg)
     settings = cfg.reconstruction
     if settings.age_max is not None:
         grid = uniform_grid(settings.age_max, settings.age_step)
     else:
-        grid = reconstruct.default_age_grid(traj, p0, settings.age_step)
+        grid = default_age_grid(traj, p0, settings.age_step)
     files = []
     checks = []
     for t in settings.times:
-        field = reconstruct.reconstruct_density(traj, p0, cfg.params, cfg.feedback, t, grid)
-        report = reconstruct.consistency_check(field, traj, p0)
+        field = reconstruct_density(traj, p0, cfg.params, cfg.feedback, t, grid)
+        report = consistency_check(field, traj, p0)
         name = density_filename(t)
         write_density_csv(outdir / name, field)
         files.append(name)
-        jump = reconstruct.characteristic_jump(traj, p0, t)
+        jump = characteristic_jump(traj, p0, t)
         checks.append({"t": float(t), **asdict(report), "characteristic_jump": jump})
     _write_json(outdir / "consistency.json", {"checks": checks})
     worst = max(c["relative_mass_error"] for c in checks)
@@ -175,13 +186,17 @@ def _cmd_reconstruct(cfg: RunConfig, outdir: Path):
 
 
 def _cmd_sweep(cfg: RunConfig, outdir: Path):
-    points = steady.bifurcation_sweep(cfg.params, cfg.feedback, cfg.sweep_r0)
+    from .steady import bifurcation_sweep
+
+    points = bifurcation_sweep(cfg.params, cfg.feedback, cfg.sweep_r0)
     write_sweep_csv(outdir / "sweep.csv", points)
     existing = sum(1 for pt in points if pt.exists)
     return 0, ["sweep.csv"], f"swept {len(points)} r0 values; {existing} carry a nontrivial equilibrium"
 
 
 def _cmd_validate(cfg: RunConfig, outdir: Path):
+    from .oracle import cross_validate
+
     settings = cfg.oracle
     try:
         report = cross_validate(

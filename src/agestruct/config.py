@@ -38,9 +38,14 @@ from .model import (
     density_moments,
     normalize_betas,
 )
-from .oracle import DEFAULT_K_MAX, check_solvable, grid_steps, initial_cohort_steps
-from .quadrature import uniform_steps
-from .reconstruct import default_age_length
+from .quadrature import (
+    DEFAULT_K_MAX,
+    check_solvable,
+    default_age_length,
+    grid_steps,
+    initial_cohort_steps,
+    uniform_steps,
+)
 from .reduction import check_integrator
 
 _INITIAL_KINDS = {"exponential": ExponentialDensity, "tabulated": TabulatedDensity}

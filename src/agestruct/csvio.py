@@ -13,14 +13,15 @@ import os
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .oracle import OracleSolution
-from .reconstruct import DensityField
-from .reduction import Trajectory
-from .steady import SweepPoint
+if TYPE_CHECKING:
+    from .oracle import OracleSolution
+    from .reconstruct import DensityField
+    from .reduction import Trajectory
+    from .steady import SweepPoint
 
 
 def fmt(value: float) -> str:

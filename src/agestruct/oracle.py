@@ -52,13 +52,15 @@ carried over from the window before, so survival and both renewal integrals
 come from window-table array passes and two matrix-vector products (see
 ``_GenericSweep``). The exponent table lives in a buffer that every sweep
 of a solve reuses, and a mortality of size alone adds one sum per row.
+The grid and step checks (``grid_steps``, ``check_solvable``,
+``initial_cohort_steps``, ``DEFAULT_K_MAX``) live in ``quadrature``, so that
+the config reader need not load this module; they are imported here too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
@@ -74,11 +76,17 @@ from .model import (
     density_moments,
     fertility_age_profile,
 )
-from .quadrature import MAX_GRID_NODES, cumulative_trapezoid, trapezoid, uniform_steps
+from .quadrature import (
+    DEFAULT_K_MAX,
+    _solvable,
+    check_solvable,
+    cumulative_trapezoid,
+    grid_steps,
+    initial_cohort_steps,
+    trapezoid,
+)
 from .reduction import integrate
 
-#: iteration cap used when callers do not specify one
-DEFAULT_K_MAX = 200
 #: rise of the log convolution input allowed inside one rescaled FFT block
 _BLOCK_SPAN = 4.0
 #: nodes of one diagonal triangle of the dyadic split, the widest of its squares formed by a
@@ -392,12 +400,6 @@ def _split_sums(tables: list, r: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return out
 
 
-def initial_cohort_steps(p0: InitialDensity, dt: float, where: str = "") -> int:
-    """Steps of dt over the initial cohorts' ages [0, p0.support_end()]; ParameterError, prefixed
-    by ``where``, where those need more than MAX_GRID_NODES nodes (see ``uniform_steps``)."""
-    return uniform_steps(p0.support_end(), dt, where)
-
-
 def _initial_cohorts(p0: InitialDensity, dt: float) -> tuple:
     """The ages sigma of the initial cohorts, p0 at them, and its trapezoid mass."""
     n = initial_cohort_steps(p0, dt)
@@ -572,45 +574,6 @@ class _GenericSweep:
         new_b = b.copy()
         new_b[s:e] = alive @ weights - 0.5 * dt * b[s:e] * beta[s - lo :, 0]
         return new_b, new_p
-
-
-def _solvable(params: ModelParams, dt: float) -> bool:
-    return 0.5 * dt * params.r0 * params.betas[0] < 1.0
-
-
-def check_solvable(params: ModelParams, dt: float, where: str = "oracle ") -> None:
-    """ParameterError, naming ``where`` + dt, unless dt * r0 * betas[0] / 2 < 1, which, as
-    phi <= phi(0) = 1, gives every node equation of the separable trapezoid scheme one root."""
-    if not _solvable(params, dt):
-        bound = 2.0 / (params.r0 * params.betas[0])
-        raise ParameterError(f"{where}dt={dt!r} must be below 2 / (r0 * betas[0]) = {bound!r}")
-
-
-def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> int:
-    """Number of dt steps in the oracle horizon, at least one.
-
-    Raises ParameterError unless t_end > 0 and dt > 0 are finite, dt divides t_end to within
-    1e-9 * t_end into at least one and fewer than MAX_GRID_NODES steps, tol > 0 is finite and
-    k_max >= 1 is an integer. ``where`` prefixes each name in the message."""
-    if not 0 < t_end < math.inf:
-        raise ParameterError(f"{where}t_end must be positive and finite")
-    if not 0 < dt < math.inf:
-        raise ParameterError(f"{where}dt must be positive and finite")
-    if not t_end / dt < MAX_GRID_NODES:
-        raise ParameterError(f"{where}t_end / {where}dt needs more than {MAX_GRID_NODES} grid nodes")
-    n_steps = round(t_end / dt)
-    slack = 1e-9 * t_end
-    if t_end < dt - slack:  # below one step
-        raise ParameterError(f"{where}t_end must be at least {where}dt")
-    if abs(n_steps * dt - t_end) > slack:
-        raise ParameterError(f"oracle dt={dt!r} must divide the horizon t_end={t_end!r} evenly")
-    if not (tol > 0 and k_max >= 1):
-        raise ParameterError(f"{where}tol must be positive and {where}k_max at least 1")
-    if tol == math.inf:
-        raise ParameterError(f"{where}tol: must be finite")
-    if not isinstance(k_max, numbers.Integral):
-        raise ParameterError(f"{where}k_max: expected an integer")
-    return n_steps
 
 
 def _refine(x: np.ndarray) -> np.ndarray:

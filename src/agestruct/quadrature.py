@@ -1,15 +1,26 @@
-"""Small quadrature helpers used across the package."""
+"""Uniform grids, the checks that size them, and small quadrature helpers.
+
+The grid checks live here, beside the grids they size, so that the config
+reader refuses a bad oracle or age grid without loading the solvers.
+"""
 
 from __future__ import annotations
 
 import math
+import numbers
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
 
+if TYPE_CHECKING:
+    from .model import InitialDensity, ModelParams
+
 #: most nodes an age grid may have; each array over it takes 8 bytes a node
 MAX_GRID_NODES = 10**7
+#: the oracle's iteration cap where callers do not specify one
+DEFAULT_K_MAX = 200
 
 
 def uniform_steps(length: float, step: float, where: str = "") -> int:
@@ -21,6 +32,60 @@ def uniform_steps(length: float, step: float, where: str = "") -> int:
     if not length / step < MAX_GRID_NODES:
         raise ParameterError(f"{grid} needs more than {MAX_GRID_NODES} nodes")
     return int(math.ceil(length / step - 1e-9))
+
+
+def initial_cohort_steps(p0: InitialDensity, dt: float, where: str = "") -> int:
+    """Steps of dt over the initial cohorts' ages [0, p0.support_end()]; ParameterError, prefixed
+    by ``where``, where those need more than MAX_GRID_NODES nodes (see ``uniform_steps``)."""
+    return uniform_steps(p0.support_end(), dt, where)
+
+
+def default_age_length(t_end: float, p0: InitialDensity, step: float) -> float:
+    """Length t_end + p0.support_end() of the default age grid, at least one step.
+
+    At any t <= t_end the ages past t + support_end hold only initial
+    cohorts, at most model.TAIL_TOL of their mass, whatever the rates.
+    """
+    return max(t_end + p0.support_end(), step)
+
+
+def _solvable(params: ModelParams, dt: float) -> bool:
+    return 0.5 * dt * params.r0 * params.betas[0] < 1.0
+
+
+def check_solvable(params: ModelParams, dt: float, where: str = "oracle ") -> None:
+    """ParameterError, naming ``where`` + dt, unless dt * r0 * betas[0] / 2 < 1, which, as
+    phi <= phi(0) = 1, gives every node equation of the separable trapezoid scheme one root."""
+    if not _solvable(params, dt):
+        bound = 2.0 / (params.r0 * params.betas[0])
+        raise ParameterError(f"{where}dt={dt!r} must be below 2 / (r0 * betas[0]) = {bound!r}")
+
+
+def grid_steps(t_end, dt, tol=1e-10, k_max=DEFAULT_K_MAX, where: str = "") -> int:
+    """Number of dt steps in the oracle horizon, at least one.
+
+    Raises ParameterError unless t_end > 0 and dt > 0 are finite, dt divides t_end to within
+    1e-9 * t_end into at least one and fewer than MAX_GRID_NODES steps, tol > 0 is finite and
+    k_max >= 1 is an integer. ``where`` prefixes each name in the message."""
+    if not 0 < t_end < math.inf:
+        raise ParameterError(f"{where}t_end must be positive and finite")
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"{where}dt must be positive and finite")
+    if not t_end / dt < MAX_GRID_NODES:
+        raise ParameterError(f"{where}t_end / {where}dt needs more than {MAX_GRID_NODES} grid nodes")
+    n_steps = round(t_end / dt)
+    slack = 1e-9 * t_end
+    if t_end < dt - slack:  # below one step
+        raise ParameterError(f"{where}t_end must be at least {where}dt")
+    if abs(n_steps * dt - t_end) > slack:
+        raise ParameterError(f"oracle dt={dt!r} must divide the horizon t_end={t_end!r} evenly")
+    if not (tol > 0 and k_max >= 1):
+        raise ParameterError(f"{where}tol must be positive and {where}k_max at least 1")
+    if tol == math.inf:
+        raise ParameterError(f"{where}tol: must be finite")
+    if not isinstance(k_max, numbers.Integral):
+        raise ParameterError(f"{where}k_max: expected an integer")
+    return n_steps
 
 
 def uniform_grid(length: float, step: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import FeedbackSpec, InitialDensity, ModelParams
-from .quadrature import simpson, uniform_grid, uniform_steps
+from .quadrature import default_age_length, simpson, uniform_grid, uniform_steps
 from .reduction import Trajectory
 
 #: floor used in the relative-error denominator so an all-zero population
@@ -61,15 +61,6 @@ def _renewal(traj: Trajectory, t: float, a: np.ndarray) -> np.ndarray:
     """Renewal branch B(t - a) * exp(-mu0*a - [Z(t) - Z(t - a)]) at ages 0 <= a <= t."""
     z_gap = traj.psi_integral_at(t) - traj.psi_integral_at(t - a)
     return traj.birth_rate_at(t - a) * np.exp(-traj.params.mu0 * a - np.maximum(z_gap, 0.0))
-
-
-def default_age_length(t_end: float, p0: InitialDensity, step: float) -> float:
-    """Length t_end + p0.support_end() of the default age grid, at least one step.
-
-    At any t <= t_end the ages past t + support_end hold only initial
-    cohorts, at most TAIL_TOL of their mass, whatever the rates.
-    """
-    return max(t_end + p0.support_end(), step)
 
 
 def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -> np.ndarray:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,14 @@ def make_linear(r0=2.0):
     # grows exactly like exp((r0 - 1) t) since rho + mu0 = 1.
     params = ag.ModelParams(n=1, betas=(1.0,), rho=0.5, mu0=0.5, r0=r0, normalized=True)
     return Fixture(params, ag.FeedbackSpec.linear(), ag.ExponentialDensity(1.5, 1.5))
+
+
+def package_env():
+    """Environment whose PYTHONPATH puts the imported package first."""
+    env = dict(os.environ)
+    src = str(Path(ag.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@ import copy
 import importlib
 import json
 import math
-import os
 import re
 import shutil
 import subprocess
@@ -15,6 +14,8 @@ import pytest
 
 import agestruct
 from agestruct.cli import run
+
+from conftest import package_env
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -110,14 +111,6 @@ def test_sweep_branch_table(tmp_path):
     for row, expect in zip(rows[1:], [0.1, 1.0, 2.0]):
         assert row[2] == "true"
         assert float(row[1]) == pytest.approx(expect, abs=1e-10)
-
-
-def package_env():
-    """Environment whose PYTHONPATH puts the imported package first."""
-    env = dict(os.environ)
-    src = str(Path(agestruct.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run_subprocess(tmp_path, command, doc, out):
@@ -760,6 +753,39 @@ def test_console_script_version(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"agestruct {version}\n"
+
+
+REF1 = Path(__file__).resolve().parents[1] / "configs" / "ref1.json"
+
+# run a subcommand, then print the package's loaded modules as one JSON line
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from agestruct.cli import run
+code = run(sys.argv[1:])
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "agestruct")))
+sys.exit(code)
+"""
+_STARTUP_MODULES = {f"agestruct.{name}" for name in ("cli", "config", "csvio", "errors", "model", "quadrature",
+                                                      "reduction")} | {"agestruct"}
+
+
+@pytest.mark.parametrize("command, solvers", [
+    ("steady", {"stability", "steady"}),
+    ("simulate", set()),
+    ("reconstruct", {"reconstruct"}),
+    ("sweep", {"steady"}),
+    ("validate", {"oracle"}),
+    ("report", {"stability", "steady"}),
+])
+def test_subcommand_loads_only_its_solvers(tmp_path, command, solvers):
+    # start-up cost is paid per process: a solver module that a subcommand does not run stays unloaded
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, command, "--config", str(REF1), "--out", str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert loaded == _STARTUP_MODULES | {f"agestruct.{name}" for name in solvers}
 
 
 @pytest.mark.skipif(shutil.which("agestruct") is None, reason="agestruct is not installed")
