@@ -27,19 +27,17 @@ within exp(4) of one another, which keeps the error near exp(4) * eps of
 the local size and every input finite (see ``_damped_conv_integrals``).
 The path refuses only dt * r0 * betas[0] / 2 >= 1, where the trapezoid
 node equation loses its one root (Linz 1985, ch. 7). A sweep of few blocks
-transforms them in groups: the blocks ending in (n/2, n], (n/4, n/2], ...
-make one stacked forward and one inverse transform each, and each sweep
-keeps the group spectra by (c, E, nfft) for the next. A block forms only its
-inputs and the values of its start that each of its nodes needs; the
-trapezoid end terms, the rescale and the clip at zero run once over the grid,
-in scratch rows that every sweep of a solve reuses. Each group still
-transforms the whole history of its blocks, so a sweep of k blocks costs
-about k N log N. A sweep whose blocks outnumber the bits of N splits sources
-and targets dyadically instead (Hairer, Lubich & Schlichte 1985): 64-node
-triangles, and squares of each size that pair the sources in one half of an
-interval with the targets in the other, one product per size, each square
-scaled by its own sources' largest level; it costs O(N log^2 N) however many
-blocks there are, and its tables are kept by (c, N).
+transforms each block on its own, its whole history against the kernels cut
+to its end, and keeps each block's spectrum by (c, e, nfft) for the next
+sweep; the trapezoid end terms, the rescale and the clip at zero run once
+over the grid, in scratch rows that every sweep of a solve reuses. A sweep of
+k blocks so costs about k N log N. A sweep whose blocks outnumber the bits
+of N splits sources and targets dyadically instead (Hairer, Lubich &
+Schlichte 1985): 64-node triangles, and squares of each size that pair the
+sources in one half of an interval with the targets in the other, one
+product per size, each square scaled by its own sources' largest level; it
+costs O(N log^2 N) however many blocks there are, and its tables are kept
+by (c, N).
 A separable solve first solves its coarser grids, 2 dt, 4 dt, ..., and
 starts from their Richardson prediction (see ``volterra_solve``).
 Arbitrary ``mu(a, P)`` / ``beta(a, P)`` evaluators fall back to a dense
@@ -212,11 +210,10 @@ def _fft_length(n: int) -> int:
 
 
 class _Spectra(dict):
-    """The group spectra that ``_damped_conv_integrals`` keeps between calls, by (c, E, nfft),
-    with the product buffer of a one-block group, or the tables of its dyadic split by (c, n),
-    and the scratch rows over the kernels' n nodes it writes on every call: the node numbers
-    0..n-1, then r, log levels, the running level and then g_0, a lone block's input, g_m and
-    r_s, and one row per kernel for the transform outputs."""
+    """The block spectra that ``_damped_conv_integrals`` keeps between calls, by (c, e, nfft),
+    or the tables of its dyadic split by (c, n), and the scratch rows over the kernels' n nodes
+    it writes on every call: the node numbers 0..n-1, then r, log levels, the running level and
+    then g_0, the block input, g_m and r_s, and one row per kernel for the transform outputs."""
 
     def __init__(self, kernels: np.ndarray):
         super().__init__()
@@ -239,23 +236,20 @@ def _damped_conv_integrals(
     so far, crosses a multiple of ``_BLOCK_SPAN``; a growing b needs this as
     much as a growing r. A block convolves g_j = exp(r_j + log b_j - r_s)
     for j < e, at most exp(_BLOCK_SPAN) times its start level, hence max b,
-    with the tilted kernels. Group k holds the blocks whose
-    (n - 1) // (e - 1) has bit length k (e = 1 counts as 2). A group ending
-    at E makes one stacked rfft of its blocks' rows of g, each zero past its
-    e, one product with the kernels cut to [:E] and one stacked irfft, at
-    the least 5-smooth nfft >= E - 1 + its longest block, so the wrap never
-    lands in [s, e). The rest depends on a node m only through its block's
+    with the tilted kernels cut to [:e], at the least 5-smooth FFT length
+    nfft >= 2e - 1 - s, so the circular wrap never lands in [s, e), the
+    nodes it writes. The rest depends on a node m only through its block's
     r_s and g_0, which each block fills in with g_m, and runs once over all
     nodes: the trapezoid end terms (tilted_m g_0 + k_0 g_m) / 2 come off,
     the rescale dt exp(r_s - r_m) <= 1 goes on, and as the exact sums have
     nonnegative terms, the outputs are clipped at zero.
 
-    A group's tilted kernels and spectrum depend only on (c, E, nfft);
-    ``spectra`` maps keys of earlier calls with these kernels to them, a
-    group reuses those of its key, and it ends with this call's.
+    A block's tilted kernels, spectrum and product buffer depend only on
+    (c, e, nfft); ``spectra`` maps keys of earlier calls with these kernels
+    to them, a block reuses those of its key, and it ends with this call's.
     ``spectra`` also lends its scratch rows, which no returned array shares.
 
-    The groups cost about k N log N for k blocks. A call whose blocks
+    The blocks cost about k N log N for k of them. A call whose blocks
     outnumber n.bit_length() takes the dyadic split of ``_split_sums``
     instead, at O(N log^2 N), unless a leaf's largest log level exceeds r at
     the leaf's first node by ``_LEAF_RISE`` or more, which would take the
@@ -289,40 +283,22 @@ def _damped_conv_integrals(
         out = _split_sums(spectra[c, n], r, logs)
         out *= dt
         return np.maximum(out, 0.0, out=out)
-    # the blocks ending in (n/2, n], (n/4, n/2], ... form one group, transformed together
-    groups = {}
-    for s, e in zip(starts, [*starts[1:], n]):
-        groups.setdefault(((n - 1) // max(e - 1, 1)).bit_length(), []).append((s, e))
-    groups = {
-        (c, group[-1][1], _fft_length(group[-1][1] - 1 + max(e - s for s, e in group))): group
-        for group in groups.values()
-    }
-    for stale in spectra.keys() - groups.keys():
+    keys = [(c, e, _fft_length(2 * e - 1 - s)) for s, e in zip(starts, [*starts[1:], n])]
+    for stale in spectra.keys() - set(keys):
         del spectra[stale]
-    for key, group in groups.items():
-        top, nfft = key[1:]
+    for s, key in zip(starts, keys):
+        e, nfft = key[1:]
         if key not in spectra:
-            tilted = kernels[:, :top] * np.exp(-c * dt * np.arange(top))
-            spectrum = np.fft.rfft(tilted, nfft)[:, None]
+            tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
+            spectrum = np.fft.rfft(tilted, nfft)
             spectra[key] = tilted, spectrum, np.empty_like(spectrum)
         tilted, spectrum, product = spectra[key]
-        # a lone block fills the scratch row g and the kept product; a group's rows span nfft,
-        # so the inverse transform's output fits where they were once they are freed
-        if len(group) == 1:
-            rows = g[None, :top]
-        else:
-            rows, product = np.zeros((len(group), nfft)), None
-        for i, (s, e) in enumerate(group):
-            np.exp(np.subtract(logs[:e], r[s], out=rows[i, :e]), out=rows[i, :e])
-            g_0[s:e], g_m[s:e], r_s[s:e] = rows[i, 0], rows[i, s:e], r[s]
-        product = np.multiply(spectrum, np.fft.rfft(rows, nfft), out=product)
-        del rows
-        full = np.fft.irfft(product, nfft)
-        for i, (s, e) in enumerate(group):
-            sums[:, s:e] = full[:, i, s:e]
-        del full  # before the next group's, and the output, are allocated
+        np.exp(np.subtract(logs[:e], r[s], out=g[:e]), out=g[:e])
+        np.multiply(spectrum, np.fft.rfft(g[:e], nfft), out=product)
+        sums[:, s:e] = np.fft.irfft(product, nfft)[:, s:e]
+        g_0[s:e], g_m[s:e], r_s[s:e] = g[0], g[s:e], r[s]
 
-    # once over the grid, with the last group's tilted kernels, which span it; the
+    # once over the grid, with the last block's tilted kernels, which span it; the
     # output comes after the transforms, so fewer arrays are alive while those run
     out = np.empty_like(kernels)
     for row, full, tilted_row, k_0 in zip(out, sums, tilted, kernels[:, 0]):

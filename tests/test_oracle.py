@@ -307,20 +307,6 @@ def _blocks(z, b, dt):
     return list(zip(starts, [*starts[1:], n]))
 
 
-def _groups(z, b, dt):
-    """The blocks of ``_damped_conv_integrals`` in its groups.
-
-    Group k holds the blocks with (n - 1) / 2^k < e - 1 <= (n - 1) / 2^(k - 1);
-    a block ending at node 1 joins the group of node 2.
-    """
-    n = b.size
-    groups = {}
-    for s, e in _blocks(z, b, dt):
-        k = next(k for k in range(1, n.bit_length() + 1) if max(e - 1, 1) * 2**k > n - 1)
-        groups.setdefault(k, []).append((s, e))
-    return list(groups.values())
-
-
 def _takes_split(z, b, dt):
     """Whether ``_damped_conv_integrals`` takes the dyadic split, by its stated rule: more blocks
     than n has bits, and no leaf whose largest log level is _LEAF_RISE or more above its first r."""
@@ -332,17 +318,12 @@ def _takes_split(z, b, dt):
     return len(_blocks(z, b, dt)) > n.bit_length() and rise < oracle._LEAF_RISE
 
 
-def _group_key(c, group):
-    """The (c, E, nfft) of a group whose last block ends at E: nfft >= E - 1 + its longest block."""
-    top = group[-1][1]
-    return c, top, oracle._fft_length(top - 1 + max(e - s for s, e in group))
-
-
 def _kept_keys(z, b, dt):
-    """The keys ``spectra`` holds after a call: the split's (c, n), or the groups' (c, E, nfft)."""
+    """The keys ``spectra`` holds after a call: the split's (c, n), or the blocks' (c, e, nfft)."""
+    c = _tilt(z, dt)
     if _takes_split(z, b, dt):
-        return {(_tilt(z, dt), b.size)}
-    return {_group_key(_tilt(z, dt), group) for group in _groups(z, b, dt)}
+        return {(c, b.size)}
+    return {(c, e, oracle._fft_length(2 * e - 1 - s)) for s, e in _blocks(z, b, dt)}
 
 
 def _split_taken(spectra):
@@ -351,7 +332,7 @@ def _split_taken(spectra):
 
 def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
     # r0 = 20 from a bumped start moves the block ends and the kernel tilt
-    # between sweeps (up to 12 blocks in up to 5 groups), and on the 626-node
+    # between sweeps (up to 12 blocks), and on the 626-node
     # grid a few sweeps cut more blocks than 626 has bits and take the split;
     # so both paths reuse kept state and make new; every bit must match a
     # solve that builds each spectrum and table afresh
@@ -384,31 +365,6 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
     assert kept.sweep_log == fresh.sweep_log
 
 
-def _per_block_integrals(kernels, z, b, dt):
-    """``_damped_conv_integrals`` group by group, on fresh spectra, with every other step block by block.
-
-    Each group transforms its tilted kernels cut to its last end; each block
-    of it forms its inputs, transforms them alone at the group's length, and
-    takes off the end terms, rescales and clips on its own nodes. The stacked
-    transforms and the one pass over the grid must give every bit of this.
-    """
-    c = _tilt(z, dt)
-    r = z - c * dt * np.arange(b.size)
-    with np.errstate(divide="ignore"):
-        logs = r + np.log(b)
-    out = np.empty_like(kernels)
-    for group in _groups(z, b, dt):
-        _, top, nfft = _group_key(c, group)
-        spectrum = np.fft.rfft(kernels[:, :top] * np.exp(-c * dt * np.arange(top)), nfft)
-        for s, e in group:
-            tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
-            g = np.exp(logs[:e] - r[s])
-            full = np.fft.irfft(spectrum * np.fft.rfft(g, nfft), nfft)[:, s:e]
-            ends = 0.5 * (tilted[:, s:e] * g[0] + kernels[:, :1] * g[s:e])
-            out[:, s:e] = np.maximum((full - ends) * (dt * np.exp(r[s] - r[s:e])), 0.0)
-    return out
-
-
 def _r0_100_input(n, sweeps):
     """Kernels, z, b and dt of ref1 at r0 = 100 on n nodes of dt = 0.01 after ``sweeps`` sweeps
     from zero births, as volterra_solve runs them (the first is its seeding sweep)."""
@@ -430,43 +386,35 @@ def _growing_input(n, rate):
 
 
 def _many_block_input(case):
-    """Kernels, z, b and dt that cut more blocks than their grid has bits."""
+    """Kernels, z, b and dt that cut many blocks, more than their grid has bits or (the last two) not."""
     return {
         "growing": lambda: _growing_input(401, 20.0),  # births growing by e^80 over the grid
         "one leaf": lambda: _growing_input(40, 100.0),  # e^39 on fewer nodes than a leaf
         "r0=100": lambda: _r0_100_input(1001, 4),  # its seeding sweep and three more
         "r0=100 T=40": lambda: _r0_100_input(4001, 8),  # the long horizon, 147 blocks
+        "slow growth": lambda: _growing_input(4001, 1.0),  # e^40 over 4001 nodes, 11 blocks
+        "r0=100 early": lambda: _r0_100_input(1001, 2),  # before the blocks multiply, 8 of them
     }[case]()
 
 
-@pytest.mark.parametrize("case", ["growing", "r0=100"])
-def test_many_blocks_keep_the_per_block_bits(case):
-    # below the split's rule, the stacked transforms of each group, the grid
-    # pass over all nodes and the kept scratch give the bits of a pass that
-    # transforms each block on its own and finishes it on its own nodes, on
-    # fresh spectra and on kept spectra and scratch
-    if case == "growing":  # births growing by e^40 over 4001 nodes
-        kernels, z, b, dt = _growing_input(4001, 1.0)
-    else:  # the seeding sweep and one more, before the blocks multiply
-        kernels, z, b, dt = _r0_100_input(1001, 2)
-    assert len(_blocks(z, b, dt)) >= 8 and len(_groups(z, b, dt)) >= 3 and not _takes_split(z, b, dt)
-    want = _per_block_integrals(kernels, z, b, dt)
-    kept = oracle._Spectra(kernels)
-    for spectra in (oracle._Spectra(kernels), kept, kept):
-        np.testing.assert_array_equal(_damped_conv_integrals(kernels, z, b, dt, spectra), want)
-        assert not _split_taken(spectra)
-
-
-@pytest.mark.parametrize("case", ["growing", "one leaf", "r0=100", "r0=100 T=40"])
-def test_many_blocks_match_direct_sum(case):
-    # the dyadic split's scaled leaves and squares keep every output to the
-    # direct sum's precision, on fresh tables and on kept ones
+@pytest.mark.parametrize(
+    "case, split",
+    [
+        pytest.param(case, split, id=case)
+        for case, split in [("growing", True), ("one leaf", True), ("r0=100", True), ("r0=100 T=40", True),
+                            ("slow growth", False), ("r0=100 early", False)]
+    ],
+)
+def test_many_blocks_match_direct_sum(case, split):
+    # the dyadic split's scaled leaves and squares, and below its rule the
+    # blocks transformed one by one, keep every output to the direct sum's
+    # precision, on fresh spectra and tables and on kept ones
     kernels, z, b, dt = _many_block_input(case)
-    assert _takes_split(z, b, dt)
+    assert len(_blocks(z, b, dt)) >= 8 and _takes_split(z, b, dt) == split
     kept = oracle._Spectra(kernels)
     for spectra in (oracle._Spectra(kernels), kept, kept):
         got = _damped_conv_integrals(kernels, z, b, dt, spectra)
-        assert _split_taken(spectra)
+        assert _split_taken(spectra) == split
         for kernel, row in zip(kernels, got):
             want = _direct_damped_integrals(kernel, z, b, dt)
             assert np.max(np.abs(row - want)) <= 1e-12 * np.max(want)
@@ -481,7 +429,7 @@ def test_many_blocks_follow_a_collapse(ref1, share, split):
     # by a share of it, so the log level climbs by (1 - share) z and cuts
     # about 70 to 220 blocks; no input is formed as exp(z), so no step
     # overflows. Where the first leaf's level climbs 770 the split's leaf
-    # scale would leave the float range, and the groups take the sweep
+    # scale would leave the float range, and the blocks take the sweep one by one
     n, dt = 401, 0.01
     times = np.linspace(0.0, (n - 1) * dt, n)
     kernels = _separable_kernels(ref1, times, dt)
@@ -499,9 +447,9 @@ def test_many_blocks_follow_a_collapse(ref1, share, split):
         assert np.all(np.abs(row - want)[normal] <= 1e-12 * want[normal])
 
 
-def test_ref_layouts_keep_the_groups_and_r0_100_takes_the_split(monkeypatch):
+def test_ref_layouts_keep_the_per_block_loop_and_r0_100_takes_the_split(monkeypatch):
     # the ref configs cut 1 to 3 blocks a sweep, on their own grid and on the
-    # benchmark's fine one, so every sweep keeps the grouped path and its bits;
+    # benchmark's fine one, so every sweep keeps the per-block loop;
     # r0 = 100 cuts up to 60 on 1001 nodes, and those sweeps take the split
     damped = oracle._damped_conv_integrals
     paths = []
@@ -528,7 +476,7 @@ def test_ref_layouts_keep_the_groups_and_r0_100_takes_the_split(monkeypatch):
 def test_r0_40_converges_through_the_split(monkeypatch):
     # ref1 at r0 = 40 on dt = 0.01 to t = 10 converges where r0 = 100 stalls,
     # and its sweeps cut more blocks than 1001 has bits: the split reaches the
-    # fixed point of the grouped transforms in the same sweeps
+    # fixed point of the per-block loop in the same sweeps
     fixture = make_ref1(40.0)
     calls = []
     split_sums = oracle._split_sums
@@ -537,17 +485,17 @@ def test_r0_40_converges_through_the_split(monkeypatch):
     split = len(calls)
     assert split >= 100
     assert report.max_gap <= OracleSettings().gap_threshold
-    monkeypatch.setattr(oracle, "_LEAF_RISE", -math.inf)  # no leaf passes: every sweep takes the groups
-    grouped = volterra_solve(from_separable(fixture.params, fixture.feedback, fixture.p0), 10.0, 1e-2)
+    monkeypatch.setattr(oracle, "_LEAF_RISE", -math.inf)  # no leaf passes: every sweep takes the loop
+    per_block = volterra_solve(from_separable(fixture.params, fixture.feedback, fixture.p0), 10.0, 1e-2)
     assert len(calls) == split
-    assert (report.oracle.sweeps, report.oracle.iterations) == (grouped.sweeps, grouped.iterations)
-    assert _sup_gap(report.oracle, grouped) <= 1e-11
+    assert (report.oracle.sweeps, report.oracle.iterations) == (per_block.sweeps, per_block.iterations)
+    assert _sup_gap(report.oracle, per_block) <= 1e-11
 
 
-def test_one_transform_pair_per_group(monkeypatch):
-    # below the split's rule, a sweep of many blocks transforms each group's
+def test_one_transform_pair_per_block(monkeypatch):
+    # below the split's rule, a sweep of many blocks transforms each block's
     # inputs once, forward and back, plus one kernel transform per new
-    # (c, E, nfft) key; above it, one stacked pair per square size past
+    # (c, e, nfft) key; above it, one stacked pair per square size past
     # _MATMUL_MAX, plus those sizes' kernel transforms when (c, n) is new
     calls = {"rfft": 0, "irfft": 0}
     for name in calls:
@@ -564,11 +512,10 @@ def test_one_transform_pair_per_group(monkeypatch):
         return calls["rfft"] - before["rfft"], calls["irfft"] - before["irfft"]
 
     kernels, z, b, dt = _r0_100_input(1001, 2)
-    groups = len(_groups(z, b, dt))
-    assert len(_blocks(z, b, dt)) >= 8 and not _takes_split(z, b, dt)
+    assert len(_blocks(z, b, dt)) == 8 and not _takes_split(z, b, dt)
     spectra = oracle._Spectra(kernels)
-    assert transforms(kernels, z, b, dt, spectra) == (2 * groups, groups)
-    assert transforms(kernels, z, b, dt, spectra) == (groups, groups)  # the same layout again: every key is kept
+    assert transforms(kernels, z, b, dt, spectra) == (16, 8)
+    assert transforms(kernels, z, b, dt, spectra) == (8, 8)  # the same layout again: every key is kept
 
     kernels, z, b, dt = _r0_100_input(1001, 4)
     size = oracle._LEAF << ((b.size - 1) // oracle._LEAF).bit_length()

@@ -32,8 +32,8 @@ trapezoid scheme's bound dt < 2 / (r0 * betas[0])) and ``ref1_r0_100``
 up to 60 FFT blocks, 21 on average). ``ref1_r0_40`` runs ``validate`` at
 r0 = 40 on that grid, the one case that converges while most of its sweeps
 cut more blocks than the grid has bits, so that they take the dyadic split
-where the ref configs' sweeps, of 1 to 3 blocks, keep the grouped
-transforms. ``ref1_fine_oracle`` runs ``validate``
+where the ref configs' sweeps, of 1 to 3 blocks, transform each block on
+its own. ``ref1_fine_oracle`` runs ``validate``
 on the bumped ref1 at t = 10 on dt = 1e-3, the grid of the benchmark's
 oracle cases, whose separable solve starts from the deepest chain of
 coarser grids, five in all. Two more hold a config fault that
