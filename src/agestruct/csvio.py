@@ -53,8 +53,8 @@ def write_lines(path, rows: Iterable[str]) -> Path:
 
 def _write_columns(path, header: str, columns) -> Path:
     """One row per index of the equal-length numeric columns."""
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
-    return write_lines(path, chain([header], (",".join(map(fmt, row)) for row in rows)))
+    cells = (map(repr, np.asarray(col, dtype=float).tolist()) for col in columns)  # Python floats: repr is fmt
+    return write_lines(path, chain([header], map(",".join, zip(*cells))))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> Path:

@@ -29,10 +29,8 @@ The path refuses only dt * r0 * betas[0] / 2 >= 1, where the trapezoid
 node equation loses its one root (Linz 1985, ch. 7). A sweep of few blocks
 transforms each block on its own, its whole history against the kernels cut
 to its end, and keeps each block's spectrum by (c, e, nfft) for the next
-sweep; the trapezoid end terms, the rescale and the clip at zero run once
-over the grid, in scratch rows that every sweep of a solve reuses. A sweep of
-k blocks so costs about k N log N. A sweep whose blocks outnumber the bits
-of N splits sources and targets dyadically instead (Hairer, Lubich &
+sweep, so k blocks cost about k N log N. A sweep whose blocks outnumber the
+bits of N splits sources and targets dyadically instead (Hairer, Lubich &
 Schlichte 1985): 64-node triangles, and squares of each size that pair the
 sources in one half of an interval with the targets in the other, one
 product per size, each square scaled by its own sources' largest level; it
@@ -211,13 +209,12 @@ def _fft_length(n: int) -> int:
 
 class _Spectra(dict):
     """The block spectra that ``_damped_conv_integrals`` keeps between calls, by (c, e, nfft),
-    or the tables of its dyadic split by (c, n), and the scratch rows over the kernels' n nodes
-    it writes on every call: the node numbers 0..n-1, then r, log levels, the running level and
-    then g_0, the block input, g_m and r_s, and one row per kernel for the transform outputs."""
+    or the tables of its dyadic split by (c, n), and the four scratch rows over the kernels' n
+    nodes it writes on every call: the node numbers 0..n-1, r, the log levels and the block input."""
 
     def __init__(self, kernels: np.ndarray):
         super().__init__()
-        self.scratch = np.empty((7 + kernels.shape[0], kernels.shape[1]))
+        self.scratch = np.empty((4, kernels.shape[1]))
         self.scratch[0] = np.arange(kernels.shape[1])
 
 
@@ -238,16 +235,16 @@ def _damped_conv_integrals(
     for j < e, at most exp(_BLOCK_SPAN) times its start level, hence max b,
     with the tilted kernels cut to [:e], at the least 5-smooth FFT length
     nfft >= 2e - 1 - s, so the circular wrap never lands in [s, e), the
-    nodes it writes. The rest depends on a node m only through its block's
-    r_s and g_0, which each block fills in with g_m, and runs once over all
-    nodes: the trapezoid end terms (tilted_m g_0 + k_0 g_m) / 2 come off,
-    the rescale dt exp(r_s - r_m) <= 1 goes on, and as the exact sums have
-    nonnegative terms, the outputs are clipped at zero.
+    nodes it writes, and rescales them by exp(r_s - r_m) <= 1. The half
+    weight of j = 0 enters the log inputs of both routes, and that of j = m
+    the lag-0 kernel entry, of a block's spectrum or the split's leaf table.
+    Both end alike: node 0 reads 0, the outputs take dt, and as the exact
+    sums have nonnegative terms, they are clipped at zero.
 
-    A block's tilted kernels, spectrum and product buffer depend only on
-    (c, e, nfft); ``spectra`` maps keys of earlier calls with these kernels
-    to them, a block reuses those of its key, and it ends with this call's.
-    ``spectra`` also lends its scratch rows, which no returned array shares.
+    A block's spectrum and product buffer depend only on (c, e, nfft);
+    ``spectra`` maps keys of earlier calls with these kernels to them, a
+    block reuses those of its key, and it ends with this call's. ``spectra``
+    also lends its scratch rows, which no returned array shares.
 
     The blocks cost about k N log N for k of them. A call whose blocks
     outnumber n.bit_length() takes the dyadic split of ``_split_sums``
@@ -263,17 +260,17 @@ def _damped_conv_integrals(
     round-off is relative to each sum.
     """
     n = b.size
-    steps, r, logs, g_0, g, g_m, r_s = spectra.scratch[:7]
-    sums = spectra.scratch[7:]  # each kernel's transform output on the nodes of its block
+    steps, r, logs, g = spectra.scratch
     unit = _BLOCK_SPAN / ((n - 1) * dt)
     c = unit * max(math.floor(float(np.subtract(z[1:], z[:-1], out=r[1:]).min()) / dt / unit), 0)
     np.subtract(z, np.multiply(steps, c * dt, out=r), out=r)
     with np.errstate(divide="ignore"):
         np.log(b, out=logs)
     logs += r
-    level = np.maximum.accumulate(logs, out=g_0)  # g_0 is written once the blocks are cut
+    level = np.maximum.accumulate(logs, out=g)  # g is written once the blocks are cut
     bins = np.floor(np.divide(level, _BLOCK_SPAN, out=level), out=level)
     starts = [0, *(np.nonzero(bins[1:] != bins[:-1])[0] + 1).tolist()]
+    logs[0] -= math.log(2.0)  # the trapezoid's half weight at s = 0, on both routes
     if len(starts) > n.bit_length() and (
         np.max(np.maximum.reduceat(logs, range(0, n, _LEAF)) - r[::_LEAF]) < _LEAF_RISE
     ):
@@ -281,32 +278,25 @@ def _damped_conv_integrals(
             spectra.clear()
             spectra[c, n] = _split_tables(kernels, c * dt)
         out = _split_sums(spectra[c, n], r, logs)
-        out *= dt
-        return np.maximum(out, 0.0, out=out)
-    keys = [(c, e, _fft_length(2 * e - 1 - s)) for s, e in zip(starts, [*starts[1:], n])]
-    for stale in spectra.keys() - set(keys):
-        del spectra[stale]
-    for s, key in zip(starts, keys):
-        e, nfft = key[1:]
-        if key not in spectra:
-            tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
-            spectrum = np.fft.rfft(tilted, nfft)
-            spectra[key] = tilted, spectrum, np.empty_like(spectrum)
-        tilted, spectrum, product = spectra[key]
-        np.exp(np.subtract(logs[:e], r[s], out=g[:e]), out=g[:e])
-        np.multiply(spectrum, np.fft.rfft(g[:e], nfft), out=product)
-        sums[:, s:e] = np.fft.irfft(product, nfft)[:, s:e]
-        g_0[s:e], g_m[s:e], r_s[s:e] = g[0], g[s:e], r[s]
-
-    # once over the grid, with the last block's tilted kernels, which span it; the
-    # output comes after the transforms, so fewer arrays are alive while those run
-    out = np.empty_like(kernels)
-    for row, full, tilted_row, k_0 in zip(out, sums, tilted, kernels[:, 0]):
-        ends = np.multiply(tilted_row, g_0, out=g)
-        ends += np.multiply(g_m, k_0, out=logs)
-        ends *= 0.5
-        np.subtract(full, ends, out=row)
-    out *= np.multiply(np.exp(np.subtract(r_s, r, out=r_s), out=r_s), dt, out=r_s)
+    else:
+        keys = [(c, e, _fft_length(2 * e - 1 - s)) for s, e in zip(starts, [*starts[1:], n])]
+        for stale in spectra.keys() - set(keys):
+            del spectra[stale]
+        out = np.empty_like(kernels)
+        for s, key in zip(starts, keys):
+            e, nfft = key[1:]
+            if key not in spectra:
+                tilted = kernels[:, :e] * np.exp(-c * dt * np.arange(e))
+                tilted[:, 0] *= 0.5  # the trapezoid's half weight at s = t_m
+                spectrum = np.fft.rfft(tilted, nfft)
+                spectra[key] = spectrum, np.empty_like(spectrum)
+            spectrum, product = spectra[key]
+            np.exp(np.subtract(logs[:e], r[s], out=g[:e]), out=g[:e])
+            np.multiply(spectrum, np.fft.rfft(g[:e], nfft), out=product)
+            block = np.fft.irfft(product, nfft)[:, s:e]
+            np.multiply(block, np.exp(np.subtract(r[s], r[s:e], out=g[s:e]), out=g[s:e]), out=out[:, s:e])
+    out[:, 0] = 0.0
+    out *= dt
     return np.maximum(out, 0.0, out=out)
 
 
@@ -332,7 +322,7 @@ def _split_tables(kernels: np.ndarray, tilt: float) -> list:
 
 
 def _split_sums(tables: list, r: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Trapezoid sums of tilted(m - j) exp(logs_j - r_m) over j <= m, by the dyadic split.
+    """Sums of tilted(m - j) exp(logs_j - r_m) over j <= m, the j = m term halved, by the dyadic split.
 
     The grid is padded to a power-of-two multiple of ``_LEAF`` nodes, logs
     with -inf and r with its last value. Each leaf of ``_LEAF`` nodes is its
@@ -343,8 +333,7 @@ def _split_sums(tables: list, r: np.ndarray, logs: np.ndarray) -> np.ndarray:
     lags meet no wrap. Only leaves and squares whose targets start on the
     grid are formed. Each scales its sources by their largest log level R (by
     r_0 if they are all -inf), so every input is at most 1, and multiplies
-    its outputs by exp(R - r_m). The half weight of j = 0 enters the inputs,
-    that of j = m the leaf tables.
+    its outputs by exp(R - r_m). The caller halves the j = 0 input and sets node 0.
     """
     n = logs.size
     k = tables[0].shape[1] // _LEAF
@@ -361,7 +350,6 @@ def _split_sums(tables: list, r: np.ndarray, logs: np.ndarray) -> np.ndarray:
         scale = np.where(scale > -np.inf, scale, r[0])
         grid = padded[:, : parts * h * count].reshape(2, count, parts, h)
         x = np.exp(np.subtract(grid[0, :, 0], scale[:, None]))
-        x[0, 0] *= 0.5
         if table.ndim == 2:
             y = (x @ table).reshape(count, k, h).transpose(1, 0, 2)
         else:
@@ -371,9 +359,7 @@ def _split_sums(tables: list, r: np.ndarray, logs: np.ndarray) -> np.ndarray:
         if parts == 2:
             top, h = np.maximum(top[0::2], top[1::2]), 2 * h
         parts = 2
-    out = out[:, :n]
-    out[:, 0] = 0.0
-    return out
+    return out[:, :n]
 
 
 def _initial_cohorts(p0: InitialDensity, dt: float) -> tuple:

@@ -220,64 +220,6 @@ def _separable_kernels(fixture, times, dt):
     return _SeparableSweep(model, times, dt).kernels
 
 
-def test_damped_convolution_matches_direct_sum(ref1):
-    # the survival exponent climbs to 590, where a single FFT of
-    # exp(+z) * b would lose everything below exp(590) * eps
-    n, dt = 401, 0.01
-    times = np.linspace(0.0, (n - 1) * dt, n)
-    kernels = _separable_kernels(ref1, times, dt)
-    z = 590.0 * (times / times[-1]) ** 1.5
-    b = 1.0 + 0.5 * np.sin(3.0 * times)
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
-        want = _direct_damped_integrals(kernel, z, b, dt)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-
-
-def test_damped_convolution_follows_growing_births(ref1):
-    # no survival exponent, but births growing like exp(5 t): each output must
-    # stay accurate relative to the births so far, not to the last, largest
-    # ones (a grid-wide FFT errs by about exp(20) * eps everywhere)
-    n, dt = 401, 0.01
-    times = np.linspace(0.0, (n - 1) * dt, n)
-    kernels = _separable_kernels(ref1, times, dt)
-    z = np.zeros(n)
-    b = np.exp(5.0 * times)
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
-        want = _direct_damped_integrals(kernel, z, b, dt)
-        assert np.all(np.abs(got - want) <= 1e-12 * b)
-
-
-def test_damped_convolution_follows_a_collapse(ref1):
-    # births fall as fast as z climbs past the float range of exp(z): the
-    # block inputs come from log levels, so none overflows, and every output
-    # in the normal float range matches the direct sum
-    n, dt = 401, 0.01
-    times = np.linspace(0.0, (n - 1) * dt, n)
-    kernels = _separable_kernels(ref1, times, dt)
-    z = 1000.0 * (1.0 - np.exp(-3.0 * times))
-    b = np.exp(-z) * (1.0 + 0.5 * np.sin(3.0 * times))
-    for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
-        want = _direct_damped_integrals(kernel, z, b, dt)
-        normal = want >= np.finfo(float).tiny
-        assert normal.sum() >= 40
-        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
-        assert np.all(np.abs(got - want) <= 1e-12 * dt * np.max(b))
-
-
-def test_damped_convolution_absorbs_the_least_crowding_rate(ref1):
-    # z climbs at a rate of at least 37 everywhere, so the kernels take a
-    # tilt c > 0 and the blocks follow the rest of z
-    n, dt = 401, 0.01
-    times = np.linspace(0.0, (n - 1) * dt, n)
-    kernels = _separable_kernels(ref1, times, dt)
-    z = 40.0 * times + 3.0 * (1.0 - np.cos(times))
-    assert _tilt(z, dt) > 0
-    for b in (1.0 + 0.5 * np.sin(3.0 * times), np.exp(5.0 * times)):
-        for kernel, got in zip(kernels, _damped_conv_integrals(kernels, z, b, dt, oracle._Spectra(kernels))):
-            want = _direct_damped_integrals(kernel, z, b, dt)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-
-
 def test_fft_length_is_the_least_5_smooth_number_above():
     def smooth(m):
         for f in (2, 3, 5):
@@ -365,17 +307,22 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
     assert kept.sweep_log == fresh.sweep_log
 
 
-def _r0_100_input(n, sweeps):
-    """Kernels, z, b and dt of ref1 at r0 = 100 on n nodes of dt = 0.01 after ``sweeps`` sweeps
-    from zero births, as volterra_solve runs them (the first is its seeding sweep)."""
-    fixture = make_ref1(100.0)
+def _swept(model, n, sweeps):
+    """A separable sweep on n nodes of dt = 0.01, and its iterates after ``sweeps`` sweeps from zero
+    births, as volterra_solve runs them (the first is its seeding sweep)."""
     dt = 0.01
-    times = np.linspace(0.0, (n - 1) * dt, n)
-    sweep = _SeparableSweep(from_separable(fixture.params, fixture.feedback, fixture.p0), times, dt)
+    sweep = _SeparableSweep(model, np.linspace(0.0, (n - 1) * dt, n), dt)
     b, p = np.zeros(n), np.full(n, sweep.mass0)
     for _ in range(sweeps):
         b, p = sweep(b, p)
-    return sweep.kernels, cumulative_trapezoid(fixture.feedback.psi(p), dt), b, dt
+    return sweep, b, p
+
+
+def _r0_100_input(n, sweeps):
+    """Kernels, z, b and dt of ref1 at r0 = 100 on n nodes of dt = 0.01 after ``sweeps`` sweeps."""
+    fixture = make_ref1(100.0)
+    sweep, b, p = _swept(from_separable(fixture.params, fixture.feedback, fixture.p0), n, sweeps)
+    return sweep.kernels, cumulative_trapezoid(fixture.feedback.psi(p), sweep.dt), b, sweep.dt
 
 
 def _growing_input(n, rate):
@@ -385,66 +332,80 @@ def _growing_input(n, rate):
     return _separable_kernels(make_ref1(), times, dt), np.zeros(n), np.exp(rate * times), dt
 
 
-def _many_block_input(case):
-    """Kernels, z, b and dt that cut many blocks, more than their grid has bits or (the last two) not."""
+def _convolution_input(case):
+    """Kernels, z, b and dt of one row of the direct-sum table."""
+    n, dt = 401, 0.01
+    times = np.linspace(0.0, (n - 1) * dt, n)
+    wave = 1.0 + 0.5 * np.sin(3.0 * times)
+    collapse = 1000.0 * (1.0 - np.exp(-3.0 * times))  # past 1000, 850 of it within the first leaf
+    least = 40.0 * times + 3.0 * (1.0 - np.cos(times))  # a slope of at least 37 everywhere
+
+    def on_grid(z, b):
+        return _separable_kernels(make_ref1(), times, dt), z, b, dt
+
     return {
-        "growing": lambda: _growing_input(401, 20.0),  # births growing by e^80 over the grid
-        "one leaf": lambda: _growing_input(40, 100.0),  # e^39 on fewer nodes than a leaf
-        "r0=100": lambda: _r0_100_input(1001, 4),  # its seeding sweep and three more
-        "r0=100 T=40": lambda: _r0_100_input(4001, 8),  # the long horizon, 147 blocks
-        "slow growth": lambda: _growing_input(4001, 1.0),  # e^40 over 4001 nodes, 11 blocks
-        "r0=100 early": lambda: _r0_100_input(1001, 2),  # before the blocks multiply, 8 of them
+        "climb": lambda: on_grid(590.0 * (times / times[-1]) ** 1.5, wave),
+        "growth": lambda: _growing_input(n, 5.0),
+        "jump": lambda: on_grid(np.zeros(n), np.where(times < 2.0, 1.0, math.exp(30.0))),
+        "collapse": lambda: on_grid(collapse, np.exp(-collapse) * wave),
+        "least rate": lambda: on_grid(least, wave),
+        "least rate growth": lambda: on_grid(least, np.exp(5.0 * times)),
+        "split collapse": lambda: on_grid(collapse, np.exp(-0.6 * collapse) * wave),
+        "steep leaf": lambda: on_grid(collapse, np.exp(-0.1 * collapse) * wave),
+        "growing": lambda: _growing_input(n, 20.0),
+        "one leaf": lambda: _growing_input(40, 100.0),
+        "r0=100": lambda: _r0_100_input(1001, 4),
+        "r0=100 T=40": lambda: _r0_100_input(4001, 8),
+        "slow growth": lambda: _growing_input(4001, 1.0),
+        "r0=100 early": lambda: _r0_100_input(1001, 2),
     }[case]()
 
 
+# case, split (the route), fewest blocks, tilted (c > 0), and bound. Every row holds each output within
+# 1e-12 of the largest and each normal output within 1e-12 of itself; every output past node 0 is
+# normal, but a "collapse" needs only 40 to be; "growth" also holds each output within 1e-12 of b
+_CONVOLUTION_ROWS = [
+    ("climb", True, 100, True, "max"),  # z to 590: one FFT of exp(z) b would lose all below exp(590) eps
+    ("growth", False, 4, False, "growth"),  # exp(5 t): a grid-wide FFT errs by exp(20) eps of early outputs
+    ("jump", False, 2, False, "max"),  # b steps up by e^30: the cut there spares earlier outputs its round-off
+    ("collapse", False, 1, False, "collapse"),  # b falls as fast as z climbs past exp's float range
+    ("least rate", False, 4, True, "max"),  # the kernels take the tilt, the blocks the rest of z
+    ("least rate growth", True, 8, True, "max"),
+    ("split collapse", True, 60, False, "collapse"),  # log b falls by 0.6 z: the level climbs 0.4 z
+    ("steep leaf", False, 60, False, "collapse"),  # by 0.1 z: the first leaf's level climbs 770
+    ("growing", True, 8, False, "max"),  # births growing by e^80 over the grid
+    ("one leaf", True, 8, False, "max"),  # e^39 on fewer nodes than a leaf
+    ("r0=100", True, 8, True, "max"),  # its seeding sweep and three more
+    ("r0=100 T=40", True, 100, True, "max"),  # the long horizon, 147 blocks
+    ("slow growth", False, 8, False, "max"),  # e^40 over 4001 nodes, 11 blocks
+    ("r0=100 early", False, 8, False, "max"),  # before the blocks multiply, 8 of them
+]
+
+
 @pytest.mark.parametrize(
-    "case, split",
-    [
-        pytest.param(case, split, id=case)
-        for case, split in [("growing", True), ("one leaf", True), ("r0=100", True), ("r0=100 T=40", True),
-                            ("slow growth", False), ("r0=100 early", False)]
-    ],
+    "case, split, blocks, tilted, bound", [pytest.param(*row, id=row[0]) for row in _CONVOLUTION_ROWS]
 )
-def test_many_blocks_match_direct_sum(case, split):
-    # the dyadic split's scaled leaves and squares, and below its rule the
-    # blocks transformed one by one, keep every output to the direct sum's
-    # precision, on fresh spectra and tables and on kept ones
-    kernels, z, b, dt = _many_block_input(case)
-    assert len(_blocks(z, b, dt)) >= 8 and _takes_split(z, b, dt) == split
+def test_convolution_matches_direct_sum(case, split, blocks, tilted, bound):
+    # both routes, the per-block loop and the dyadic split with its scaled
+    # leaves and squares, keep every output to the direct sum's precision, on
+    # fresh spectra and tables and on kept ones; no input is formed as exp(z),
+    # so none overflows, and a steep first leaf keeps the loop
+    kernels, z, b, dt = _convolution_input(case)
+    assert len(_blocks(z, b, dt)) >= blocks and _takes_split(z, b, dt) == split
+    assert (_tilt(z, dt) > 0) == tilted
+    wants = [_direct_damped_integrals(kernel, z, b, dt) for kernel in kernels]
     kept = oracle._Spectra(kernels)
     for spectra in (oracle._Spectra(kernels), kept, kept):
         got = _damped_conv_integrals(kernels, z, b, dt, spectra)
         assert _split_taken(spectra) == split
-        for kernel, row in zip(kernels, got):
-            want = _direct_damped_integrals(kernel, z, b, dt)
-            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(want)
+        for row, want in zip(got, wants):
+            err = np.abs(row - want)
+            assert np.max(err) <= 1e-12 * np.max(want)
+            if bound == "growth":
+                assert np.all(err <= 1e-12 * b)
             normal = want >= np.finfo(float).tiny
-            assert normal.sum() == b.size - 1  # every node but the first
-            assert np.all(np.abs(row - want)[normal] <= 1e-12 * want[normal])
-
-
-@pytest.mark.parametrize("share, split", [(0.6, True), (0.1, False)], ids=["split", "steep leaf"])
-def test_many_blocks_follow_a_collapse(ref1, share, split):
-    # z climbs past 1000, 850 of it within the first leaf, while log b falls
-    # by a share of it, so the log level climbs by (1 - share) z and cuts
-    # about 70 to 220 blocks; no input is formed as exp(z), so no step
-    # overflows. Where the first leaf's level climbs 770 the split's leaf
-    # scale would leave the float range, and the blocks take the sweep one by one
-    n, dt = 401, 0.01
-    times = np.linspace(0.0, (n - 1) * dt, n)
-    kernels = _separable_kernels(ref1, times, dt)
-    z = 1000.0 * (1.0 - np.exp(-3.0 * times))
-    b = np.exp(-share * z) * (1.0 + 0.5 * np.sin(3.0 * times))
-    assert len(_blocks(z, b, dt)) > 60 and _takes_split(z, b, dt) == split
-    spectra = oracle._Spectra(kernels)
-    got = _damped_conv_integrals(kernels, z, b, dt, spectra)
-    assert _split_taken(spectra) == split
-    for kernel, row in zip(kernels, got):
-        want = _direct_damped_integrals(kernel, z, b, dt)
-        normal = want >= np.finfo(float).tiny
-        assert normal.sum() >= 40
-        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(want)
-        assert np.all(np.abs(row - want)[normal] <= 1e-12 * want[normal])
+            assert (normal.sum() >= 40) if bound == "collapse" else (normal.sum() == b.size - 1)
+            assert np.all(err[normal] <= 1e-12 * want[normal])
 
 
 def test_ref_layouts_keep_the_per_block_loop_and_r0_100_takes_the_split(monkeypatch):
@@ -530,22 +491,23 @@ def test_one_transform_pair_per_block(monkeypatch):
 
 
 def test_separable_sweep_scratch_is_safe():
-    # one sweep object reuses its scratch on every call: iterates A, B, then
-    # A again give the first result bit for bit, and no returned array
-    # shares memory with the scratch, as volterra_solve holds b and b_next
-    _, _, b, dt = _many_block_input("r0=100")
-    fixture = make_ref1(100.0)
-    times = np.linspace(0.0, (b.size - 1) * dt, b.size)
-    sweep = _SeparableSweep(from_separable(fixture.params, fixture.feedback, fixture.p0), times, dt)
-    p = np.full(b.size, sweep.mass0)
-    first = sweep(b, p)
-    other = sweep(np.ones(b.size), 1.0 + 0.5 * np.sin(times))
-    again = sweep(b, p)
-    for got, want in zip(again, first):
-        np.testing.assert_array_equal(got, want)
-    for got in (*first, *other, *again):
-        assert not np.shares_memory(got, sweep.spectra.scratch)
-    assert not any(np.shares_memory(x, y) for x in first for y in again)
+    # one sweep object reuses its scratch on every call: on either route,
+    # iterates A, B, then A again give the first result bit for bit, and no
+    # returned array shares memory with the scratch or with a kept spectrum,
+    # product or table, as volterra_solve holds b and b_next
+    for r0, p0, split in ((100.0, None, True), (4.0, ag.ExponentialDensity(1.65, 1.5), False)):
+        fixture = make_ref1(r0)
+        sweep, b, p = _swept(from_separable(fixture.params, fixture.feedback, p0 or fixture.p0), 1001, 4)
+        results = []
+        for x in ((b, p), (np.ones(b.size), 1.0 + 0.5 * np.sin(sweep.times)), (b, p)):
+            results.append(sweep(*x))
+            held = [sweep.spectra.scratch, *(a for kept in sweep.spectra.values() for a in kept)]
+            assert not any(np.shares_memory(got, a) for got in results[-1] for a in held)
+            assert x[0] is not b or _split_taken(sweep.spectra) == split
+        first, _, again = results
+        for got, want in zip(again, first):
+            np.testing.assert_array_equal(got, want)
+        assert not any(np.shares_memory(x, y) for x in first for y in again)
 
 
 def test_long_horizon_cross_validation(ref1):
