@@ -175,14 +175,13 @@ def _eval_rates(fn: Callable, ages, sizes, what: str) -> np.ndarray:
 class OracleSolution:
     """Converged discrete solution of the renewal integral system.
 
-    ``iterations`` is the most counted sweeps any one window or grid took
-    and ``sweeps`` their total; a solve of one window on one grid has
-    ``sweeps == iterations``. Each generic window, and only the coarsest
-    separable grid, also runs one uncounted seeding sweep. ``final_update``
-    is the largest last update of any window of the requested grid.
-    ``sweep_log`` holds one line per counted sweep: ``k,update`` for one
-    window on one grid, else ``w,k,update`` (window w from 1) or
-    ``g,k,update`` (grid g from the coarsest).
+    ``iterations`` is the most sweeps any one window or grid took and
+    ``sweeps`` their total, every sweep the solve ran; a solve of one window
+    on one grid has ``sweeps == iterations``. ``final_update`` is the
+    largest last update of any window of the requested grid. ``sweep_log``
+    holds one line per sweep: ``k,update`` for one window on one grid, else
+    ``w,k,update`` (window w from 1) or ``g,k,update`` (grid g from the
+    coarsest).
     """
 
     times: np.ndarray
@@ -478,9 +477,8 @@ class _GenericSweep:
         # the exponent table that every sweep reuses, sized for the last, widest window
         self.expo_flat = np.empty(min(self.window_rows + 1, times.size) * self.ages.shape[1])
 
-    def __call__(self, b: np.ndarray, p: np.ndarray, s: int = 0, e: Optional[int] = None):
-        """B and P with new values on the nodes [s, e), by default the whole grid."""
-        e = self.times.size if e is None else e
+    def __call__(self, b: np.ndarray, p: np.ndarray, s: int, e: int):
+        """B and P with new values on the nodes [s, e) of one window that ``volterra_solve`` cuts."""
         dt = self.dt
         if s != self.start:  # a new window: the last sweep of the one before is final
             self.start, self.carry = s, self.last_row
@@ -492,8 +490,6 @@ class _GenericSweep:
         # from the exponents of the characteristics alive at row lo, the
         # last k; cohorts not yet born hold +inf, so their survival is 0.
         # At t = 0 the initial cohorts and the one born then start at 0.
-        if self.expo_flat.size < rows * width:  # a wider call, such as the whole grid at once
-            self.expo_flat = np.empty(rows * width)
         expo = self.expo_flat[: rows * width].reshape(rows, width)
         alive_lo = self.carry if s else np.zeros(self.n_sigma)
         expo[0, : width - alive_lo.size] = np.inf
@@ -606,19 +602,20 @@ def volterra_solve(
     takes one window, the whole grid; the generic path short ones. The
     first window starts from zero births and the initial mass, each later
     one from ``_window_predictor``'s extrapolation of the window before,
-    clipped at zero. A window runs one seeding sweep, and then sweeps until the
-    sup-norm change of both B and P drops to its share of ``tol``,
-    tol * (e - s) / N, which is ``tol`` itself for a single window. Raises
+    clipped at zero. Every sweep is a ``_picard`` sweep of one window,
+    counted, logged and bounded by ``k_max``, until the sup-norm change of
+    both B and P drops to the window's share of ``tol``, tol * (e - s) / N,
+    which is ``tol`` itself for a single window. Raises
     ConvergenceError (carrying the last update norm and the sweep log, and
     naming the start of the window) if ``k_max`` sweeps of a window are not
     enough. Settings that ``grid_steps`` refuses raise ParameterError first.
 
     The separable path first solves the grids of 2 dt, 4 dt, ... while the
     step count is even, the coarser dt passes ``check_solvable`` and the
-    coarser grid keeps ``_CHAIN_MIN_STEPS`` steps. Only the coarsest seeds;
-    each finer grid starts from (5 x_2dt - x_4dt) / 4 (x_2dt on the second)
-    on the coarse nodes, ``_refine``'s cubic between, clipped at zero. If a
-    coarser grid raises, the requested grid is solved cold, on its own.
+    coarser grid keeps ``_CHAIN_MIN_STEPS`` steps. The coarsest starts as
+    the first window does; each finer grid from (5 x_2dt - x_4dt) / 4 (x_2dt
+    on the second) on the coarse nodes, ``_refine``'s cubic between, clipped
+    at zero. If a coarser grid raises, the requested grid is solved cold.
     """
     t_end, dt = float(t_end), float(dt)
     n_steps = grid_steps(t_end, dt, tol, k_max)
@@ -633,7 +630,7 @@ def volterra_solve(
             m = n_steps >> level
             coarse = _SeparableSweep(model, np.linspace(0.0, t_end, m + 1), dt * 2**level)
             if start is None:
-                start = coarse(np.zeros(m + 1), np.full(m + 1, coarse.mass0))
+                start = np.zeros(m + 1), np.full(m + 1, coarse.mass0)
             b, p, k, _ = _picard(coarse, *start, 0, m + 1, tol, k_max, f"{g},", sweep_log)
             counts.append(k)
             x = np.stack((b, p))
@@ -656,8 +653,6 @@ def volterra_solve(
         if s:  # predicted from the window before, [s - rows, s), which is whole
             ahead = _window_predictor(rows)[: e - s]
             b[s:e], p[s:e] = np.maximum(ahead @ b[s - rows : s], 0.0), np.maximum(ahead @ p[s - rows : s], 0.0)
-        if start is None:
-            b, p = sweep(b, p, s, e)
         prefix = f"{w}," if len(starts) > 1 else f"{len(counts) + 1}," if counts else ""
         b, p, k, update = _picard(sweep, b, p, s, e, tol * ((e - s) / n), k_max, prefix, sweep_log)
         iterations, sweeps = max(iterations, k), sweeps + k

@@ -177,23 +177,39 @@ def test_linear_mode_closed_form_growth():
     assert np.max(np.abs(sol.populations - expect_p)) <= 2e-3
 
 
-def test_fast_and_generic_paths_agree(ref2):
+def _births_to_45_model():
+    """A random-model example at T = 2, dt = 0.05, whose births reach 45."""
+    params = ag.ModelParams(
+        n=1, betas=ag.normalize_betas((1.0,), 2.5, 2.875), rho=2.5, mu0=2.875, r0=6.125, normalized=True
+    )
+    feedback = ag.FeedbackSpec(
+        phi_family=ag.make_phi("hill", k=2.75, m=1.0), psi_family=ag.make_psi("linear", c=2.0)
+    )
+    return params, feedback, ag.ExponentialDensity(coefficient=3.0, decay=2.25)
+
+
+@pytest.mark.parametrize("case, dt", [("ref2", 0.01), ("births-to-45", 0.05)], ids=["ref2", "births-to-45"])
+def test_fast_and_generic_paths_agree(case, dt):
     # the structured convolution path (one window, the whole grid) and the
     # dense windowed path must be two encodings of the same discrete scheme,
-    # not merely close
-    p0 = ag.ExponentialDensity(coefficient=1.2, decay=1.1)
-    fast_model = from_separable(ref2.params, ref2.feedback, p0)
+    # not merely close; the stop rule is absolute, so the bound grows with |x|
+    if case == "ref2":
+        ref2 = make_ref2()
+        params, feedback, p0 = ref2.params, ref2.feedback, ag.ExponentialDensity(coefficient=1.2, decay=1.1)
+    else:
+        params, feedback, p0 = _births_to_45_model()
+    fast_model = from_separable(params, feedback, p0)
     slow_model = GeneralModel(
         mortality=fast_model.mortality,
         fertility=fast_model.fertility,
         initial_density=p0,
     )
-    fast = volterra_solve(fast_model, 2.0, 0.01)
-    slow = volterra_solve(slow_model, 2.0, 0.01)
+    fast = volterra_solve(fast_model, 2.0, dt)
+    slow = volterra_solve(slow_model, 2.0, dt)
     assert (fast.windows, fast.sweeps) == (1, fast.iterations)
     assert slow.windows > 1
-    np.testing.assert_allclose(fast.birth_rates, slow.birth_rates, atol=1e-10)
-    np.testing.assert_allclose(fast.populations, slow.populations, atol=1e-10)
+    for got, want in ((fast.birth_rates, slow.birth_rates), (fast.populations, slow.populations)):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 def test_converged_point_is_fixed(ref1):
@@ -309,7 +325,7 @@ def test_spectrum_reuse_keeps_every_bit(ref1, monkeypatch):
 
 def _swept(model, n, sweeps):
     """A separable sweep on n nodes of dt = 0.01, and its iterates after ``sweeps`` sweeps from zero
-    births, as volterra_solve runs them (the first is its seeding sweep)."""
+    births, as volterra_solve runs them on a cold grid."""
     dt = 0.01
     sweep = _SeparableSweep(model, np.linspace(0.0, (n - 1) * dt, n), dt)
     b, p = np.zeros(n), np.full(n, sweep.mass0)
@@ -375,7 +391,7 @@ _CONVOLUTION_ROWS = [
     ("steep leaf", False, 60, False, "collapse"),  # by 0.1 z: the first leaf's level climbs 770
     ("growing", True, 8, False, "max"),  # births growing by e^80 over the grid
     ("one leaf", True, 8, False, "max"),  # e^39 on fewer nodes than a leaf
-    ("r0=100", True, 8, True, "max"),  # its seeding sweep and three more
+    ("r0=100", True, 8, True, "max"),  # its first four sweeps
     ("r0=100 T=40", True, 100, True, "max"),  # the long horizon, 147 blocks
     ("slow growth", False, 8, False, "max"),  # e^40 over 4001 nodes, 11 blocks
     ("r0=100 early", False, 8, False, "max"),  # before the blocks multiply, 8 of them
@@ -411,7 +427,8 @@ def test_convolution_matches_direct_sum(case, split, blocks, tilted, bound):
 def test_ref_layouts_keep_the_per_block_loop_and_r0_100_takes_the_split(monkeypatch):
     # the ref configs cut 1 to 3 blocks a sweep, on their own grid and on the
     # benchmark's fine one, so every sweep keeps the per-block loop;
-    # r0 = 100 cuts up to 60 on 1001 nodes, and those sweeps take the split
+    # r0 = 100 cuts up to 60 on 1001 nodes, and those sweeps take the split.
+    # Every sweep a solve runs is one convolution call, and ``sweeps`` counts it
     damped = oracle._damped_conv_integrals
     paths = []
 
@@ -425,13 +442,15 @@ def test_ref_layouts_keep_the_per_block_loop_and_r0_100_takes_the_split(monkeypa
     for fixture in (make_ref1(), make_ref2()):
         for p0 in (fixture.p0, ag.ExponentialDensity(1.65, 1.5), ag.ExponentialDensity(0.3, 0.8)):
             for t_end, dt in ((5.0, 2e-3), (10.0, 1e-3)):
-                volterra_solve(from_separable(fixture.params, fixture.feedback, p0), t_end, dt)
+                before = len(paths)
+                sol = volterra_solve(from_separable(fixture.params, fixture.feedback, p0), t_end, dt)
+                assert len(paths) - before == sol.sweeps
     assert len(paths) > 500 and not any(paths)
     paths.clear()
     fixture = make_ref1(100.0)
     with pytest.raises(ConvergenceError):
         volterra_solve(from_separable(fixture.params, fixture.feedback, fixture.p0), 10.0, 1e-2)
-    assert len(paths) == DEFAULT_K_MAX + 1 and sum(paths) >= 150
+    assert len(paths) == DEFAULT_K_MAX and sum(paths) >= 150
 
 
 def test_r0_40_converges_through_the_split(monkeypatch):
@@ -710,11 +729,10 @@ def test_generic_sweep_matches_direct_reference(case):
     b = 1.0 + 0.5 * np.sin(3.0 * times)
     p = 1.0 + 0.3 * np.cos(2.0 * times)
     want = _DirectGenericSweep(model, times, dt)(b, p)
-    # the whole grid at once, and window by window with the carried
-    # exponents: with the iterates held fixed both are one global sweep
-    for got in (_GenericSweep(model, times, dt)(b, p), _windowed_pass(_GenericSweep(model, times, dt), b, p)):
-        for got_x, want_x in zip(got, want):
-            _assert_close_to(got_x, want_x)
+    # window by window with the carried exponents: with the iterates held
+    # fixed, one sweep of every window in turn is one global sweep
+    for got_x, want_x in zip(_windowed_pass(_GenericSweep(model, times, dt), b, p), want):
+        _assert_close_to(got_x, want_x)
 
     # the windowed solve lands on a fixed point of the reference sweep
     sol = volterra_solve(model, t_end, dt)
@@ -724,18 +742,19 @@ def test_generic_sweep_matches_direct_reference(case):
 
 
 def test_generic_sweep_reads_no_stale_buffer_entry():
-    # a whole-grid sweep grows the exponent buffer past any window's table
-    # and leaves its own entries there (overwritten with NaN to make any read
-    # of them show); a sweep of the first window must equal a fresh object's
+    # a pass over every window leaves the exponent buffer, sized for the
+    # widest window, past the first window's table (overwritten with NaN to
+    # make any read of it show); a sweep of the first window must equal a
+    # fresh object's
     model, t_end, dt = GENERIC_CASES["non-separable"]
     times = np.linspace(0.0, t_end, oracle.grid_steps(t_end, dt) + 1)
     b = 1.0 + 0.5 * np.sin(3.0 * times)
     p = 1.0 + 0.3 * np.cos(2.0 * times)
     used = _GenericSweep(model, times, dt)
-    used(b, p)
+    _windowed_pass(used, b, p)
     used.expo_flat.fill(np.nan)
     w = used.window_rows
-    assert w < times.size
+    assert w < times.size and used.expo_flat.size > w * (w - 1 + used.n_sigma)
     for got, want in zip(used(b, p, 0, w), _GenericSweep(model, times, dt)(b, p, 0, w)):
         np.testing.assert_array_equal(got, want)
 
@@ -791,7 +810,7 @@ def test_windowed_generic_matches_tight_reference(case, request):
 def test_generic_windows_evaluate_only_the_ages_they_read():
     # a window [s, e) reads its rows and row s - 1, and only the ages of the
     # cohorts born by e - 1 and of the initial cohorts; each evaluator is
-    # called once per sweep of the window, seeding sweep included
+    # called once per sweep of the window, and every sweep is counted
     calls = {"mortality": [], "fertility": []}
 
     def recording(name, fn):
@@ -814,8 +833,8 @@ def test_generic_windows_evaluate_only_the_ages_they_read():
     for shapes in calls.values():
         runs = [(shape, len(list(group))) for shape, group in itertools.groupby(shapes)]
         assert [shape for shape, _ in runs] == want
-        assert sum(count for _, count in runs) == sol.sweeps + sol.windows
-        assert max(count for _, count in runs) == sol.iterations + 1
+        assert sum(count for _, count in runs) == sol.sweeps
+        assert max(count for _, count in runs) == sol.iterations
 
 
 def test_windowed_log_and_stall_name_the_window():
@@ -828,16 +847,17 @@ def test_windowed_log_and_stall_name_the_window():
     assert sol.final_update <= 1e-10
 
     # births start once the initial cohorts pass age 2.4, in the window
-    # from t = 1.28; every window before it is exact after its seeding sweep
+    # from t = 1.28; every window before it is exact after its second sweep
     model = GeneralModel(
         mortality=lambda a, p: 0.5,
         fertility=lambda a, p: 40.0 * np.maximum(a - 2.4, 0.0) / (1.0 + p),
         initial_density=ag.TabulatedDensity(ages=(0.0, 1.0), values=(1.0, 1.0)),
     )
     with pytest.raises(ConvergenceError, match=r"window from t=1\.28$") as err:
-        volterra_solve(model, 3.0, 0.01, k_max=1)
-    # one sweep in each of the 16-node windows up to and including the stall
-    assert [line.split(",")[:2] for line in err.value.sweep_log] == [[str(w), "1"] for w in range(1, 10)]
+        volterra_solve(model, 3.0, 0.01, k_max=2)
+    # two sweeps in each of the 16-node windows up to and including the stall
+    lines = [line.split(",")[:2] for line in err.value.sweep_log]
+    assert lines == [[str(w), str(k)] for w in range(1, 10) for k in (1, 2)]
 
 
 def test_broadcast_rates_need_one_call_per_sweep():
@@ -856,7 +876,7 @@ def test_broadcast_rates_need_one_call_per_sweep():
     )
     sol = volterra_solve(model, 2.0, 0.02)
     ref = volterra_solve(twin, 2.0, 0.02)
-    assert len(calls) == sol.sweeps + sol.windows
+    assert len(calls) == sol.sweeps
     assert sol.iterations == ref.iterations
     np.testing.assert_array_equal(sol.birth_rates, ref.birth_rates)
     np.testing.assert_array_equal(sol.populations, ref.populations)
@@ -866,11 +886,11 @@ def test_broadcast_rates_are_validated():
     times = np.linspace(0.0, 1.0, 11)
     model = GeneralModel(lambda a, p: 1.0 - p, lambda a, p: 0.0 * a, ag.ExponentialDensity(1.0, 1.0))
     with pytest.raises(ParameterError, match="mortality"):
-        _GenericSweep(model, times, 0.1)(np.ones(11), np.full(11, 2.0))
+        _GenericSweep(model, times, 0.1)(np.ones(11), np.full(11, 2.0), 0, 11)
     # a result that does not broadcast to the (sizes x ages) table
     model = GeneralModel(lambda a, p: 0.5, lambda a, p: np.ones(3), ag.ExponentialDensity(1.0, 1.0))
     with pytest.raises(ParameterError, match=r"^fertility evaluator must take arrays and return a result"):
-        _GenericSweep(model, times, 0.1)(np.ones(11), np.ones(11))
+        _GenericSweep(model, times, 0.1)(np.ones(11), np.ones(11), 0, 11)
 
 
 @pytest.mark.parametrize("scalar_only", ["mortality", "fertility"])
@@ -963,8 +983,8 @@ def test_predicted_start_is_clipped_at_zero(monkeypatch):
     )
     starts, call = {}, _GenericSweep.__call__
 
-    def seeing(self, b, p, s=0, e=None):
-        if s and s not in starts:  # the seeding sweep of a window sees its start
+    def seeing(self, b, p, s, e):
+        if s and s not in starts:  # the first sweep of a window sees its start
             rows = self.window_rows
             ahead = oracle._window_predictor(rows)[: e - s]
             starts[s] = np.stack((ahead @ b[s - rows : s], ahead @ p[s - rows : s])), np.stack((b[s:e], p[s:e]))
