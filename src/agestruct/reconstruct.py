@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .model import FeedbackSpec, InitialDensity, ModelParams
 from .quadrature import default_age_length, simpson, uniform_grid, uniform_steps
-from .reduction import Trajectory
+from .reduction import Trajectory, _births
 
 #: floor used in the relative-error denominator so an all-zero population
 #: compares as exactly consistent instead of dividing by zero
@@ -59,8 +59,9 @@ def _survival(traj: Trajectory, t: float) -> float:
 
 def _renewal(traj: Trajectory, t: float, a: np.ndarray) -> np.ndarray:
     """Renewal branch B(t - a) * exp(-mu0*a - [Z(t) - Z(t - a)]) at ages 0 <= a <= t."""
-    z_gap = traj.psi_integral_at(t) - traj.psi_integral_at(t - a)
-    return traj.birth_rate_at(t - a) * np.exp(-traj.params.mu0 * a - np.maximum(z_gap, 0.0))
+    rows = traj._read(t - a)[0]  # one read of the dense output for B(t - a) and Z(t - a)
+    decay = np.exp(-traj.params.mu0 * a - np.maximum(traj.psi_integral_at(t) - rows[:, -1], 0.0))
+    return _births(rows[:, :-1], traj.params, traj.feedback) * decay
 
 
 def default_age_grid(traj: Trajectory, p0: InitialDensity, step: float = 0.01) -> np.ndarray:

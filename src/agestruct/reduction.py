@@ -114,19 +114,33 @@ def birth_rate(state: ArrayLike, params: ModelParams, feedback: FeedbackSpec) ->
 # trajectory container with dense output
 
 
+HERMITE_CHUNK = 4096  # query times per chunk of the dense-output read, so its scratch does not grow with them
+
+
 def _hermite_eval(t_arr: np.ndarray, kt: np.ndarray, ky: np.ndarray, kf: np.ndarray) -> np.ndarray:
-    """Cubic-Hermite interpolation between integrator knots (value + derivative)."""
-    idx = np.clip(np.searchsorted(kt, t_arr, side="right") - 1, 0, kt.size - 2)
-    h = kt[idx + 1] - kt[idx]
-    s = np.clip((t_arr - kt[idx]) / h, 0.0, 1.0)
-    s2 = s * s
-    s3 = s2 * s
-    h00 = (2 * s3 - 3 * s2 + 1)[:, None]
-    h10 = (s3 - 2 * s2 + s)[:, None]
-    h01 = (-2 * s3 + 3 * s2)[:, None]
-    h11 = (s3 - s2)[:, None]
-    hh = h[:, None]
-    return h00 * ky[idx] + h10 * hh * kf[idx] + h01 * ky[idx + 1] + h11 * hh * kf[idx + 1]
+    """Cubic-Hermite interpolation between integrator knots (value + derivative), chunk by chunk into the output.
+
+    Each row sums ((h00 y0 + (h10 h) f0) + h01 y1) + (h11 h) f1 in that order, so a time reads the same bits in
+    any batch. idx is in range, so ``np.take`` runs in mode "clip", which fills ``out`` unbuffered."""
+    out = np.empty((t_arr.size, ky.shape[1]))
+    work = np.empty((min(t_arr.size, HERMITE_CHUNK), ky.shape[1]))
+    for lo in range(0, t_arr.size, HERMITE_CHUNK):
+        t, rows = t_arr[lo : lo + HERMITE_CHUNK], out[lo : lo + HERMITE_CHUNK]
+        term = work[: t.size]
+        idx = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
+        h = kt[idx + 1] - kt[idx]
+        s = np.clip((t - kt[idx]) / h, 0.0, 1.0)
+        s2 = s * s
+        s3 = s2 * s
+        np.multiply((2 * s3 - 3 * s2 + 1)[:, None], np.take(ky, idx, axis=0, out=rows, mode="clip"), out=rows)
+        np.multiply(((s3 - 2 * s2 + s) * h)[:, None], np.take(kf, idx, axis=0, out=term, mode="clip"), out=term)
+        rows += term
+        idx += 1
+        np.multiply((-2 * s3 + 3 * s2)[:, None], np.take(ky, idx, axis=0, out=term, mode="clip"), out=term)
+        rows += term
+        np.multiply(((s3 - s2) * h)[:, None], np.take(kf, idx, axis=0, out=term, mode="clip"), out=term)
+        rows += term
+    return out
 
 
 @dataclass

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,68 @@ def test_readouts_of_no_times(ref1):
     traj = ag.integrate([1.0, 0.75], ref1.params, ref1.feedback, t_end=2.0)
     assert traj.state_at([]).shape == (0, 2)
     assert traj.psi_integral_at([]).shape == traj.birth_rate_at([]).shape == (0,)
+
+
+def _one_shot_hermite(t, kt, ky, kf):
+    """The dense-output read of every query at once: the reference the chunked read must match bit for bit."""
+    idx = np.clip(np.searchsorted(kt, t, side="right") - 1, 0, kt.size - 2)
+    h = kt[idx + 1] - kt[idx]
+    s = np.clip((t - kt[idx]) / h, 0.0, 1.0)
+    s2 = s * s
+    s3 = s2 * s
+    h00 = (2 * s3 - 3 * s2 + 1)[:, None]
+    h10 = (s3 - 2 * s2 + s)[:, None]
+    h01 = (-2 * s3 + 3 * s2)[:, None]
+    h11 = (s3 - s2)[:, None]
+    hh = h[:, None]
+    return h00 * ky[idx] + h10 * hh * kf[idx] + h01 * ky[idx + 1] + h11 * hh * kf[idx + 1]
+
+
+def _bumped_ref2(ref2, n_samples):
+    start = ag.density_moments(ag.ExponentialDensity(1.65, 1.5), ref2.params.rho, ref2.params.n)
+    return ag.integrate(start, ref2.params, ref2.feedback, t_end=10.0, rtol=1e-10, n_samples=n_samples)
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+def test_chunked_read_is_the_one_shot_formula_bit_for_bit(ref2):
+    chunk = reduction.HERMITE_CHUNK
+    traj = _bumped_ref2(ref2, 3 * chunk + 17)
+    knots = (traj.knot_times, traj.knot_states, traj.knot_derivs)
+    assert traj.clamp_count == 0  # so the samples are the raw read
+    # the samples cross three chunk edges
+    assert np.array_equal(_bits(traj.states), _bits(_one_shot_hermite(traj.times, *knots)[:, :-1]))
+    rng = np.random.default_rng(46)
+    for count in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17):
+        t = rng.uniform(0.0, traj.t_end, count)
+        t[::3] = np.resize(traj.knot_times, t[::3].size)  # every third query on a knot, both ends among them
+        for order in (t, np.sort(t)[::-1]):  # the reconstruction reads t - a, falling
+            got = reduction._hermite_eval(order, *knots)
+            assert got.shape == (count, traj.knot_states.shape[1])
+            assert np.array_equal(_bits(got), _bits(_one_shot_hermite(order, *knots)))
+    for t in (0.0, traj.knot_times[7], 3.3, traj.t_end):  # a scalar query
+        want = _one_shot_hermite(np.array([t]), *knots)[0]
+        assert np.array_equal(_bits(traj.state_at(t)), _bits(want[:-1]))
+        assert traj.psi_integral_at(t) == max(want[-1], 0.0)
+    assert reduction._hermite_eval(np.empty(0), *knots).shape == (0, traj.knot_states.shape[1])
+
+
+def test_dense_output_read_scratch_does_not_grow_with_the_query_count(ref2):
+    # the read's scratch is a fixed number of chunk-sized rows, 0.4 MB at
+    # 4096 rows and 4 columns; the one-shot read held several query-sized
+    # temporaries at once, 28.9 MB for these 200,000 queries
+    traj = _bumped_ref2(ref2, 11)
+    t = np.linspace(0.0, traj.t_end, 200_000)
+    bound = 1 << 20  # bytes, whatever the count
+    tracemalloc.start()
+    try:
+        out = reduction._hermite_eval(t, traj.knot_times, traj.knot_states, traj.knot_derivs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + bound, (peak - out.nbytes, bound)
 
 
 def test_integrate_validates_arguments(ref1):

@@ -140,6 +140,10 @@ def test_classify_trivial_tracks_bifurcation():
         "marginal"
     assert ag.classify_trivial(make_ref1(4.0).params, make_ref1(4.0).feedback).verdict == \
         "unstable"
+    # a spectral abscissa of -1e-5 or +1e-5 is a verdict, not "marginal": the
+    # margin only absorbs round-off, far below any real growth rate
+    for r0, verdict in ((1.0 - 1e-5, "asymptotically stable"), (1.0 + 1e-5, "unstable")):
+        assert ag.classify_trivial(make_ref1(r0).params, make_ref1(r0).feedback).verdict == verdict
 
 
 def test_trivial_jacobian_ref1(ref1):

@@ -36,7 +36,10 @@ where the ref configs' sweeps, of 1 to 3 blocks, transform each block on
 its own. ``ref1_fine_oracle`` runs ``validate``
 on the bumped ref1 at t = 10 on dt = 1e-3, the grid of the benchmark's
 oracle cases, whose separable solve starts from the deepest chain of
-coarser grids, five in all. Two more hold a config fault that
+coarser grids, five in all. ``ref1_many_samples`` runs ``simulate`` on the
+bumped ref1 with 200001 samples, so ``trajectory.csv`` holds dense-output
+reads across about 49 of the read's chunk edges (``HERMITE_CHUNK`` rows
+each), where the ref configs' 201 samples fit in one chunk. Two more hold a config fault that
 only some subcommands meet: ``ref1_no_start`` (``simulate``,
 ``reconstruct`` and ``validate`` on ref1 without ``initial_density``) and
 ``ref1_wide_start`` (the same three on ref1 from (1e-6, 1e-6), whose
@@ -113,6 +116,7 @@ CASES = {
     "ref1_r0_100": ("ref1", {"model": {"r0": 100.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
     "ref1_r0_40": ("ref1", {"model": {"r0": 40.0}, "oracle": {"t_end": 10.0, "dt": 0.01}}, ("validate",)),
     "ref1_fine_oracle": ("ref1", {**BUMPED, "oracle": {"t_end": 10.0, "dt": 0.001}}, ("validate",)),
+    "ref1_many_samples": ("ref1", {**BUMPED, "integrator": {"samples": 200001}}, ("simulate",)),
 }
 TIMED = ("manifest.json", "run_summary.json")
 PUBLIC = "agestruct.__all__"
